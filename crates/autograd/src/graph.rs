@@ -125,9 +125,6 @@ pub struct Graph {
     /// When `true`, gradient work is pruned for nodes with no trainable
     /// ancestor (see [`Graph::set_pruning`]).
     prune: bool,
-    /// When `true` (default), layer helpers fuse `matmul + bias (+ tanh)`
-    /// and `s · tanh` into single tape ops.
-    fuse: bool,
     /// Cumulative observability counters (see [`Graph::snapshot`]).
     backward_runs: u64,
     grad_nodes: u64,
@@ -276,14 +273,9 @@ fn pooled_matmul(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 impl Graph {
-    /// Creates an empty graph with pruning off and op fusion on.
+    /// Creates an empty graph with pruning off.
     pub fn new() -> Self {
-        Graph::default().with_fusion_on()
-    }
-
-    fn with_fusion_on(mut self) -> Self {
-        self.fuse = true;
-        self
+        Graph::default()
     }
 
     /// Number of nodes currently on the tape.
@@ -340,27 +332,6 @@ impl Graph {
     /// Whether needs-grad pruning is enabled.
     pub fn pruning_enabled(&self) -> bool {
         self.prune
-    }
-
-    /// Enables or disables fused layer ops (`matmul+bias(+tanh)`,
-    /// `s·tanh`). Fusion is on by default; the unfused composition produces
-    /// bitwise-identical values and gradients and exists for A/B testing
-    /// and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape is non-empty.
-    pub fn set_fusion(&mut self, on: bool) {
-        assert!(
-            self.nodes.is_empty(),
-            "set_fusion requires an empty tape (call reset() first)"
-        );
-        self.fuse = on;
-    }
-
-    /// Whether fused layer ops are enabled.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fuse
     }
 
     /// Hit/miss counters of the internal buffer pool — the workspace's

@@ -1,7 +1,8 @@
 //! Gradient-checks the fused `matmul+bias+tanh` tape op against finite
 //! differences on both sides of the parallel matmul threshold, and pins
-//! that the fused op is bitwise identical to the unfused
-//! `matmul → add_row → tanh` composition it replaces.
+//! that the fused ops are bitwise identical to the compositions they
+//! replace: `linear` against `matmul → add_row → tanh`, and `tanh_scale`
+//! against `tanh → scale`.
 
 use nofis_autograd::check::{max_rel_error, numeric_param_grads};
 use nofis_autograd::{Graph, ParamStore, Tensor};
@@ -75,7 +76,6 @@ fn check_fused_matches_unfused_bitwise(m: usize, k: usize, n: usize) {
         let w = store.add(w_t.clone());
         let b = store.add(b_t.clone());
         let mut g = Graph::new();
-        g.set_fusion(fused);
         let xv = g.constant(x.clone());
         let wv = store.inject(&mut g, w);
         let bv = store.inject(&mut g, b);
@@ -110,6 +110,46 @@ fn check_fused_matches_unfused_bitwise(m: usize, k: usize, n: usize) {
     }
 }
 
+/// `tanh_scale(x, s)` must execute the exact same floating-point program
+/// as `scale(tanh(x), s)`: identical value bits and gradient bits. The
+/// inputs span every branch of the shared `tanh` (rational, exp-based,
+/// saturated) and both signs.
+fn check_tanh_scale_matches_composed_bitwise(rows: usize, cols: usize) {
+    let x_t = Tensor::from_vec(
+        rows,
+        cols,
+        fill(rows * cols, 401 + (rows * cols) as u64)
+            .into_iter()
+            .map(|v| v * 50.0)
+            .collect(),
+    );
+    let s_max = 1.7;
+    let run = |fused: bool| {
+        let mut store = ParamStore::new();
+        let x = store.add(x_t.clone());
+        let mut g = Graph::new();
+        let xv = store.inject(&mut g, x);
+        let y = if fused {
+            g.tanh_scale(xv, s_max)
+        } else {
+            let t = g.tanh(xv);
+            g.scale(t, s_max)
+        };
+        let sq = g.square(y);
+        let loss = g.mean_all(sq);
+        g.backward(loss);
+        (g.value(y).clone(), g.param_grads().remove(0).1)
+    };
+    let (y_f, grad_f) = run(true);
+    let (y_u, grad_u) = run(false);
+    for (a, bb) in y_f.as_slice().iter().zip(y_u.as_slice()) {
+        assert_eq!(a.to_bits(), bb.to_bits(), "({rows}x{cols}) forward bits");
+    }
+    for (a, bb) in grad_f.as_slice().iter().zip(grad_u.as_slice()) {
+        assert_eq!(a.to_bits(), bb.to_bits(), "({rows}x{cols}) grad bits");
+    }
+}
+
 #[test]
 fn fused_linear_below_threshold() {
     nofis_parallel::init_global(4);
@@ -139,4 +179,11 @@ fn fused_bitwise_equals_unfused_above_threshold() {
     let (m, k, n) = (130, 25, 21); // 68250 > 65536
     assert!(m * k * n > PAR_FLOPS_THRESHOLD);
     check_fused_matches_unfused_bitwise(m, k, n);
+}
+
+#[test]
+fn tanh_scale_bitwise_equals_tanh_then_scale() {
+    nofis_parallel::init_global(4);
+    check_tanh_scale_matches_composed_bitwise(1, 3);
+    check_tanh_scale_matches_composed_bitwise(130, 21);
 }

@@ -63,9 +63,9 @@ fn bench_training_graph(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed path (fresh unfused tape per step, grads cloned out for Adam)
-/// vs. the pooled hot path (tape arena reuse + frozen-gradient pruning +
-/// fused kernels + fused Adam) on a stage-3 frozen-prefix NOFIS step.
+/// Seed path (fresh tape per step, grads cloned out for Adam) vs. the
+/// pooled hot path (tape arena reuse + frozen-gradient pruning + fused
+/// Adam) on a stage-3 frozen-prefix NOFIS step.
 /// The bitwise-equivalence tests pin that both lanes compute the same
 /// numbers; this group measures only the time.
 fn bench_pooled_training_step(c: &mut Criterion) {
@@ -95,12 +95,11 @@ fn bench_pooled_training_step(c: &mut Criterion) {
         let (mut store, flow, mut opt) = build();
         b.iter(|| {
             let mut g = Graph::new();
-            g.set_fusion(false);
             loss_of(&mut g, &store, &flow);
             opt.step(&mut store, &g.param_grads());
         })
     });
-    group.bench_function("pooled_pruned_fused", |b| {
+    group.bench_function("pooled_pruned", |b| {
         let (mut store, flow, mut opt) = build();
         let mut g = Graph::new();
         g.set_pruning(true);

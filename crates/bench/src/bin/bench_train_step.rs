@@ -1,15 +1,14 @@
-//! Steady-state NOFIS training-step throughput across the tape memory
-//! model matrix: pooled/unpooled tape × frozen-gradient pruning on/off ×
-//! 1/4 worker threads, plus the trace-once/replay compiled-tape engine,
-//! with buffer-pool miss counters doubling as an allocations-per-step
-//! meter.
+//! Steady-state NOFIS training-step throughput: the interpreted tape
+//! (pooled buffers, frozen-gradient pruning) against the trace-once/replay
+//! compiled engine at 1 and 4 worker threads, with buffer-pool miss
+//! counters doubling as an allocations-per-step meter.
 //!
 //! ```text
 //! bench_train_step [--smoke]
 //! bench_train_step --assert-telemetry-overhead [--smoke]
 //! bench_train_step --assert-checkpoint-overhead [--smoke]
+//! bench_train_step --assert-metrics-overhead [--smoke]
 //! bench_train_step --assert-compile-overhead [--smoke]
-//! bench_train_step --assert-compiled-speedup [--smoke]
 //! ```
 //!
 //! `--assert-telemetry-overhead` runs an A/B pair in-process: the same
@@ -22,22 +21,20 @@
 //! lowering against the per-step savings of replaying instead of
 //! re-tracing, and asserts the compile cost amortizes in under 50 steps
 //! (plus that steady-state replays are allocation-free).
-//! `--assert-compiled-speedup` is the CI guard on the tentpole: the
-//! compiled default-config (`stage3_default`) step must be at least 1.5x
-//! faster than the interpreted pooled+pruned+fused path.
 //!
 //! Because the process-wide thread pool is sized exactly once (see
 //! `nofis_parallel::global`), the thread axis is driven by re-executing
 //! this binary as a subprocess worker with `NOFIS_THREADS` pinned per
-//! child; each worker times one variant and prints a single JSON record on
+//! child; each worker times one lane and prints a single record on
 //! stdout. The parent aggregates the matrix into
-//! `results/BENCH_train_step.json`.
+//! `results/BENCH_train_step.json`; `--smoke` (one config, short windows —
+//! a liveness check, not a measurement) writes
+//! `target/BENCH_train_step.smoke.json` instead, so it never overwrites
+//! the full results.
 //!
-//! Speedups of the hot paths over the seed path (fresh unfused tape per
-//! step, no pruning, clone-per-step Adam input) are *reported*; the
-//! bitwise contracts behind them are asserted in
-//! `tests/frozen_prune_equivalence.rs`, `tests/golden_flows.rs`,
-//! `tests/alloc_regression.rs`, and `tests/compiled_equivalence.rs`.
+//! The bitwise contract between the two lanes is asserted in
+//! `tests/compiled_equivalence.rs`; `tests/frozen_prune_equivalence.rs`,
+//! `tests/golden_flows.rs` and `tests/alloc_regression.rs` pin the rest.
 
 use nofis_autograd::{CompiledStep, Graph, ParamStore, PoolStats, Var};
 use nofis_flows::RealNvp;
@@ -53,14 +50,7 @@ use std::time::Instant;
 struct CellRecord {
     config: String,
     variant: String,
-    pooled: bool,
-    pruned: bool,
-    fused: bool,
     compiled: bool,
-    /// Ran with `NOFIS_REFERENCE_MATH=1`: libm tanh + scalar reference
-    /// matmul kernels — the numeric stack as it was before the compiled
-    /// engine landed (the honest A/B baseline for the tentpole metric).
-    reference: bool,
     threads: usize,
     ns_per_step: f64,
     steps_timed: u64,
@@ -80,37 +70,16 @@ struct BenchTrainStep {
     configs: Vec<StepConfig>,
     note: &'static str,
     cells: Vec<CellRecord>,
-    /// ns_per_step(seed) / ns_per_step(pooled+pruned+fused), per config
-    /// and thread count.
-    speedup_full_vs_seed: Vec<SpeedupRecord>,
-    /// ns_per_step(pooled+pruned+fused) / ns_per_step(compiled), per
-    /// config and thread count, **same math in both lanes** — what tape
-    /// elimination alone buys (honesty row: close to 1.0x on matmul-bound
-    /// configs).
-    speedup_compiled_vs_fused: Vec<CompiledSpeedupRecord>,
-    /// ns_per_step(fused_pr3) / ns_per_step(compiled), per config and
-    /// thread count — the tentpole's acceptance metric. `fused_pr3` runs
-    /// the interpreted fused path under `NOFIS_REFERENCE_MATH=1` (libm
-    /// tanh, scalar kernels, transpose-composed backward): the hot path
-    /// exactly as the previous PR shipped it. Here `fused_ns_per_step`
-    /// is that reconstructed lane's time.
-    speedup_compiled_vs_pr3_fused: Vec<CompiledSpeedupRecord>,
+    /// ns_per_step(interpreted) / ns_per_step(compiled), per config and
+    /// thread count — what tape elimination buys on the same math.
+    speedup_compiled_vs_interpreted: Vec<SpeedupRecord>,
 }
 
 #[derive(Serialize)]
 struct SpeedupRecord {
     config: &'static str,
     threads: usize,
-    seed_ns_per_step: f64,
-    full_ns_per_step: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct CompiledSpeedupRecord {
-    config: &'static str,
-    threads: usize,
-    fused_ns_per_step: f64,
+    interpreted_ns_per_step: f64,
     compiled_ns_per_step: f64,
     speedup: f64,
 }
@@ -129,8 +98,8 @@ struct StepConfig {
 
 /// Two regimes of the same 3-stage frozen-prefix step. `stage3_small`
 /// (two layers per stage, narrow nets, minibatch 32) is allocation-bound:
-/// tape bookkeeping is a large share of the step and pooling + pruning +
-/// fusion shine. `stage3_default` (the `NofisConfig` defaults: eight
+/// tape bookkeeping is a large share of the step, so tape elimination
+/// shows most. `stage3_default` (the `NofisConfig` defaults: eight
 /// layers per stage, hidden 32, minibatch 64) is matmul-bound, so the
 /// same changes buy less — both are reported so the speedup is not an
 /// artifact of one regime.
@@ -153,28 +122,12 @@ const CONFIGS: [StepConfig; 2] = [
     },
 ];
 
-/// The full (pooled, pruned, fused, compiled, reference) matrix. `seed`
-/// is the exact pre-optimization program (fresh tape per step, composed
-/// ops, grads cloned out for Adam); `pooled_pruned_fused` is the
-/// interpreted hot path on the current math stack (fast tanh + blocked
-/// SIMD kernels, shared with `compiled`, so that pair isolates what tape
-/// elimination alone buys); `compiled` is the trace-once/replay engine;
-/// `fused_pr3` is the interpreted hot path under
-/// `NOFIS_REFERENCE_MATH=1` — libm tanh + scalar kernels, i.e. the hot
-/// path exactly as the previous PR shipped it, reconstructed as the
-/// baseline for the compiled engine's acceptance metric.
-const VARIANTS: [(&str, bool, bool, bool, bool, bool); 10] = [
-    ("seed", false, false, false, false, false),
-    ("seed_fused", false, false, true, false, false),
-    ("seed_pruned", false, true, false, false, false),
-    ("seed_pruned_fused", false, true, true, false, false),
-    ("pooled", true, false, false, false, false),
-    ("pooled_fused", true, false, true, false, false),
-    ("pooled_pruned", true, true, false, false, false),
-    ("pooled_pruned_fused", true, true, true, false, false),
-    ("fused_pr3", true, true, true, false, true),
-    ("compiled", true, true, true, true, false),
-];
+/// The two training engines, as `(name, compiled)`. `interpreted` builds
+/// the tape every step on a persistent, pruned graph; `compiled` is the
+/// trace-once/replay engine `nofis_core` runs by default. Both share the
+/// same math (fast tanh, blocked kernels, fused layer ops), so the pair
+/// isolates what tape elimination alone buys.
+const VARIANTS: [(&str, bool); 2] = [("interpreted", false), ("compiled", true)];
 
 fn lcg_fill(buf: &mut [f64], seed: u64) {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -236,24 +189,20 @@ fn trace_loss(
     (x, loss)
 }
 
-/// One NOFIS-shaped training step on an already prepared graph: tempered
-/// oracle term, base log-density term, log-det term, backward, Adam.
+/// One NOFIS-shaped training step on a reset graph: tempered oracle
+/// term, base log-density term, log-det term, backward, Adam.
 fn run_step(
     g: &mut Graph,
     store: &mut ParamStore,
     flow: &RealNvp,
     opt: &mut Adam,
     cfg: StepConfig,
-    pooled: bool,
     seed: u64,
 ) -> f64 {
+    g.reset();
     let (_x, loss) = trace_loss(g, store, flow, cfg, seed);
     g.backward(loss);
-    if pooled {
-        opt.step_fused(store, g);
-    } else {
-        opt.step(store, &g.param_grads());
-    }
+    opt.step_fused(store, g);
     g.value(loss).item()
 }
 
@@ -318,6 +267,48 @@ fn measure(smoke: bool, mut step: impl FnMut(u64) -> (f64, PoolStats)) -> Timing
     }
 }
 
+/// Steady-state interpreted step time in ns on the allocation-bound
+/// `stage3_small` shape — the cheapest step, so the worst case for the
+/// *relative* overhead of a per-step site. Adaptive window length,
+/// minimum of three windows.
+fn steady_step_ns(smoke: bool) -> f64 {
+    let cfg = CONFIGS[0];
+    let (mut store, flow, mut opt) = build(cfg);
+    let mut g = Graph::new();
+    g.set_pruning(true);
+    let mut next_seed = 0u64;
+    let mut step = |seed: u64| run_step(&mut g, &mut store, &flow, &mut opt, cfg, seed);
+    for _ in 0..16 {
+        assert!(step(next_seed).is_finite());
+        next_seed += 1;
+    }
+
+    let min_ms = if smoke { 30 } else { 150 };
+    let mut steps = 16u64;
+    let step_window = loop {
+        let t = Instant::now();
+        for _ in 0..steps {
+            step(next_seed);
+            next_seed += 1;
+        }
+        let elapsed = t.elapsed();
+        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
+            break elapsed;
+        }
+        steps *= 2;
+    };
+    let mut best_step = step_window;
+    for _ in 0..2 {
+        let t = Instant::now();
+        for _ in 0..steps {
+            step(next_seed);
+            next_seed += 1;
+        }
+        best_step = best_step.min(t.elapsed());
+    }
+    best_step.as_nanos() as f64 / steps as f64
+}
+
 /// The per-step telemetry site of `nofis_core`'s training loop, replicated
 /// field-for-field so the overhead lane pays exactly what production steps
 /// pay when telemetry is disabled (one relaxed atomic load in
@@ -355,48 +346,7 @@ fn assert_telemetry_overhead(smoke: bool) {
         "telemetry must be disabled for the overhead check"
     );
     const SITES_PER_STEP: f64 = 16.0;
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
-    for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
-        next_seed += 1;
-    }
-
-    // Step time: adaptive window length, minimum of three windows (the
-    // allocation-bound `stage3_small` shape — the cheapest step, so the
-    // worst case for *relative* site overhead).
-    let min_ms = if smoke { 30 } else { 150 };
-    let mut steps = 16u64;
-    let step_window = loop {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break elapsed;
-        }
-        steps *= 2;
-    };
-    let mut best_step = step_window;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        best_step = best_step.min(t.elapsed());
-    }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    let step_ns = steady_step_ns(smoke);
 
     // Disabled-site cost: tight loop, black_box keeps the inputs and the
     // call alive. Minimum of three windows.
@@ -410,7 +360,7 @@ fn assert_telemetry_overhead(smoke: bool) {
             telemetry_step_site(
                 3,
                 std::hint::black_box(i as usize),
-                cfg.batch,
+                CONFIGS[0].batch,
                 loss,
                 Some(5.0),
             );
@@ -456,45 +406,7 @@ fn checkpoint_step_site(every_steps: &mut Option<u64>, global_step: u64) -> bool
 /// — the production loop runs ONE due-check per optimizer step.
 fn assert_checkpoint_overhead(smoke: bool) {
     const SITES_PER_STEP: f64 = 4.0;
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
-    for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
-        next_seed += 1;
-    }
-
-    let min_ms = if smoke { 30 } else { 150 };
-    let mut steps = 16u64;
-    let step_window = loop {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break elapsed;
-        }
-        steps *= 2;
-    };
-    let mut best_step = step_window;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        best_step = best_step.min(t.elapsed());
-    }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    let step_ns = steady_step_ns(smoke);
 
     let site_iters: u64 = if smoke { 2_000_000 } else { 10_000_000 };
     let mut best_site = std::time::Duration::MAX;
@@ -549,45 +461,7 @@ fn metrics_step_site(agg: &nofis_metrics::Aggregator, ev: &nofis_telemetry::Even
 fn assert_metrics_overhead(smoke: bool) {
     use nofis_telemetry::{Event, Kind, Level, Value};
     const EVENTS_PER_STEP: f64 = 8.0;
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
-    for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
-        next_seed += 1;
-    }
-
-    let min_ms = if smoke { 30 } else { 150 };
-    let mut steps = 16u64;
-    let step_window = loop {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break elapsed;
-        }
-        steps *= 2;
-    };
-    let mut best_step = step_window;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        best_step = best_step.min(t.elapsed());
-    }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    let step_ns = steady_step_ns(smoke);
 
     // Per-event fold cost over the hot names a training step emits: the
     // step event itself, a budget gauge, and two cache counters.
@@ -675,11 +549,9 @@ fn assert_compile_overhead(smoke: bool) {
     let (mut store, flow, mut opt) = build(cfg);
 
     let mut g = Graph::new();
-    g.set_fusion(true);
     g.set_pruning(true);
     let interp = measure(smoke, |s| {
-        g.reset();
-        let loss = run_step(&mut g, &mut store, &flow, &mut opt, cfg, true, s);
+        let loss = run_step(&mut g, &mut store, &flow, &mut opt, cfg, s);
         (loss, g.pool_stats())
     });
 
@@ -734,53 +606,14 @@ fn assert_compile_overhead(smoke: bool) {
     println!("OK: trace+compile amortizes in under 50 steps (and replays are allocation-free)");
 }
 
-/// The CI guard on the tentpole's acceptance criterion: the compiled
-/// `stage3_default` step must be >= 1.5x faster than the interpreted
-/// PR 3 fused path, reconstructed as the `fused_pr3` reference lane
-/// (libm tanh + scalar kernels under `NOFIS_REFERENCE_MATH=1`).
-///
-/// Both lanes run as subprocess workers pinned to one thread — the
-/// reference-math switch is read once per process, so the A/B *must* be
-/// two processes — on the same host back to back, so machine noise
-/// largely cancels and the ratio is what CI asserts on.
-fn assert_compiled_speedup(smoke: bool) {
-    let cfg = CONFIGS[1];
-    assert_eq!(cfg.name, "stage3_default");
-
-    let pr3 = spawn_worker("fused_pr3", cfg.name, 1, smoke);
-    let compiled = spawn_worker("compiled", cfg.name, 1, smoke);
-
-    let speedup = pr3.ns_per_step / compiled.ns_per_step;
-    println!(
-        "compiled replay vs PR 3 fused path [stage3_default @ 1 thread]: \
-         {:.0} vs {:.0} ns/step = {speedup:.2}x",
-        compiled.ns_per_step, pr3.ns_per_step
-    );
-    assert_eq!(
-        compiled.pool_allocs_per_step, 0.0,
-        "compiled lane must run at zero allocations per step"
-    );
-    assert!(
-        speedup >= 1.5,
-        "compiled default-config step is only {speedup:.2}x the PR 3 fused path (< 1.5x)"
-    );
-    println!("OK: compiled default-config step is >= 1.5x the PR 3 fused path");
-}
-
 /// Times one (config, variant) cell in-process and prints its record. The
 /// global thread pool must already be pinned (via `NOFIS_THREADS`) by the
 /// parent.
 fn worker(variant: &str, config: &str, smoke: bool) {
-    let (_, pooled, pruned, fused, compiled, reference) = *VARIANTS
+    let (_, compiled) = *VARIANTS
         .iter()
-        .find(|(name, ..)| *name == variant)
+        .find(|(name, _)| *name == variant)
         .unwrap_or_else(|| panic!("unknown variant {variant}"));
-    assert_eq!(
-        nofis_parallel::math::reference_math(),
-        reference,
-        "worker {variant} must run with NOFIS_REFERENCE_MATH={}",
-        if reference { "1" } else { "unset" }
-    );
     let cfg = *CONFIGS
         .iter()
         .find(|c| c.name == config)
@@ -788,13 +621,12 @@ fn worker(variant: &str, config: &str, smoke: bool) {
     let threads = nofis_parallel::global().threads();
     let (mut store, flow, mut opt) = build(cfg);
 
+    let mut g = Graph::new();
+    g.set_pruning(true);
     let timing = if compiled {
         // Trace once, compile once, then every step is a replay — exactly
         // the steady-state of `nofis_core`'s train loop with
         // `compile_tape` on (the default).
-        let mut g = Graph::new();
-        g.set_fusion(true);
-        g.set_pruning(true);
         let (x, loss) = trace_loss(&mut g, &store, &flow, cfg, 1 << 40);
         g.backward(loss);
         let mut cs = CompiledStep::compile(&g, loss, Some(x), &store);
@@ -811,59 +643,21 @@ fn worker(variant: &str, config: &str, smoke: bool) {
             (cs.value(loss).item(), cs.pool_stats())
         })
     } else {
-        // Persistent graph for the pooled lanes; the seed lanes rebuild it
-        // from scratch every step, exactly like the pre-optimization loop.
-        let mut persistent = Graph::new();
-        persistent.set_fusion(fused);
-        persistent.set_pruning(pruned);
         measure(smoke, |s| {
-            let loss = if pooled {
-                persistent.reset();
-                run_step(&mut persistent, &mut store, &flow, &mut opt, cfg, true, s)
-            } else {
-                let mut fresh = Graph::new();
-                fresh.set_fusion(fused);
-                fresh.set_pruning(pruned);
-                run_step(&mut fresh, &mut store, &flow, &mut opt, cfg, false, s)
-            };
-            // The unpooled lanes never touch the persistent pool, so their
-            // tape allocations show up as time, not pool traffic.
-            (loss, persistent.pool_stats())
+            let loss = run_step(&mut g, &mut store, &flow, &mut opt, cfg, s);
+            (loss, g.pool_stats())
         })
     };
 
-    let rec = CellRecord {
-        config: config.to_string(),
-        variant: variant.to_string(),
-        pooled,
-        pruned,
-        fused,
-        compiled,
-        reference,
-        threads,
-        ns_per_step: timing.ns_per_step,
-        steps_timed: timing.steps_timed,
-        pool_allocs_per_step: timing.allocs_per_step,
-        pool_hits_per_step: timing.hits_per_step,
-        final_loss: timing.last_loss,
-    };
     // The vendored serde is serialize-only, so the worker→parent channel
     // is a whitespace-delimited line rather than JSON.
     println!(
-        "CELL {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        rec.config,
-        rec.variant,
-        rec.pooled,
-        rec.pruned,
-        rec.fused,
-        rec.compiled,
-        rec.reference,
-        rec.threads,
-        rec.ns_per_step,
-        rec.steps_timed,
-        rec.pool_allocs_per_step,
-        rec.pool_hits_per_step,
-        rec.final_loss
+        "CELL {config} {variant} {compiled} {threads} {} {} {} {} {}",
+        timing.ns_per_step,
+        timing.steps_timed,
+        timing.allocs_per_step,
+        timing.hits_per_step,
+        timing.last_loss
     );
 }
 
@@ -877,18 +671,6 @@ fn spawn_worker(variant: &str, config: &str, threads: usize, smoke: bool) -> Cel
         cmd.arg("--smoke");
     }
     cmd.env("NOFIS_THREADS", threads.to_string());
-    // Reference-math lanes run under the once-read env switch; everyone
-    // else must see it unset even if the parent environment carries it.
-    let reference = VARIANTS
-        .iter()
-        .find(|(name, ..)| *name == variant)
-        .map(|v| v.5)
-        .unwrap_or(false);
-    if reference {
-        cmd.env("NOFIS_REFERENCE_MATH", "1");
-    } else {
-        cmd.env_remove("NOFIS_REFERENCE_MATH");
-    }
     let out = cmd.output().expect("spawn bench worker");
     assert!(
         out.status.success(),
@@ -902,21 +684,17 @@ fn spawn_worker(variant: &str, config: &str, threads: usize, smoke: bool) -> Cel
         .find(|l| l.starts_with("CELL "))
         .expect("worker emitted no CELL record");
     let f: Vec<&str> = line.split_whitespace().collect();
-    assert_eq!(f.len(), 14, "malformed worker record: {line}");
+    assert_eq!(f.len(), 10, "malformed worker record: {line}");
     CellRecord {
         config: f[1].to_string(),
         variant: f[2].to_string(),
-        pooled: f[3].parse().expect("pooled"),
-        pruned: f[4].parse().expect("pruned"),
-        fused: f[5].parse().expect("fused"),
-        compiled: f[6].parse().expect("compiled"),
-        reference: f[7].parse().expect("reference"),
-        threads: f[8].parse().expect("threads"),
-        ns_per_step: f[9].parse().expect("ns_per_step"),
-        steps_timed: f[10].parse().expect("steps_timed"),
-        pool_allocs_per_step: f[11].parse().expect("allocs"),
-        pool_hits_per_step: f[12].parse().expect("hits"),
-        final_loss: f[13].parse().expect("loss"),
+        compiled: f[3].parse().expect("compiled"),
+        threads: f[4].parse().expect("threads"),
+        ns_per_step: f[5].parse().expect("ns_per_step"),
+        steps_timed: f[6].parse().expect("steps_timed"),
+        pool_allocs_per_step: f[7].parse().expect("allocs"),
+        pool_hits_per_step: f[8].parse().expect("hits"),
+        final_loss: f[9].parse().expect("loss"),
     }
 }
 
@@ -926,7 +704,6 @@ fn main() {
     let mut ckpt_overhead_check = false;
     let mut metrics_overhead_check = false;
     let mut compile_overhead_check = false;
-    let mut compiled_speedup_check = false;
     let mut worker_variant: Option<String> = None;
     let mut worker_config: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -937,7 +714,6 @@ fn main() {
             "--assert-checkpoint-overhead" => ckpt_overhead_check = true,
             "--assert-metrics-overhead" => metrics_overhead_check = true,
             "--assert-compile-overhead" => compile_overhead_check = true,
-            "--assert-compiled-speedup" => compiled_speedup_check = true,
             "--worker" => worker_variant = Some(args.next().expect("--worker VARIANT")),
             "--config" => worker_config = Some(args.next().expect("--config NAME")),
             other => panic!("unknown argument {other}"),
@@ -959,10 +735,6 @@ fn main() {
         assert_compile_overhead(smoke);
         return;
     }
-    if compiled_speedup_check {
-        assert_compiled_speedup(smoke);
-        return;
-    }
     if let Some(variant) = worker_variant {
         let config = worker_config.as_deref().unwrap_or(CONFIGS[0].name);
         worker(&variant, config, smoke);
@@ -980,7 +752,7 @@ fn main() {
             cfg.name, cfg.dim, cfg.layers, cfg.frozen_layers, cfg.hidden, cfg.batch
         );
         for threads in [1usize, 4] {
-            for (variant, ..) in VARIANTS {
+            for (variant, _) in VARIANTS {
                 let rec = spawn_worker(variant, cfg.name, threads, smoke);
                 println!(
                     "{:>20} @ {threads} threads: {:>10.0} ns/step  \
@@ -992,9 +764,7 @@ fn main() {
         }
     }
 
-    let mut speedup_full_vs_seed = Vec::new();
-    let mut speedup_compiled_vs_fused = Vec::new();
-    let mut speedup_compiled_vs_pr3_fused = Vec::new();
+    let mut speedup_compiled_vs_interpreted = Vec::new();
     for cfg in configs {
         for threads in [1usize, 4] {
             let find = |name: &str| {
@@ -1003,46 +773,20 @@ fn main() {
                     .find(|c| c.config == cfg.name && c.variant == name && c.threads == threads)
                     .expect("matrix cell")
             };
-            let seed = find("seed");
-            let full = find("pooled_pruned_fused");
+            let interpreted = find("interpreted");
             let compiled = find("compiled");
             let rec = SpeedupRecord {
                 config: cfg.name,
                 threads,
-                seed_ns_per_step: seed.ns_per_step,
-                full_ns_per_step: full.ns_per_step,
-                speedup: seed.ns_per_step / full.ns_per_step,
+                interpreted_ns_per_step: interpreted.ns_per_step,
+                compiled_ns_per_step: compiled.ns_per_step,
+                speedup: interpreted.ns_per_step / compiled.ns_per_step,
             };
             println!(
-                "speedup pooled+pruned+fused vs seed [{}] @ {threads} threads: {:.2}x",
+                "speedup compiled vs interpreted [{}] @ {threads} threads: {:.2}x",
                 cfg.name, rec.speedup
             );
-            speedup_full_vs_seed.push(rec);
-            let crec = CompiledSpeedupRecord {
-                config: cfg.name,
-                threads,
-                fused_ns_per_step: full.ns_per_step,
-                compiled_ns_per_step: compiled.ns_per_step,
-                speedup: full.ns_per_step / compiled.ns_per_step,
-            };
-            println!(
-                "speedup compiled vs pooled+pruned+fused [{}] @ {threads} threads: {:.2}x",
-                cfg.name, crec.speedup
-            );
-            speedup_compiled_vs_fused.push(crec);
-            let pr3 = find("fused_pr3");
-            let prec = CompiledSpeedupRecord {
-                config: cfg.name,
-                threads,
-                fused_ns_per_step: pr3.ns_per_step,
-                compiled_ns_per_step: compiled.ns_per_step,
-                speedup: pr3.ns_per_step / compiled.ns_per_step,
-            };
-            println!(
-                "speedup compiled vs PR 3 fused path [{}] @ {threads} threads: {:.2}x",
-                cfg.name, prec.speedup
-            );
-            speedup_compiled_vs_pr3_fused.push(prec);
+            speedup_compiled_vs_interpreted.push(rec);
         }
     }
 
@@ -1050,23 +794,24 @@ fn main() {
         host_parallelism: host,
         smoke,
         configs: configs.to_vec(),
-        note: "allocs/step counts BufferPool misses over the timed window; \
-               unpooled lanes build a fresh tape per step so their pool \
-               column stays at zero by construction — their allocations \
-               show up as time, not as pool traffic. The compiled lane \
-               meters its backward scratch pool (value/grad buffers are \
-               preplanned and never reallocated). ns/step is the fastest \
-               of three timed windows (noise-robust minimum)",
+        note: "allocs/step counts BufferPool misses over the timed window. \
+               The compiled lane meters its backward scratch pool \
+               (value/grad buffers are preplanned and never reallocated). \
+               ns/step is the fastest of three timed windows (noise-robust \
+               minimum)",
         cells,
-        speedup_full_vs_seed,
-        speedup_compiled_vs_fused,
-        speedup_compiled_vs_pr3_fused,
+        speedup_compiled_vs_interpreted,
     };
-    std::fs::create_dir_all("results").ok();
+    let (dir, path) = if smoke {
+        ("target", "target/BENCH_train_step.smoke.json")
+    } else {
+        ("results", "results/BENCH_train_step.json")
+    };
+    std::fs::create_dir_all(dir).ok();
     std::fs::write(
-        "results/BENCH_train_step.json",
+        path,
         serde_json::to_string_pretty(&out).expect("serializable"),
     )
-    .expect("write results/BENCH_train_step.json");
-    println!("\nwrote results/BENCH_train_step.json");
+    .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
 }

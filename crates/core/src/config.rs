@@ -83,8 +83,6 @@ pub struct NofisConfig {
     /// replay that for subsequent steps — no per-step tape construction.
     /// Replays are bitwise identical to the interpreted engine (enforced by
     /// `tests/compiled_equivalence.rs`), so this is purely a speed knob.
-    /// The `NOFIS_COMPILE` environment variable (`0`/`1`) overrides it in
-    /// [`Nofis::new`](crate::Nofis::new).
     pub compile_tape: bool,
     /// Optional hard cap on total simulator calls for
     /// [`Nofis::run`](crate::Nofis::run) /
@@ -361,35 +359,6 @@ impl NofisConfig {
             nofis_shard::set_shards(n);
         }
         nofis_shard::apply_env().map_err(ConfigError::new)
-    }
-
-    /// Applies the `NOFIS_COMPILE` environment override to
-    /// [`NofisConfig::compile_tape`] (called by
-    /// [`Nofis::new`](crate::Nofis::new)): `0` disables the compiled
-    /// trace-once/replay engine, `1` enables it, unset leaves the field
-    /// as configured.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the variable is set to anything other
-    /// than `0` or `1`.
-    pub(crate) fn apply_compile_env(&mut self) -> Result<(), ConfigError> {
-        match std::env::var("NOFIS_COMPILE") {
-            Ok(raw) => match raw.trim() {
-                "0" => {
-                    self.compile_tape = false;
-                    Ok(())
-                }
-                "1" => {
-                    self.compile_tape = true;
-                    Ok(())
-                }
-                _ => Err(ConfigError::new(format!(
-                    "NOFIS_COMPILE must be 0 or 1, got {raw:?}"
-                ))),
-            },
-            Err(_) => Ok(()),
-        }
     }
 
     /// The simulator-call budget training will consume (`M·E·N` plus any

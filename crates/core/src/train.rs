@@ -146,7 +146,6 @@ impl Nofis {
     /// bound, or `NOFIS_FAULT_PLAN` is malformed.
     pub fn new(mut config: NofisConfig) -> Result<Self, ConfigError> {
         config.apply_checkpoint_env()?;
-        config.apply_compile_env()?;
         config
             .metrics
             .apply_env()
@@ -551,7 +550,15 @@ impl Nofis {
                         // retrying is sound. Both engines share the sanitize
                         // closure and the fixed-chunk row evaluator, so the
                         // oracle sees the same calls in the same order.
-                        let (chunk_loss, logdet_mag, traced) = if replaying {
+                        let sanitized = |row: &[f64]| {
+                            let (v, grad) = oracle.value_grad(row);
+                            if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
+                                (v, grad)
+                            } else {
+                                (level + 1.0, vec![0.0; dim])
+                            }
+                        };
+                        let evaluated = if replaying {
                             let cache = tape_cache.as_mut().expect("cache presence checked");
                             let replay =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -559,78 +566,58 @@ impl Nofis {
                                         &store,
                                         |buf| base.sample_fill(buf, rng),
                                         nofis_parallel::global(),
-                                        |row| {
-                                            let (v, grad) = oracle.value_grad(row);
-                                            if v.is_finite() && grad.iter().all(|gi| gi.is_finite())
-                                            {
-                                                (v, grad)
-                                            } else {
-                                                (level + 1.0, vec![0.0; dim])
-                                            }
-                                        },
+                                        sanitized,
                                     );
                                 }));
-                            if replay.is_err() {
-                                // A panic can leave the preplanned buffers
-                                // half-written; drop the cache so the retry
-                                // pass retraces from scratch.
-                                tape_cache = None;
-                                divergence = Some((
-                                    epoch,
-                                    "a worker thread panicked while evaluating the minibatch"
-                                        .into(),
-                                ));
-                                break 'epochs;
+                            match replay {
+                                Ok(()) => Some((
+                                    cache.step.value(cache.loss).item(),
+                                    cache.step.value(cache.logdet).max_abs(),
+                                    None,
+                                )),
+                                Err(_) => {
+                                    // A panic can leave the preplanned
+                                    // buffers half-written; drop the cache so
+                                    // the retry pass retraces from scratch.
+                                    tape_cache = None;
+                                    None
+                                }
                             }
-                            (
-                                cache.step.value(cache.loss).item(),
-                                cache.step.value(cache.logdet).max_abs(),
-                                None,
-                            )
                         } else {
                             g.reset();
                             let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
                             let (z, logdet) = flow.forward_graph(&store, &mut g, x, depth);
                             let eval =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    g.external_rowwise_par(z, nofis_parallel::global(), |row| {
-                                        let (v, grad) = oracle.value_grad(row);
-                                        if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
-                                            (v, grad)
-                                        } else {
-                                            (level + 1.0, vec![0.0; dim])
-                                        }
-                                    })
+                                    g.external_rowwise_par(z, nofis_parallel::global(), sanitized)
                                 }));
-                            let gvals = match eval {
-                                Ok(gvals) => gvals,
-                                Err(_) => {
-                                    divergence = Some((
-                                        epoch,
-                                        "a worker thread panicked while evaluating the minibatch"
-                                            .into(),
-                                    ));
-                                    break 'epochs;
-                                }
-                            };
-                            let neg_tau_g = g.scale(gvals, -cfg.tau);
-                            let shifted = g.add_scalar(neg_tau_g, cfg.tau * level);
-                            let tempered = g.min_scalar(shifted, 0.0);
-                            // base log-density of z: -D/2 ln 2π - ||z||²/2
-                            let sq = g.square(z);
-                            let ssq = g.sum_cols(sq);
-                            let half = g.scale(ssq, -0.5);
-                            let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
+                            eval.ok().map(|gvals| {
+                                let neg_tau_g = g.scale(gvals, -cfg.tau);
+                                let shifted = g.add_scalar(neg_tau_g, cfg.tau * level);
+                                let tempered = g.min_scalar(shifted, 0.0);
+                                // base log-density of z: -D/2 ln 2π - ||z||²/2
+                                let sq = g.square(z);
+                                let ssq = g.sum_cols(sq);
+                                let half = g.scale(ssq, -0.5);
+                                let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
 
-                            let a = g.add(logdet, tempered);
-                            let per_sample = g.add(a, logp);
-                            let mean = g.mean_all(per_sample);
-                            let loss = g.neg(mean);
-                            (
-                                g.value(loss).item(),
-                                g.value(logdet).max_abs(),
-                                Some((x, logdet, loss)),
-                            )
+                                let a = g.add(logdet, tempered);
+                                let per_sample = g.add(a, logp);
+                                let mean = g.mean_all(per_sample);
+                                let loss = g.neg(mean);
+                                (
+                                    g.value(loss).item(),
+                                    g.value(logdet).max_abs(),
+                                    Some((x, logdet, loss)),
+                                )
+                            })
+                        };
+                        let Some((chunk_loss, logdet_mag, traced)) = evaluated else {
+                            divergence = Some((
+                                epoch,
+                                "a worker thread panicked while evaluating the minibatch".into(),
+                            ));
+                            break 'epochs;
                         };
                         consumed += n;
                         if !chunk_loss.is_finite() || logdet_mag > LOGDET_DIVERGENCE_LIMIT {

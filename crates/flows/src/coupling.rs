@@ -106,12 +106,7 @@ impl AffineCoupling {
 
         let xm = g.mul_row(x, mask);
         let s_raw = self.scale_net.forward(store, g, xm);
-        let s = if g.fusion_enabled() {
-            g.tanh_scale(s_raw, self.s_max)
-        } else {
-            let s_tanh = g.tanh(s_raw);
-            g.scale(s_tanh, self.s_max)
-        };
+        let s = g.tanh_scale(s_raw, self.s_max);
         let t = self.translate_net.forward(store, g, xm);
 
         let es = g.exp(s);

@@ -59,15 +59,13 @@ impl Linear {
 
     /// Applies the layer to a batch `[N, in_dim]`, producing `[N, out_dim]`.
     ///
-    /// Uses the fused `matmul+bias` tape op when the graph has fusion
-    /// enabled (the default); the unfused composition is bitwise identical.
+    /// Records a single fused `matmul+bias` tape op.
     pub fn forward(&self, store: &ParamStore, g: &mut Graph, x: Var) -> Var {
         self.forward_impl(store, g, x, false)
     }
 
-    /// Applies the layer followed by `tanh`, fused into a single tape op
-    /// when the graph has fusion enabled. Bitwise identical to
-    /// `g.tanh(self.forward(...))`.
+    /// Applies the layer followed by `tanh`, fused into a single tape op.
+    /// Bitwise identical to `g.tanh(self.forward(...))`.
     pub fn forward_tanh(&self, store: &ParamStore, g: &mut Graph, x: Var) -> Var {
         self.forward_impl(store, g, x, true)
     }
@@ -75,17 +73,7 @@ impl Linear {
     fn forward_impl(&self, store: &ParamStore, g: &mut Graph, x: Var, apply_tanh: bool) -> Var {
         let w = store.inject(g, self.w);
         let b = store.inject(g, self.b);
-        if g.fusion_enabled() {
-            g.linear(x, w, b, apply_tanh)
-        } else {
-            let xw = g.matmul(x, w);
-            let pre = g.add_row(xw, b);
-            if apply_tanh {
-                g.tanh(pre)
-            } else {
-                pre
-            }
-        }
+        g.linear(x, w, b, apply_tanh)
     }
 
     /// The parameter ids `[weights, bias]` of this layer.

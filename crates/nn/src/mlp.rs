@@ -131,8 +131,7 @@ impl Mlp {
     /// Applies the network to a batch `[N, in_dim]`.
     ///
     /// With `Tanh` hidden activations, each hidden layer runs as one fused
-    /// `matmul+bias+tanh` tape op (when the graph has fusion enabled);
-    /// other activations compose the linear layer with their own op.
+    /// `matmul+bias+tanh` tape op; other activations compose the linear layer with their own op.
     pub fn forward(&self, store: &ParamStore, g: &mut Graph, x: Var) -> Var {
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {

@@ -180,12 +180,6 @@ pub fn matmul_into(
     assert_eq!(a.len(), m * k, "lhs buffer length");
     assert_eq!(b.len(), k * n, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    if crate::math::reference_math() {
-        // `NOFIS_REFERENCE_MATH=1`: run the scalar reference directly
-        // (bitwise identical, just slower) — see [`crate::math`].
-        matmul_scalar_into(a, b, out, m, k, n);
-        return;
-    }
     if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
         matmul_rows(a, b, out, 0, m, k, n);
         return;
@@ -280,18 +274,6 @@ pub fn matmul_bt_into(
     assert_eq!(a.len(), m * k, "lhs buffer length");
     assert_eq!(b.len(), n * k, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    if crate::math::reference_math() {
-        // `NOFIS_REFERENCE_MATH=1`: materialize `bᵀ` and run the scalar
-        // reference — the composition this kernel is pinned against.
-        let mut bt = vec![0.0; k * n];
-        for r in 0..n {
-            for c in 0..k {
-                bt[c * n + r] = b[r * k + c];
-            }
-        }
-        matmul_scalar_into(a, &bt, out, m, k, n);
-        return;
-    }
     if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
         matmul_bt_rows(a, b, out, 0, m, k, n);
         return;
@@ -385,18 +367,6 @@ pub fn matmul_at_into(
     assert_eq!(a.len(), k * m, "lhs buffer length");
     assert_eq!(b.len(), k * n, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    if crate::math::reference_math() {
-        // `NOFIS_REFERENCE_MATH=1`: materialize `aᵀ` and run the scalar
-        // reference — the composition this kernel is pinned against.
-        let mut at = vec![0.0; m * k];
-        for r in 0..k {
-            for c in 0..m {
-                at[c * k + r] = a[r * m + c];
-            }
-        }
-        matmul_scalar_into(&at, b, out, m, k, n);
-        return;
-    }
     if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
         matmul_at_rows(a, b, out, 0, m, k, m, n);
         return;

@@ -18,9 +18,8 @@
 //!   row-major `f64` buffers with a serial fallback below a size threshold;
 //!   the shared kernel behind both `nofis_linalg::Matrix::matmul` and
 //!   `nofis_autograd::Tensor::matmul` (forward *and* backward).
-//! * [`math`] — deterministic scalar transcendentals ([`math::fast_tanh`]
-//!   and the once-read `NOFIS_REFERENCE_MATH` switch back to libm) shared
-//!   by the interpreted graph and the compiled-tape replay engine.
+//! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
+//!   shared by the interpreted graph and the compiled-tape replay engine.
 //! * [`rng`] — the shared SplitMix64 mixer used for retry-backoff jitter
 //!   and content-addressed cache keys; previously each call site carried
 //!   a private copy.

@@ -3,7 +3,7 @@
 //! The NOFIS forward pass is dominated by `tanh`: at the default stage-3
 //! configuration the fused `matmul+bias+tanh` layers spend ~70% of a
 //! train step inside the activation (libm `tanh` costs ~25 ns/element at
-//! realistic pre-activation magnitudes). [`fast_tanh`] replaces it with a
+//! realistic pre-activation magnitudes). [`tanh`] replaces it with a
 //! branch-free-per-range polynomial evaluation that is ~2–3× faster while
 //! staying within ~2e-15 relative error of libm.
 //!
@@ -19,18 +19,6 @@
 //! by construction.
 //!
 //! [`Graph`]: ../../nofis_autograd/struct.Graph.html
-//!
-//! # Reference mode
-//!
-//! Setting `NOFIS_REFERENCE_MATH=1` (read once per process) switches
-//! [`tanh`] back to libm and the matmul dispatchers in
-//! [`crate::kernels`] back to the scalar reference composition — i.e. the
-//! numeric stack exactly as it existed before the compiled-tape engine
-//! landed. The train-step benchmark uses this lane to reconstruct the
-//! old path for honest A/B speedup numbers; it is also a debugging aid
-//! when a numeric question needs a second, independent implementation.
-
-use std::sync::OnceLock;
 
 /// `2^(j/32)` for `j = 0..32`, the table half of the `exp` range
 /// reduction. Decimal literals carry 17 significant digits, so each
@@ -125,8 +113,14 @@ const Q: [f64; 3] = [
 ///
 /// `NaN` propagates (the training loop's divergence detection relies on
 /// it) and `±∞` saturates to `±1.0`, matching libm.
+///
+/// This is the engine-wide activation: every forward *and* backward site
+/// that evaluates a tanh — the interpreted graph ops, the compiled-tape
+/// replay mirrors, and the gradient-free coupling-layer conditioner —
+/// must call this function (never `f64::tanh` directly), so that all
+/// engines agree bitwise.
 #[inline]
-pub fn fast_tanh(x: f64) -> f64 {
+pub fn tanh(x: f64) -> f64 {
     let t = x.abs();
     if t < 0.625 {
         if t == 0.0 {
@@ -151,33 +145,5 @@ pub fn fast_tanh(x: f64) -> f64 {
         -r
     } else {
         r
-    }
-}
-
-static REFERENCE: OnceLock<bool> = OnceLock::new();
-
-/// Whether `NOFIS_REFERENCE_MATH=1` was set when first checked.
-///
-/// Read once per process and cached; flipping the variable afterwards
-/// has no effect (the same once-read discipline as `NOFIS_THREADS`).
-#[inline]
-pub fn reference_math() -> bool {
-    *REFERENCE.get_or_init(|| std::env::var("NOFIS_REFERENCE_MATH").is_ok_and(|v| v.trim() == "1"))
-}
-
-/// The engine-wide activation: [`fast_tanh`], or libm `tanh` when
-/// [`reference_math`] is on.
-///
-/// Every forward *and* backward site that evaluates a tanh — the
-/// interpreted graph ops, the compiled-tape replay mirrors, and the
-/// gradient-free coupling-layer conditioner — must call this function
-/// (never `f64::tanh` directly), so that all engines agree bitwise in
-/// either mode.
-#[inline]
-pub fn tanh(x: f64) -> f64 {
-    if reference_math() {
-        x.tanh()
-    } else {
-        fast_tanh(x)
     }
 }

@@ -42,17 +42,12 @@ pub trait BatchEval: Sync {
     fn try_eval(&self, xs: &[Vec<f64>]) -> Option<Vec<f64>>;
 }
 
-/// Evaluates `g(x)` for every sample in `xs` on the process-wide
-/// [`nofis_parallel::global`] pool, returning values in sample order.
+/// Evaluates `g(x)` for every sample in `xs` on `pool`, returning values
+/// in sample order.
 ///
 /// Every sample costs exactly one oracle call, the same as a serial loop;
 /// wrappers like [`CountingOracle`](crate::CountingOracle) count correctly
 /// because their counters are atomic.
-pub fn batch_values(limit_state: &(impl LimitState + ?Sized + Sync), xs: &[Vec<f64>]) -> Vec<f64> {
-    batch_values_with(limit_state, xs, nofis_parallel::global())
-}
-
-/// [`batch_values`] on an explicit pool.
 pub fn batch_values_with(
     limit_state: &(impl LimitState + ?Sized + Sync),
     xs: &[Vec<f64>],
@@ -204,6 +199,5 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert!(batch_values_budgeted(&budgeted, &[], &pool).is_empty());
         assert_eq!(budgeted.used(), 0);
-        assert!(batch_values(&Norm2, &[]).is_empty());
     }
 }

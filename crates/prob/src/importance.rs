@@ -152,7 +152,7 @@ pub fn importance_sampling(
     n: usize,
     rng: &mut dyn RngCore,
 ) -> IsResult {
-    importance_sampling_with_pool(
+    let (result, _) = importance_sampling_detailed_with_pool(
         limit_state,
         threshold,
         proposal,
@@ -160,55 +160,13 @@ pub fn importance_sampling(
         n,
         rng,
         nofis_parallel::global(),
-    )
-}
-
-/// [`importance_sampling`] on an explicit pool.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-) -> IsResult {
-    let (result, _) =
-        importance_sampling_detailed_with_pool(limit_state, threshold, proposal, p, n, rng, pool);
+    );
     result
 }
 
-/// Importance sampling like [`importance_sampling`], additionally
-/// returning the log-weights of the failure-region samples so callers can
-/// run [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_detailed(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-) -> (IsResult, Vec<f64>) {
-    importance_sampling_detailed_with_pool(
-        limit_state,
-        threshold,
-        proposal,
-        p,
-        n,
-        rng,
-        nofis_parallel::global(),
-    )
-}
-
-/// [`importance_sampling_detailed`] on an explicit pool.
+/// Importance sampling like [`importance_sampling`] on an explicit pool,
+/// additionally returning the log-weights of the failure-region samples so
+/// callers can run [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
 ///
 /// Samples are drawn serially from `rng` (sampling is cheap next to oracle
 /// calls, and this keeps the random stream identical to a serial run), then

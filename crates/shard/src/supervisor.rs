@@ -382,7 +382,7 @@ impl ShardPool {
                             // shard goes back to the queue front, and the
                             // worker is condemned.
                             drop(lease);
-                            pending.push_front(shard);
+                            self.requeue(&mut pending, shard, slot_idx);
                             self.condemn(&mut inner, slot_idx, "write", "request write failed");
                         }
                     }
@@ -459,8 +459,7 @@ impl ShardPool {
                             if !shape_ok {
                                 let out = busy.remove(&msg.slot).expect("checked");
                                 drop(out.lease);
-                                self.note_redispatch(out.shard, msg.slot);
-                                pending.push_front(out.shard);
+                                self.requeue(&mut pending, out.shard, msg.slot);
                                 self.condemn(&mut inner, msg.slot, "frame", "malformed eval reply");
                                 continue;
                             }
@@ -482,16 +481,14 @@ impl ShardPool {
                             // Pong/Init outside a handshake: protocol confusion.
                             if let Some(out) = busy.remove(&msg.slot) {
                                 drop(out.lease);
-                                self.note_redispatch(out.shard, msg.slot);
-                                pending.push_front(out.shard);
+                                self.requeue(&mut pending, out.shard, msg.slot);
                             }
                             self.condemn(&mut inner, msg.slot, "frame", "unexpected message");
                         }
                         WorkerEvent::Broken { kind, detail } => {
                             if let Some(out) = busy.remove(&msg.slot) {
                                 drop(out.lease);
-                                self.note_redispatch(out.shard, msg.slot);
-                                pending.push_front(out.shard);
+                                self.requeue(&mut pending, out.shard, msg.slot);
                             }
                             self.condemn(&mut inner, msg.slot, kind, &detail);
                         }
@@ -515,8 +512,7 @@ impl ShardPool {
                             .field("shard", out.shard)
                             .field("timeout_ms", self.cfg.timeout.as_millis() as u64)
                             .emit();
-                        self.note_redispatch(out.shard, slot_idx);
-                        pending.push_front(out.shard);
+                        self.requeue(&mut pending, out.shard, slot_idx);
                         self.condemn(&mut inner, slot_idx, "timeout", "request deadline exceeded");
                     }
                 }
@@ -605,8 +601,11 @@ impl ShardPool {
         Ok((shard, seq, Instant::now() + self.cfg.timeout))
     }
 
-    /// Records a shard going back to the queue after a worker failure.
-    fn note_redispatch(&self, shard: usize, slot_idx: usize) {
+    /// Puts a shard back at the front of the queue after a worker failure.
+    /// Every re-queue goes through here, so the `redispatched` stat and the
+    /// `shard.redispatch` event count each one exactly once.
+    fn requeue(&self, pending: &mut VecDeque<usize>, shard: usize, slot_idx: usize) {
+        pending.push_front(shard);
         self.stats.redispatched.fetch_add(1, Ordering::Relaxed);
         tele::event(tele::Level::Warn, "shard.redispatch")
             .field("shard", shard)

@@ -6,16 +6,26 @@
 //!
 //! Covers, against live child processes: bitwise identity to the serial
 //! in-process loop (values and gradients), exact budget-lease accounting,
-//! worker death / garbage / wedge chaos with deterministic re-dispatch, and
-//! the degradation ladder under persistent spawn failure.
+//! worker death / garbage / wedge chaos with deterministic re-dispatch, a
+//! request write that fails because the worker already died, and the
+//! degradation ladder under persistent spawn failure.
 
 use nofis_faults as faults;
 use nofis_prob::{BudgetSource, BudgetedOracle, LimitState};
 use nofis_shard::{ShardConfig, ShardError, ShardPool, SHARD_CHUNK};
+use nofis_telemetry as tele;
+use std::sync::Arc;
 use std::time::Duration;
 
 const ORACLE: &str = "pool-e2e-poly";
 const DIM: usize = 3;
+
+const WIDE_ORACLE: &str = "pool-e2e-wide";
+/// Wide enough that one full shard's `Eval` frame (`SHARD_CHUNK · WIDE_DIM`
+/// f64s = 256 KiB) overflows a pipe buffer plus the worker's stdin buffer,
+/// so a worker that stops reading makes the write fail instead of parking
+/// the frame in the pipe.
+const WIDE_DIM: usize = 256;
 
 /// A deterministic oracle with enough floating-point texture that any
 /// reduction-order or serialization slip shows up as a bit difference.
@@ -48,12 +58,31 @@ impl LimitState for Poly {
     }
 }
 
+/// A cheap oracle over [`WIDE_DIM`] inputs, for oversized request frames.
+struct Wide;
+
+impl LimitState for Wide {
+    fn dim(&self) -> usize {
+        WIDE_DIM
+    }
+    fn value(&self, x: &[f64]) -> f64 {
+        x.iter().map(|v| v * v).sum::<f64>().sqrt() - 16.0
+    }
+    fn name(&self) -> &str {
+        WIDE_ORACLE
+    }
+}
+
 /// Deterministic sample batch (tiny LCG; no RNG dependency needed).
 fn samples(n: usize) -> Vec<Vec<f64>> {
+    samples_of(n, DIM)
+}
+
+fn samples_of(n: usize, dim: usize) -> Vec<Vec<f64>> {
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     (0..n)
         .map(|_| {
-            (0..DIM)
+            (0..dim)
                 .map(|_| {
                     state = state
                         .wrapping_mul(6364136223846793005)
@@ -66,8 +95,12 @@ fn samples(n: usize) -> Vec<Vec<f64>> {
 }
 
 fn pool(workers: usize, timeout: Duration) -> ShardPool {
+    pool_for(ORACLE, workers, timeout)
+}
+
+fn pool_for(oracle: &str, workers: usize, timeout: Duration) -> ShardPool {
     ShardPool::new(
-        ORACLE,
+        oracle,
         ShardConfig {
             workers,
             timeout,
@@ -185,6 +218,42 @@ fn chaos_death_redispatches_bitwise() {
     p.shutdown();
 }
 
+fn failed_request_write_counts_as_redispatch() {
+    // The worker exits on the chaos frame without reading the oversized
+    // `Eval` frame behind it, so that write always fails with a broken
+    // pipe. The shard must re-queue through the same accounting as every
+    // other worker failure: the stat and the event both count it.
+    let xs = samples_of(SHARD_CHUNK, WIDE_DIM);
+    let want: Vec<f64> = xs.iter().map(|x| Wide.value(x)).collect();
+    let sink = Arc::new(tele::MemorySink::new(tele::Level::Warn));
+    let sink_id = tele::add_sink(sink.clone());
+    faults::install(faults::FaultPlan::parse("shard_death@0").expect("plan"));
+    let p = pool_for(WIDE_ORACLE, 1, Duration::from_secs(30));
+    let got = p
+        .eval_values(&xs, None)
+        .expect("a failed write must heal, not fail");
+    faults::clear();
+    tele::remove_sink(sink_id);
+    assert_bitwise("values after failed write", &got, &want);
+    let write_deaths = sink
+        .named("shard.death")
+        .iter()
+        .filter(|e| e.str_field("kind") == Some("write"))
+        .count();
+    assert_eq!(write_deaths, 1, "the request write must fail exactly once");
+    assert_eq!(
+        p.stats().redispatched(),
+        1,
+        "the failed write must count as a re-dispatch"
+    );
+    assert_eq!(
+        sink.named("shard.redispatch").len(),
+        1,
+        "the failed write must emit shard.redispatch"
+    );
+    p.shutdown();
+}
+
 fn chaos_garbage_redispatches_bitwise() {
     let xs = samples(SHARD_CHUNK + 30);
     let want: Vec<f64> = xs.iter().map(|x| Poly.value(x)).collect();
@@ -238,6 +307,7 @@ fn persistent_spawn_failure_degrades_typed() {
 
 fn main() {
     nofis_shard::register_oracle(ORACLE, || Box::new(Poly));
+    nofis_shard::register_oracle(WIDE_ORACLE, || Box::new(Wide));
     nofis_shard::maybe_worker_main();
 
     run("values_match_serial_bitwise", values_match_serial_bitwise);
@@ -250,6 +320,10 @@ fn main() {
     run(
         "chaos_death_redispatches_bitwise",
         chaos_death_redispatches_bitwise,
+    );
+    run(
+        "failed_request_write_counts_as_redispatch",
+        failed_request_write_counts_as_redispatch,
     );
     run(
         "chaos_garbage_redispatches_bitwise",

@@ -18,14 +18,6 @@ use nofis::prob::{IsResult, LimitState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, MutexGuard};
-
-/// Process-global lock for tests that touch environment variables.
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const TAU: f64 = 8.0;
 const LEVEL: f64 = 0.6;
@@ -305,7 +297,6 @@ fn run(cfg: NofisConfig, seed: u64) -> IsResult {
 /// epochs × stages exercises many replays), and divergence checks.
 #[test]
 fn full_run_is_bitwise_identical_with_compilation_on_or_off() {
-    let _guard = serial();
     let on = run(
         NofisConfig {
             compile_tape: true,
@@ -334,7 +325,6 @@ fn full_run_is_bitwise_identical_with_compilation_on_or_off() {
 /// be bitwise identical to the interpreted engine.
 #[test]
 fn uneven_minibatch_tail_is_bitwise_identical() {
-    let _guard = serial();
     let cfg = NofisConfig {
         batch_size: 25, // 10 + 10 + 5 per epoch
         ..tiny_config()
@@ -360,28 +350,4 @@ fn uneven_minibatch_tail_is_bitwise_identical() {
         off.effective_sample_size.to_bits(),
         "ess"
     );
-}
-
-/// `NOFIS_COMPILE` strictly parses `0`/`1` and overrides the config field
-/// in `Nofis::new`; malformed values are a `ConfigError`, never a silent
-/// fallback.
-#[test]
-fn nofis_compile_env_overrides_and_validates() {
-    let _guard = serial();
-    std::env::set_var("NOFIS_COMPILE", "0");
-    let est = Nofis::new(tiny_config()).unwrap();
-    assert!(!est.config().compile_tape, "NOFIS_COMPILE=0 disables");
-    std::env::set_var("NOFIS_COMPILE", "1");
-    let est = Nofis::new(NofisConfig {
-        compile_tape: false,
-        ..tiny_config()
-    })
-    .unwrap();
-    assert!(est.config().compile_tape, "NOFIS_COMPILE=1 enables");
-    std::env::set_var("NOFIS_COMPILE", "yes");
-    assert!(
-        Nofis::new(tiny_config()).is_err(),
-        "malformed NOFIS_COMPILE must be a ConfigError"
-    );
-    std::env::remove_var("NOFIS_COMPILE");
 }
