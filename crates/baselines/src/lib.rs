@@ -8,7 +8,7 @@
 //! | SUS | subset simulation (modified Metropolis) | [`SusEstimator`] |
 //! | SSS | scaled-sigma sampling | [`SssEstimator`] |
 //! | Adapt-IS | cross-entropy adaptive IS | [`AdaptIsEstimator`] |
-//! | (extra) Line sampling | reference [18]'s method | [`LineSamplingEstimator`] |
+//! | (extra) Line sampling | reference \[18\]'s method | [`LineSamplingEstimator`] |
 //!
 //! All implement [`RareEventEstimator`] and draw their entire simulator
 //! budget through the provided [`nofis_prob::LimitState`] — wrap it in a

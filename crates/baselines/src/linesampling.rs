@@ -3,7 +3,7 @@ use nofis_prob::{normal_cdf, LimitState, StandardGaussian};
 use rand::RngCore;
 
 /// Line sampling (Koutsourelakis et al.; applied with active learning by
-/// Song et al., MSSP 2021 — the paper's reference [18] and the source of
+/// Song et al., MSSP 2021 — the paper's reference \[18\] and the source of
 /// the oscillator test case).
 ///
 /// An *important direction* `α` is estimated from the limit-state gradient
@@ -13,7 +13,7 @@ use rand::RngCore;
 /// root-found, making the estimator exact for linear limit states and
 /// low-variance for mildly curved ones. Not part of the paper's Table 1
 /// columns, but included as the natural seventh baseline given reference
-/// [18].
+/// \[18\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineSamplingEstimator {
     n_lines: usize,

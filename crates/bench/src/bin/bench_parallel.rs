@@ -15,7 +15,7 @@
 use nofis_autograd::Tensor;
 use nofis_parallel::ThreadPool;
 use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, LimitState, StandardGaussian,
+    batch_values_with, importance_sampling_detailed_with_exec, LimitState, StandardGaussian,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,7 +223,7 @@ fn main() {
     let p = StandardGaussian::new(3);
     let run = |pool: &ThreadPool| {
         let mut rng = StdRng::seed_from_u64(20240607);
-        importance_sampling_detailed_with_pool(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool)
+        importance_sampling_detailed_with_exec(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool, None)
             .0
             .estimate
     };

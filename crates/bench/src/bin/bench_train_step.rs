@@ -256,7 +256,6 @@ fn measure(smoke: bool, mut step: impl FnMut(u64) -> (f64, PoolStats)) -> Timing
     for _ in 0..2 {
         best = best.min(window(timed, &mut next_seed));
     }
-    drop(window);
     let total_steps = next_seed - warmup;
     Timing {
         ns_per_step: best.as_nanos() as f64 / timed as f64,
@@ -392,7 +391,7 @@ fn assert_telemetry_overhead(smoke: bool) {
 #[inline(never)]
 fn checkpoint_step_site(every_steps: &mut Option<u64>, global_step: u64) -> bool {
     if let Some(every) = every_steps.as_mut() {
-        global_step % *every == 0
+        global_step.is_multiple_of(*every)
     } else {
         false
     }

@@ -220,7 +220,7 @@ fn summary(path: &str) -> ExitCode {
             "checkpoints: {ckpt_writes} written, {ckpt_write_failures} write failures, \
              {ckpt_corrupt} corrupt skipped"
         );
-        if let Some(last) = events.iter().filter(|e| e.name == "ckpt.write").next_back() {
+        if let Some(last) = events.iter().rfind(|e| e.name == "ckpt.write") {
             print!(
                 ", newest generation {} at step {}",
                 last.u64_field("generation").unwrap_or(0),
@@ -532,17 +532,8 @@ fn by_job(path: &str) -> ExitCode {
     }
     rows.sort_by_key(|r| r.id);
     println!(
-        "{:>5} {:<14} {:>4} {:>6} {:>7} {:>11} {:>5} {:>8} {:>8}  {}",
-        "job",
-        "name",
-        "prio",
-        "starts",
-        "retries",
-        "backoff(ms)",
-        "ckpt",
-        "oracle",
-        "attempts",
-        "outcome"
+        "{:>5} {:<14} {:>4} {:>6} {:>7} {:>11} {:>5} {:>8} {:>8}  outcome",
+        "job", "name", "prio", "starts", "retries", "backoff(ms)", "ckpt", "oracle", "attempts"
     );
     for r in &rows {
         let outcome = match (&r.outcome, r.checkpointed) {

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "NOFISCKP"
-//! 8       4     format version (u32, currently 1)
+//! 8       4     format version (u32, currently 2)
 //! 12      8     payload length in bytes (u64)
 //! 20      n     payload (the encoded [`Checkpoint`])
 //! 20+n    4     CRC-32 (IEEE) of the payload bytes
@@ -189,8 +189,8 @@ pub struct Checkpoint {
     pub global_step: u64,
     /// The RNG stream state at the snapshot point.
     pub rng_state: [u64; 4],
-    /// Simulator calls spent so far ([`BudgetedOracle::spent`]
-    /// (nofis_prob::BudgetedOracle::spent)).
+    /// Simulator calls spent so far
+    /// ([`BudgetedOracle::spent`](nofis_prob::BudgetedOracle::spent)).
     pub oracle_spent: u64,
     /// Whether training had fully completed when this was written (resume
     /// then skips straight to estimation).
@@ -217,39 +217,6 @@ pub struct Checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — table built once at startup.
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE) of `bytes`, as used in the checkpoint trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
-
-// ---------------------------------------------------------------------------
 // Payload codec. Little-endian, length-prefixed, no self-description: the
 // format version in the header governs the layout.
 
@@ -271,23 +238,28 @@ impl Enc {
     fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
-    fn f64s(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
+    /// A `u64` element count, then each element.
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u64(items.len() as u64);
+        for x in items {
+            item(self, x);
         }
+    }
+    /// A presence flag, then the value when present.
+    fn option<T>(&mut self, v: Option<&T>, item: impl FnOnce(&mut Self, &T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            item(self, v);
+        }
+    }
+    fn f64s(&mut self, v: &[f64]) {
+        self.seq(v, |e, &x| e.f64(x));
     }
     fn tensor(&mut self, t: &Tensor) {
         self.u64(t.rows() as u64);
         self.u64(t.cols() as u64);
         for &x in t.as_slice() {
             self.f64(x);
-        }
-    }
-    fn tensors(&mut self, ts: &[Tensor]) {
-        self.u64(ts.len() as u64);
-        for t in ts {
-            self.tensor(t);
         }
     }
 }
@@ -354,9 +326,31 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
+    /// The counterpart of [`Enc::seq`]; each element takes at least
+    /// `elem_bytes` bytes.
+    fn seq<T>(
+        &mut self,
+        elem_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.count(elem_bytes)?;
+        (0..n).map(|_| item(self)).collect()
+    }
+
+    /// The counterpart of [`Enc::option`].
+    fn option<T>(
+        &mut self,
+        item: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        if self.bool()? {
+            item(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        self.seq(8, Self::f64)
     }
 
     fn tensor(&mut self) -> Result<Tensor, DecodeError> {
@@ -375,8 +369,7 @@ impl<'a> Dec<'a> {
 
     fn tensors(&mut self) -> Result<Vec<Tensor>, DecodeError> {
         // A tensor is at least 16 header bytes.
-        let n = self.count(16)?;
-        (0..n).map(|_| self.tensor()).collect()
+        self.seq(16, Self::tensor)
     }
 
     fn done(&self) -> Result<(), DecodeError> {
@@ -415,36 +408,20 @@ fn decode_report(d: &mut Dec<'_>) -> Result<StageReport, DecodeError> {
 }
 
 fn encode_adam(e: &mut Enc, a: &AdamState) {
-    e.u64(a.moments.len() as u64);
-    for m in &a.moments {
-        match m {
-            None => e.bool(false),
-            Some((m1, m2)) => {
-                e.bool(true);
-                e.tensor(m1);
-                e.tensor(m2);
-            }
-        }
-    }
-    e.u64(a.steps.len() as u64);
-    for &s in &a.steps {
-        e.u64(s);
-    }
+    e.seq(&a.moments, |e, m| {
+        e.option(m.as_ref(), |e, (m1, m2)| {
+            e.tensor(m1);
+            e.tensor(m2);
+        })
+    });
+    e.seq(&a.steps, |e, &s| e.u64(s));
 }
 
 fn decode_adam(d: &mut Dec<'_>) -> Result<AdamState, DecodeError> {
-    let n = d.count(1)?;
-    let mut moments = Vec::with_capacity(n);
-    for _ in 0..n {
-        moments.push(if d.bool()? {
-            Some((d.tensor()?, d.tensor()?))
-        } else {
-            None
-        });
-    }
-    let n = d.count(8)?;
-    let steps = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-    Ok(AdamState { moments, steps })
+    Ok(AdamState {
+        moments: d.seq(1, |d| d.option(|d| Ok((d.tensor()?, d.tensor()?))))?,
+        steps: d.seq(8, Dec::u64)?,
+    })
 }
 
 fn encode_partial(e: &mut Enc, p: &StagePartial) {
@@ -457,8 +434,8 @@ fn encode_partial(e: &mut Enc, p: &StagePartial) {
     e.u64(p.retries);
     e.f64(p.learning_rate);
     e.u64(p.stage_steps);
-    e.tensors(&p.best_params);
-    e.tensors(&p.epoch_start_params);
+    e.seq(&p.best_params, Enc::tensor);
+    e.seq(&p.epoch_start_params, Enc::tensor);
     encode_adam(e, &p.adam);
 }
 
@@ -493,33 +470,12 @@ pub fn encode(c: &Checkpoint) -> Vec<u8> {
     e.u64(c.oracle_spent);
     e.bool(c.done);
     e.f64s(&c.levels);
-    e.u64(c.loss_history.len() as u64);
-    for losses in &c.loss_history {
-        e.f64s(losses);
-    }
-    e.u64(c.stage_reports.len() as u64);
-    for r in &c.stage_reports {
-        encode_report(&mut e, r);
-    }
-    e.tensors(&c.params);
-    e.u64(c.frozen.len() as u64);
-    for &f in &c.frozen {
-        e.bool(f);
-    }
-    match &c.partial {
-        None => e.bool(false),
-        Some(p) => {
-            e.bool(true);
-            encode_partial(&mut e, p);
-        }
-    }
-    match &c.final_adam {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            encode_adam(&mut e, a);
-        }
-    }
+    e.seq(&c.loss_history, |e, losses| e.f64s(losses));
+    e.seq(&c.stage_reports, encode_report);
+    e.seq(&c.params, Enc::tensor);
+    e.seq(&c.frozen, |e, &f| e.bool(f));
+    e.option(c.partial.as_ref(), encode_partial);
+    e.option(c.final_adam.as_ref(), encode_adam);
     let payload = e.buf;
 
     let mut out = Vec::with_capacity(payload.len() + 24);
@@ -527,7 +483,7 @@ pub fn encode(c: &Checkpoint) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&nofis_shard::crc32(&payload).to_le_bytes());
     out
 }
 
@@ -562,69 +518,38 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DecodeError> {
     }
     let payload = &bytes[20..20 + payload_len];
     let stored_crc = u32::from_le_bytes(bytes[20 + payload_len..].try_into().expect("4 bytes"));
-    let actual_crc = crc32(payload);
+    let actual_crc = nofis_shard::crc32(payload);
     if stored_crc != actual_crc {
         return Err(decode_err(format!(
             "CRC mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )));
     }
 
+    // Struct fields evaluate in source order, which is the payload order.
     let mut d = Dec::new(payload);
-    let config_fingerprint = d.u64()?;
-    let warm_fingerprint = d.u64()?;
-    let dim = d.u64()?;
-    let global_step = d.u64()?;
-    let rng_state = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-    let oracle_spent = d.u64()?;
-    let done = d.bool()?;
-    let levels = d.f64s()?;
-    let n = d.count(8)?;
-    let loss_history = (0..n).map(|_| d.f64s()).collect::<Result<Vec<_>, _>>()?;
-    let n = d.count(1)?;
-    let stage_reports = (0..n)
-        .map(|_| decode_report(&mut d))
-        .collect::<Result<Vec<_>, _>>()?;
-    let params = d.tensors()?;
-    let n = d.count(1)?;
-    let frozen = (0..n).map(|_| d.bool()).collect::<Result<Vec<_>, _>>()?;
-    let partial = if d.bool()? {
-        Some(decode_partial(&mut d)?)
-    } else {
-        None
-    };
-    let final_adam = if d.bool()? {
-        Some(decode_adam(&mut d)?)
-    } else {
-        None
+    let ckpt = Checkpoint {
+        config_fingerprint: d.u64()?,
+        warm_fingerprint: d.u64()?,
+        dim: d.u64()?,
+        global_step: d.u64()?,
+        rng_state: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
+        oracle_spent: d.u64()?,
+        done: d.bool()?,
+        levels: d.f64s()?,
+        loss_history: d.seq(8, Dec::f64s)?,
+        stage_reports: d.seq(1, decode_report)?,
+        params: d.tensors()?,
+        frozen: d.seq(1, Dec::bool)?,
+        partial: d.option(decode_partial)?,
+        final_adam: d.option(decode_adam)?,
     };
     d.done()?;
-    Ok(Checkpoint {
-        config_fingerprint,
-        warm_fingerprint,
-        dim,
-        global_step,
-        rng_state,
-        oracle_spent,
-        done,
-        levels,
-        loss_history,
-        stage_reports,
-        params,
-        frozen,
-        partial,
-        final_adam,
-    })
+    Ok(ckpt)
 }
 
-/// FNV-1a fingerprint of the configuration fields that determine the shape
-/// and trajectory of a training run. Two configs with equal fingerprints
-/// produce interchangeable checkpoints; resume refuses a mismatch rather
-/// than restoring parameters into a differently-shaped flow or silently
-/// changing the schedule mid-run. Observability knobs (telemetry, threads,
-/// the checkpoint settings themselves) are deliberately excluded — they
-/// never affect results (see the determinism contract, DESIGN.md §8).
-pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
-    let mut e = Enc::default();
+/// Encodes the fields both fingerprints share — the stage schedule, then
+/// the flow shape (dim, layers per stage, hidden width, coupling clamp).
+fn encode_shape(e: &mut Enc, cfg: &NofisConfig, dim: usize) {
     match &cfg.levels {
         crate::Levels::Fixed(v) => {
             e.u8(0);
@@ -645,6 +570,25 @@ pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     e.u64(cfg.layers_per_stage as u64);
     e.u64(cfg.hidden as u64);
     e.f64(cfg.s_max);
+}
+
+/// 64-bit FNV-1a over the encoded bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a fingerprint of the configuration fields that determine the shape
+/// and trajectory of a training run. Two configs with equal fingerprints
+/// produce interchangeable checkpoints; resume refuses a mismatch rather
+/// than restoring parameters into a differently-shaped flow or silently
+/// changing the schedule mid-run. Observability knobs (telemetry, threads,
+/// the checkpoint settings themselves) are deliberately excluded — they
+/// never affect results (see the determinism contract, DESIGN.md §8).
+pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
+    let mut e = Enc::default();
+    encode_shape(&mut e, cfg, dim);
     e.u64(cfg.epochs as u64);
     e.u64(cfg.batch_size as u64);
     e.u64(cfg.n_is as u64);
@@ -656,13 +600,7 @@ pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     e.u64(cfg.max_calls.unwrap_or(u64::MAX));
     e.f64(cfg.max_grad_norm.unwrap_or(f64::NAN));
     e.u64(cfg.stage_retries as u64);
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &e.buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(&e.buf)
 }
 
 /// FNV-1a fingerprint of the *warm-start compatibility* fields: the flow
@@ -679,34 +617,9 @@ pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
 /// the `LimitState`, not the config).
 pub fn warm_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     let mut e = Enc::default();
-    match &cfg.levels {
-        crate::Levels::Fixed(v) => {
-            e.u8(0);
-            e.f64s(v);
-        }
-        crate::Levels::AdaptiveQuantile {
-            max_stages,
-            p0,
-            pilot,
-        } => {
-            e.u8(1);
-            e.u64(*max_stages as u64);
-            e.f64(*p0);
-            e.u64(*pilot as u64);
-        }
-    }
-    e.u64(dim as u64);
-    e.u64(cfg.layers_per_stage as u64);
-    e.u64(cfg.hidden as u64);
-    e.f64(cfg.s_max);
+    encode_shape(&mut e, cfg, dim);
     e.bool(cfg.freeze);
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &e.buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(&e.buf)
 }
 
 /// Donor state for warm-starting a sibling run: the finished donor's
@@ -1202,6 +1115,45 @@ mod tests {
             config_fingerprint(&base, 6),
             config_fingerprint(&refine, 6),
             "strict fingerprint must still distinguish the refine config"
+        );
+    }
+
+    /// Pins both fingerprints to fixed values: they decide whether
+    /// checkpoints already on disk resume and whether sweep donors still
+    /// match, so any encoder change must leave them where they are.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let base = NofisConfig::default();
+        let adaptive = NofisConfig {
+            levels: crate::Levels::AdaptiveQuantile {
+                max_stages: 7,
+                p0: 0.2,
+                pilot: 300,
+            },
+            ..NofisConfig::default()
+        };
+        let fixed = NofisConfig {
+            levels: crate::Levels::Fixed(vec![3.0, 1.5, 0.0]),
+            ..NofisConfig::default()
+        };
+        let got = [
+            config_fingerprint(&base, 6),
+            warm_fingerprint(&base, 6),
+            config_fingerprint(&adaptive, 6),
+            warm_fingerprint(&adaptive, 6),
+            config_fingerprint(&fixed, 6),
+            warm_fingerprint(&fixed, 6),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x816c_6693_561d_ecbc,
+                0x56c6_c2a4_65ef_00b5,
+                0x053a_df3e_19b2_23a5,
+                0x4d80_2a21_4572_4612,
+                0x0166_4495_7f57_f09d,
+                0x7934_22ee_9261_04ea,
+            ]
         );
     }
 

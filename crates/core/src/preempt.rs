@@ -189,7 +189,7 @@ mod tests {
         let token = PreemptToken::new();
         token.request(PreemptReason::Deadline);
         let _scope = attach(&token);
-        let other = std::thread::spawn(|| current_requested()).join().unwrap();
+        let other = std::thread::spawn(current_requested).join().unwrap();
         assert_eq!(other, None);
     }
 }

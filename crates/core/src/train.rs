@@ -1,7 +1,7 @@
 use crate::checkpoint::{self, Checkpoint, Checkpointer, StagePartial, WarmStart};
 use crate::preempt;
 use crate::{ConfigError, FlowProposal, Levels, NofisConfig, NofisError, StageReport};
-use nofis_autograd::{CompiledStep, Graph, ParamId, ParamStore, Tensor, Var};
+use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tensor, Var};
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
@@ -14,8 +14,6 @@ use nofis_telemetry as tele;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng, StateRng};
 
-/// Epoch-loss magnitude beyond which training is declared divergent (a
-/// healthy tempered-KL loss is `O(D)`, nowhere near this).
 /// A compiled training step plus the key it was specialized for: replay
 /// is valid only while the minibatch row count, the stage depth, and the
 /// [`ParamStore`] frozen mask (checked via `CompiledStep::mask_matches`)
@@ -28,6 +26,8 @@ struct TapeCache {
     step: CompiledStep,
 }
 
+/// Epoch-loss magnitude beyond which training is declared divergent (a
+/// healthy tempered-KL loss is `O(D)`, nowhere near this).
 const LOSS_DIVERGENCE_LIMIT: f64 = 1e12;
 
 /// Per-row `|log det|` beyond which a minibatch is declared divergent: the
@@ -167,6 +167,12 @@ impl Nofis {
         &self.config
     }
 
+    /// A hard-budgeted view of `limit_state`, capped at
+    /// [`NofisConfig::max_calls`] (unlimited when `None`).
+    fn budgeted<'l, L: LimitState + ?Sized>(&self, limit_state: &'l L) -> BudgetedOracle<'l, L> {
+        BudgetedOracle::new(limit_state, self.config.max_calls.unwrap_or(u64::MAX))
+    }
+
     /// Runs the `M`-stage training of Algorithm 1, consuming `M·E·N`
     /// simulator calls (plus pilot calls under adaptive levels).
     ///
@@ -196,8 +202,7 @@ impl Nofis {
         limit_state: &L,
         rng: &mut R,
     ) -> Result<TrainedNofis, NofisError> {
-        let oracle = BudgetedOracle::new(limit_state, self.config.max_calls.unwrap_or(u64::MAX));
-        self.train_within(&oracle, rng)
+        self.train_within(&self.budgeted(limit_state), rng)
     }
 
     /// Like [`Nofis::train`] but drawing simulator calls from an existing
@@ -212,718 +217,25 @@ impl Nofis {
         oracle: &BudgetedOracle<'_, L>,
         rng: &mut R,
     ) -> Result<TrainedNofis, NofisError> {
-        self.train_impl(oracle, rng, None, None)
+        self.train_fresh(oracle, rng, None)
     }
 
-    /// The single training loop behind both [`Nofis::train_within`] and
-    /// [`Nofis::resume_within`]. One code path means a resumed run and an
-    /// uninterrupted run execute literally the same instructions after the
-    /// restore point, which is what makes resume bitwise-exact.
-    ///
-    /// `warm` (fresh starts only; a resume ignores it by construction —
-    /// callers pass one or the other) seeds the flow parameters and Adam
-    /// moments from a finished donor run with a matching
-    /// [`checkpoint::warm_fingerprint`]. Everything else — the RNG stream,
-    /// the threshold schedule, the budget — runs exactly as a cold start,
-    /// so a warm run is a cold run with a different initializer.
-    fn train_impl<L: LimitState + ?Sized + Sync, R: Rng + StateRng>(
+    /// Trains a fresh run: cold, or — given a `warm` donor — seeded from a
+    /// finished run with a matching [`checkpoint::warm_fingerprint`].
+    /// Everything else — the RNG stream, the threshold schedule, the
+    /// budget — runs exactly as a cold start, so a warm run is a cold run
+    /// with a different initializer.
+    fn train_fresh<L: LimitState + ?Sized + Sync, R: Rng + StateRng>(
         &self,
         oracle: &BudgetedOracle<'_, L>,
         rng: &mut R,
-        resume: Option<ResumeRun>,
         warm: Option<&WarmStart>,
     ) -> Result<TrainedNofis, NofisError> {
-        let dim = oracle.dim();
-        if dim < 2 {
-            return Err(NofisError::InvalidInput {
-                message: format!(
-                    "NOFIS requires dim >= 2 (RealNVP couplings split coordinates), got {dim}"
-                ),
-            });
-        }
-        let cfg = &self.config;
-        let k = cfg.layers_per_stage;
-        let max_stages = cfg.levels.max_stages();
-
-        let fingerprint = checkpoint::config_fingerprint(cfg, dim);
-        let warm_fp = checkpoint::warm_fingerprint(cfg, dim);
-        let mut checkpointer = cfg.checkpoint.clone().map(Checkpointer::new);
-
-        let flow;
-        let mut store;
-        let mut levels: Vec<f64>;
-        let mut loss_history: Vec<Vec<f64>>;
-        let mut stage_reports: Vec<StageReport>;
-        let start_stage: usize;
-        let mut global_step: u64;
-        let mut carry: Option<StageCarry>;
-        // Donor Adam moments, consumed exactly once by the first stage's
-        // optimizer; rollback retries and later stages start clean, the
-        // same as a cold run.
-        let mut warm_adam: Option<AdamState> = None;
-        match resume {
-            None => {
-                store = ParamStore::new();
-                match warm {
-                    None => {
-                        flow = RealNvp::new(
-                            &mut store,
-                            dim,
-                            max_stages * k,
-                            cfg.hidden,
-                            cfg.s_max,
-                            rng,
-                        );
-                    }
-                    Some(ws) => {
-                        // The donor's parameters overwrite the init draw, so
-                        // build the structure with a throwaway RNG: the live
-                        // stream must stay at its seeded position, keeping
-                        // common random numbers across warm and cold corners.
-                        let mut init_rng = StdRng::seed_from_u64(0);
-                        flow = RealNvp::new(
-                            &mut store,
-                            dim,
-                            max_stages * k,
-                            cfg.hidden,
-                            cfg.s_max,
-                            &mut init_rng,
-                        );
-                        if ws.dim != dim as u64 || ws.warm_fingerprint != warm_fp {
-                            return Err(NofisError::Checkpoint {
-                                message: format!(
-                                    "warm-start donor '{}' is incompatible with this run \
-                                     (donor fingerprint {:#018x} / dim {}, ours {:#018x} / \
-                                     dim {dim}); train cold instead",
-                                    ws.donor, ws.warm_fingerprint, ws.dim, warm_fp
-                                ),
-                            });
-                        }
-                        // Frozen flags reset to all-live: the recipient's own
-                        // schedule decides what to freeze, stage by stage.
-                        restore_into(&mut store, &ws.params, &vec![false; ws.params.len()])?;
-                        warm_adam = ws.adam.clone();
-                        tele::event(tele::Level::Info, "train.warm_start")
-                            .field("donor", ws.donor.as_str())
-                            .field("params", ws.params.len())
-                            .field("adam", warm_adam.is_some())
-                            .emit();
-                    }
-                }
-                levels = Vec::new();
-                loss_history = Vec::new();
-                stage_reports = Vec::new();
-                start_stage = 0;
-                global_step = 0;
-                carry = None;
-            }
-            Some(r) => {
-                flow = r.flow;
-                store = r.store;
-                levels = r.levels;
-                loss_history = r.loss_history;
-                stage_reports = r.stage_reports;
-                start_stage = r.start_stage;
-                global_step = r.global_step;
-                carry = r.carry;
-            }
-        }
-        // A mid-stage resume re-enters a stage whose threshold was already
-        // chosen (and, for adaptive schedules, already paid for in pilot
-        // calls): the first loop iteration restores it instead of picking.
-        let mut resume_level = if carry.is_some() {
-            levels.last().copied()
-        } else {
-            None
+        let run = match warm {
+            None => Run::cold(&self.config, oracle.dim(), rng)?,
+            Some(ws) => Run::warm(&self.config, oracle.dim(), ws)?,
         };
-        let base = StandardGaussian::new(dim);
-
-        // One tape for the whole run: `reset()` between minibatches keeps
-        // the node arena and recycles every buffer, so steady-state steps
-        // allocate nothing. Frozen-stage pruning skips the backward kernels
-        // of earlier coupling blocks without changing any surviving
-        // gradient bit (DESIGN.md §9).
-        let mut g = Graph::new();
-        g.set_pruning(cfg.prune_frozen);
-        // Trace-once/replay (DESIGN.md §13): the first minibatch of each
-        // (rows, depth, frozen-mask) combination runs interpreted and is
-        // lowered into a `CompiledStep`; subsequent matching minibatches
-        // replay it. Replays are bitwise identical to the interpreted
-        // engine, so the cache never changes results — any shape or mask
-        // change (stage advance, tail minibatch, resume) simply retraces.
-        let mut tape_cache: Option<TapeCache> = None;
-
-        tele::event(tele::Level::Info, "train.start")
-            .field("dim", dim)
-            .field("max_stages", max_stages)
-            .field("layers_per_stage", k)
-            .field("budget", oracle.budget())
-            .emit();
-
-        for stage in start_stage..max_stages {
-            // Stage-boundary readings for the per-stage telemetry deltas.
-            // Plain u64 reads — never fed back into the computation.
-            let stage_calls_start = oracle.used();
-            let stage_stats_start = g.snapshot();
-            let mut stage_steps = 0u64;
-            let mut stage_span = tele::span(tele::Level::Info, "train.stage");
-
-            // --- Pick this stage's threshold (restored verbatim on a
-            //     mid-stage resume). ---
-            let level = if let Some(level) = resume_level.take() {
-                level
-            } else {
-                let level = match &cfg.levels {
-                    Levels::Fixed(v) => v[stage],
-                    Levels::AdaptiveQuantile { p0, pilot, .. } => {
-                        if stage + 1 == max_stages {
-                            0.0
-                        } else {
-                            let granted = oracle.grant(*pilot);
-                            if granted == 0 {
-                                return Err(budget_error(
-                                    oracle,
-                                    format!("pilot sampling for stage {}", stage + 1),
-                                ));
-                            }
-                            let depth = stage * k;
-                            // Draw serially (the rng is sequential), then score
-                            // the pilot batch across the pool — the granted
-                            // calls were planned above, and the batch values
-                            // come back in sample order.
-                            let xs: Vec<Vec<f64>> = (0..granted)
-                                .map(|_| {
-                                    if depth == 0 {
-                                        base.sample(rng)
-                                    } else {
-                                        flow.sample(&store, depth, rng).0
-                                    }
-                                })
-                                .collect();
-                            let exec = sharded_exec(oracle);
-                            let gvals = batch_values_with_exec(
-                                oracle,
-                                &xs,
-                                nofis_parallel::global(),
-                                as_batch_eval(&exec),
-                            );
-                            // `quantile` skips NaN scores; if the proposal only
-                            // produces NaN there is nothing to schedule against.
-                            let mut q = quantile(&gvals, *p0);
-                            if q.is_nan() {
-                                return Err(NofisError::DegenerateProposal {
-                                    context: format!(
-                                        "every pilot sample for stage {} scored NaN",
-                                        stage + 1
-                                    ),
-                                });
-                            }
-                            // Overshoot guard: tempered training gives the stage
-                            // proposal a heavy lower-g tail, which can crash the
-                            // pilot quantile to 0 long before the proposal truly
-                            // covers the failure region. Only allow the schedule
-                            // to land on 0 when the pilot actually observes a
-                            // healthy failure fraction; otherwise descend
-                            // geometrically at most.
-                            let frac_fail = gvals.iter().filter(|&&g| g <= 0.0).count() as f64
-                                / gvals.len() as f64;
-                            if let Some(&prev) = levels.last() {
-                                if frac_fail < 0.5 * p0 {
-                                    q = q.max(0.35 * prev);
-                                }
-                                // Enforce strict decrease: an undertrained stage
-                                // can leave the pilot quantile at (or above) the
-                                // previous threshold, stalling the schedule.
-                                q = q.min(prev - 0.05 * prev.abs());
-                            }
-                            tele::event(tele::Level::Debug, "train.pilot")
-                                .field("stage", stage + 1)
-                                .field("granted", granted)
-                                .field("quantile", q)
-                                .field("frac_fail", frac_fail)
-                                .emit();
-                            if q <= 0.0 {
-                                0.0
-                            } else {
-                                q
-                            }
-                        }
-                    }
-                };
-                levels.push(level);
-                level
-            };
-            tele::event(tele::Level::Info, "train.stage.start")
-                .field("stage", stage + 1)
-                .field("level", level)
-                .emit();
-
-            // --- Freeze everything before this stage's block. ---
-            if cfg.freeze {
-                for id in flow.param_ids_for_layers(0..stage * k) {
-                    store.set_frozen(id, true);
-                }
-            }
-
-            // --- Optimize D[q_{mK} || p_m^tau] (Eq. 8), with checkpoint
-            //     rollback on divergence. ---
-            let depth = (stage + 1) * k;
-            let mb = cfg.minibatch.min(cfg.batch_size);
-            let mut lr = cfg.learning_rate;
-            let mut retries = 0usize;
-            // A mid-stage resume enters the retry loop exactly once with the
-            // restored cursor; retries after that start clean, like any
-            // rollback pass.
-            let mut stage_carry = carry.take();
-            if let Some(c) = &stage_carry {
-                lr = c.learning_rate;
-                retries = c.retries;
-                stage_steps = c.stage_steps;
-            }
-            let (stage_losses, best_loss, truncated, stage_adam) = loop {
-                let mut opt = Adam::new(lr).with_max_grad_norm(cfg.max_grad_norm);
-                if let Some(state) = warm_adam.take() {
-                    opt.restore_state(state);
-                }
-                let mut stage_losses = Vec::with_capacity(cfg.epochs);
-                let mut best_loss = f64::INFINITY;
-                let mut best_store = store.clone();
-                let mut divergence: Option<(usize, String)> = None;
-                let mut truncated = false;
-                let mut start_epoch = 0usize;
-                let mut epoch_carry: Option<(usize, f64, ParamStore)> = None;
-                if let Some(c) = stage_carry.take() {
-                    opt.restore_state(c.adam);
-                    stage_losses = c.stage_losses;
-                    best_loss = c.best_loss;
-                    best_store = c.best_store;
-                    start_epoch = c.epoch;
-                    epoch_carry = Some((c.consumed, c.epoch_loss, c.epoch_start));
-                }
-
-                'epochs: for epoch in start_epoch..cfg.epochs {
-                    let (mut consumed, mut epoch_loss, epoch_start) = match epoch_carry.take() {
-                        Some((consumed, epoch_loss, epoch_start)) => {
-                            (consumed, epoch_loss, epoch_start)
-                        }
-                        None => (0usize, 0.0, store.clone()),
-                    };
-                    while consumed < cfg.batch_size {
-                        let want = mb.min(cfg.batch_size - consumed);
-                        let n = oracle.grant(want);
-                        if n == 0 {
-                            if level == 0.0 && !stage_losses.is_empty() {
-                                // Graceful truncation: the final stage has at
-                                // least one full epoch at the target event,
-                                // so the proposal is usable as-is.
-                                truncated = true;
-                                tele::event(tele::Level::Warn, "train.truncated")
-                                    .field("stage", stage + 1)
-                                    .field("epoch", epoch)
-                                    .field("used", oracle.used())
-                                    .emit();
-                                break 'epochs;
-                            }
-                            return Err(budget_error(
-                                oracle,
-                                format!("training stage {}", stage + 1),
-                            ));
-                        }
-                        // Engine selection: replay the compiled tape when one
-                        // matches this (rows, depth, frozen-mask) exactly;
-                        // otherwise trace interpreted (and compile the trace
-                        // for the steps that follow).
-                        let replaying = cfg.compile_tape
-                            && tape_cache.as_ref().is_some_and(|c| {
-                                c.depth == depth && c.n == n && c.step.mask_matches(&store)
-                            });
-                        // tempered term: min(tau * (a_m - g(z)), 0). A
-                        // non-finite simulator response is sanitized to
-                        // "safely non-failing, zero gradient" so one broken
-                        // subregion cannot poison the whole batch (the call
-                        // still counts against the budget).
-                        // A panicking worker chunk (pool infrastructure, not
-                        // the oracle — oracle panics are already contained
-                        // in `BudgetedOracle`) is handled like a divergent
-                        // minibatch: roll back to the best checkpoint and
-                        // retry. The pool itself survives a worker panic, so
-                        // retrying is sound. Both engines share the sanitize
-                        // closure and the fixed-chunk row evaluator, so the
-                        // oracle sees the same calls in the same order.
-                        let sanitized = |row: &[f64]| {
-                            let (v, grad) = oracle.value_grad(row);
-                            if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
-                                (v, grad)
-                            } else {
-                                (level + 1.0, vec![0.0; dim])
-                            }
-                        };
-                        let evaluated = if replaying {
-                            let cache = tape_cache.as_mut().expect("cache presence checked");
-                            let replay =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    cache.step.replay_forward(
-                                        &store,
-                                        |buf| base.sample_fill(buf, rng),
-                                        nofis_parallel::global(),
-                                        sanitized,
-                                    );
-                                }));
-                            match replay {
-                                Ok(()) => Some((
-                                    cache.step.value(cache.loss).item(),
-                                    cache.step.value(cache.logdet).max_abs(),
-                                    None,
-                                )),
-                                Err(_) => {
-                                    // A panic can leave the preplanned
-                                    // buffers half-written; drop the cache so
-                                    // the retry pass retraces from scratch.
-                                    tape_cache = None;
-                                    None
-                                }
-                            }
-                        } else {
-                            g.reset();
-                            let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
-                            let (z, logdet) = flow.forward_graph(&store, &mut g, x, depth);
-                            let eval =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    g.external_rowwise_par(z, nofis_parallel::global(), sanitized)
-                                }));
-                            eval.ok().map(|gvals| {
-                                let neg_tau_g = g.scale(gvals, -cfg.tau);
-                                let shifted = g.add_scalar(neg_tau_g, cfg.tau * level);
-                                let tempered = g.min_scalar(shifted, 0.0);
-                                // base log-density of z: -D/2 ln 2π - ||z||²/2
-                                let sq = g.square(z);
-                                let ssq = g.sum_cols(sq);
-                                let half = g.scale(ssq, -0.5);
-                                let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
-
-                                let a = g.add(logdet, tempered);
-                                let per_sample = g.add(a, logp);
-                                let mean = g.mean_all(per_sample);
-                                let loss = g.neg(mean);
-                                (
-                                    g.value(loss).item(),
-                                    g.value(logdet).max_abs(),
-                                    Some((x, logdet, loss)),
-                                )
-                            })
-                        };
-                        let Some((chunk_loss, logdet_mag, traced)) = evaluated else {
-                            divergence = Some((
-                                epoch,
-                                "a worker thread panicked while evaluating the minibatch".into(),
-                            ));
-                            break 'epochs;
-                        };
-                        consumed += n;
-                        if !chunk_loss.is_finite() || logdet_mag > LOGDET_DIVERGENCE_LIMIT {
-                            divergence = Some((
-                                epoch,
-                                format!("minibatch loss = {chunk_loss}, |logdet| = {logdet_mag}"),
-                            ));
-                            break 'epochs;
-                        }
-                        match traced {
-                            None => {
-                                let cache = tape_cache.as_mut().expect("replayed from this cache");
-                                cache.step.backward();
-                                opt.step_fused(&mut store, &cache.step);
-                            }
-                            Some((x, logdet, loss)) => {
-                                g.backward(loss);
-                                if cfg.compile_tape {
-                                    let step = CompiledStep::compile(&g, loss, Some(x), &store);
-                                    if tele::enabled(tele::Level::Debug) {
-                                        tele::event(tele::Level::Debug, "train.compile")
-                                            .field("stage", stage + 1)
-                                            .field("n", n)
-                                            .field("depth", depth)
-                                            .field("instrs", step.len())
-                                            .field("backward_nodes", step.backward_nodes())
-                                            .emit();
-                                    }
-                                    tape_cache = Some(TapeCache {
-                                        depth,
-                                        n,
-                                        logdet,
-                                        loss,
-                                        step,
-                                    });
-                                }
-                                opt.step_fused(&mut store, &g);
-                            }
-                        }
-                        stage_steps += 1;
-                        global_step += 1;
-                        if tele::enabled(tele::Level::Trace) {
-                            let mut step = tele::event(tele::Level::Trace, "train.step")
-                                .field("stage", stage + 1)
-                                .field("epoch", epoch)
-                                .field("n", n)
-                                .field("engine", if replaying { "replay" } else { "trace" })
-                                .field("loss", chunk_loss);
-                            if let Some(norm) = opt.last_grad_norm() {
-                                step = step.field("grad_norm", norm);
-                            }
-                            step.emit();
-                        }
-                        epoch_loss += chunk_loss * n as f64;
-                        // Mid-stage checkpoint site: the snapshot describes
-                        // the state *after* this optimizer step, so resume
-                        // re-enters the loop at the next minibatch. A
-                        // pending preemption request (deadline, shutdown)
-                        // forces a write here regardless of the interval:
-                        // the checkpoint is the preempted run's resume
-                        // point, and resuming replays the exact §11 path,
-                        // so a preempted-then-resumed run is bitwise
-                        // identical to an uninterrupted one.
-                        let preempt_reason = preempt::current_requested();
-                        let mut preempt_ckpt = false;
-                        if let Some(cp) = &mut checkpointer {
-                            if preempt_reason.is_some() || cp.due(global_step) {
-                                preempt_ckpt = cp.write(&Checkpoint {
-                                    config_fingerprint: fingerprint,
-                                    warm_fingerprint: warm_fp,
-                                    dim: dim as u64,
-                                    global_step,
-                                    rng_state: rng.save_state(),
-                                    oracle_spent: oracle.spent(),
-                                    done: false,
-                                    levels: levels.clone(),
-                                    loss_history: loss_history.clone(),
-                                    stage_reports: stage_reports.clone(),
-                                    params: snapshot_params(&store),
-                                    frozen: snapshot_frozen(&store),
-                                    partial: Some(StagePartial {
-                                        stage: stage as u64,
-                                        epoch: epoch as u64,
-                                        consumed: consumed as u64,
-                                        epoch_loss,
-                                        stage_losses: stage_losses.clone(),
-                                        best_loss,
-                                        retries: retries as u64,
-                                        learning_rate: lr,
-                                        stage_steps,
-                                        best_params: snapshot_params(&best_store),
-                                        epoch_start_params: snapshot_params(&epoch_start),
-                                        adam: opt.export_state(),
-                                    }),
-                                    final_adam: None,
-                                });
-                            }
-                        }
-                        if let Some(reason) = preempt_reason {
-                            tele::event(tele::Level::Warn, "train.preempted")
-                                .field("stage", stage + 1)
-                                .field("global_step", global_step)
-                                .field("reason", reason.as_str())
-                                .field("checkpointed", preempt_ckpt)
-                                .emit();
-                            return Err(NofisError::Preempted {
-                                stage: stage + 1,
-                                global_step,
-                                checkpointed: preempt_ckpt,
-                                reason: reason.as_str().to_string(),
-                            });
-                        }
-                    }
-                    epoch_loss /= consumed as f64;
-                    if !epoch_loss.is_finite() || epoch_loss.abs() > LOSS_DIVERGENCE_LIMIT {
-                        divergence = Some((epoch, format!("epoch loss = {epoch_loss}")));
-                        break 'epochs;
-                    }
-                    tele::event(tele::Level::Debug, "train.epoch")
-                        .field("stage", stage + 1)
-                        .field("epoch", epoch)
-                        .field("loss", epoch_loss)
-                        .emit();
-                    stage_losses.push(epoch_loss);
-                    if epoch_loss < best_loss {
-                        // Checkpoint the parameters that *produced* this
-                        // best loss — the state at the epoch's start.
-                        best_loss = epoch_loss;
-                        best_store = epoch_start;
-                    }
-                }
-
-                match divergence {
-                    None => break (stage_losses, best_loss, truncated, opt.export_state()),
-                    Some((epoch, message)) => {
-                        tele::event(tele::Level::Warn, "train.divergence")
-                            .field("stage", stage + 1)
-                            .field("epoch", epoch)
-                            .field("detail", message.as_str())
-                            .emit();
-                        retries += 1;
-                        if retries > cfg.stage_retries {
-                            return Err(NofisError::TrainingDiverged {
-                                stage: stage + 1,
-                                epoch,
-                                retries: retries - 1,
-                                message,
-                            });
-                        }
-                        // Roll back to the best checkpoint and retry with a
-                        // gentler learning rate and fresh optimizer state.
-                        store = best_store;
-                        lr *= 0.5;
-                        tele::event(tele::Level::Warn, "train.rollback")
-                            .field("stage", stage + 1)
-                            .field("retries", retries)
-                            .field("lr", lr)
-                            .emit();
-                    }
-                }
-            };
-
-            stage_reports.push(StageReport {
-                stage: stage + 1,
-                level,
-                epochs_run: stage_losses.len(),
-                retries,
-                rolled_back: retries > 0,
-                best_loss,
-                final_loss: stage_losses.last().copied().unwrap_or(f64::NAN),
-                learning_rate: lr,
-                truncated,
-            });
-
-            // Close the stage span with its summary and per-stage resource
-            // deltas (oracle spend, buffer-pool traffic, pruning work) —
-            // `nofis-trace` derives allocs/step and calls/step from these.
-            if stage_span.is_enabled() {
-                let stats = g.snapshot();
-                let stage_calls = oracle.used() - stage_calls_start;
-                let pool_hits = stats.pool.hits - stage_stats_start.pool.hits;
-                let pool_misses = stats.pool.misses - stage_stats_start.pool.misses;
-                stage_span.field("stage", stage + 1);
-                stage_span.field("level", level);
-                stage_span.field("epochs", stage_losses.len());
-                stage_span.field("steps", stage_steps);
-                stage_span.field("retries", retries);
-                stage_span.field("best_loss", best_loss);
-                stage_span.field(
-                    "final_loss",
-                    stage_losses.last().copied().unwrap_or(f64::NAN),
-                );
-                stage_span.field("truncated", truncated);
-                stage_span.field("oracle_calls", stage_calls);
-                stage_span.field("pool_hits", pool_hits);
-                stage_span.field("pool_misses", pool_misses);
-                stage_span.field(
-                    "skipped_nodes",
-                    stats.skipped_nodes - stage_stats_start.skipped_nodes,
-                );
-                stage_span.field(
-                    "pruned_nodes",
-                    stats.pruned_nodes - stage_stats_start.pruned_nodes,
-                );
-                tele::counter(tele::Level::Debug, "oracle.calls", oracle.used()).emit();
-                tele::counter(tele::Level::Debug, "autograd.pool.hits", stats.pool.hits).emit();
-                tele::counter(
-                    tele::Level::Debug,
-                    "autograd.pool.misses",
-                    stats.pool.misses,
-                )
-                .emit();
-                tele::counter(
-                    tele::Level::Debug,
-                    "autograd.backward.skipped",
-                    stats.skipped_nodes,
-                )
-                .emit();
-                tele::counter(
-                    tele::Level::Debug,
-                    "autograd.tape.pruned",
-                    stats.pruned_nodes,
-                )
-                .emit();
-                let requests = stats.pool.requests();
-                if requests > 0 {
-                    tele::gauge(
-                        tele::Level::Debug,
-                        "autograd.pool.hit_rate",
-                        stats.pool.hits as f64 / requests as f64,
-                    )
-                    .emit();
-                }
-            }
-            stage_span.end();
-            loss_history.push(stage_losses);
-
-            let stage_done = truncated || level == 0.0;
-            // Stage-boundary checkpoint site: always written when
-            // checkpointing is on, so a crash between stages costs nothing
-            // and a finished run resumes straight into estimation.
-            if let Some(cp) = &mut checkpointer {
-                cp.write(&Checkpoint {
-                    config_fingerprint: fingerprint,
-                    warm_fingerprint: warm_fp,
-                    dim: dim as u64,
-                    global_step,
-                    rng_state: rng.save_state(),
-                    oracle_spent: oracle.spent(),
-                    done: stage_done,
-                    levels: levels.clone(),
-                    loss_history: loss_history.clone(),
-                    stage_reports: stage_reports.clone(),
-                    params: snapshot_params(&store),
-                    frozen: snapshot_frozen(&store),
-                    partial: None,
-                    // Stage-boundary only; resume never reads it — this is
-                    // the donor payload a warm-started sibling inherits.
-                    final_adam: Some(stage_adam),
-                });
-            }
-            if stage_done {
-                // The schedule reached the target event (or the budget
-                // truncated the final stage): stop and save the remaining
-                // budget (further stages at level 0 were observed to
-                // over-concentrate the proposal).
-                break;
-            }
-        }
-
-        // Defensive: the fixed schedule always ends at 0.0 by validation;
-        // the adaptive one breaks on 0.0 or forces it at the last stage.
-        debug_assert_eq!(levels.last().copied(), Some(0.0));
-
-        if tele::enabled(tele::Level::Info) {
-            tele::event(tele::Level::Info, "train.end")
-                .field("stages", levels.len())
-                .field("oracle_calls", oracle.used())
-                .emit();
-            // The pool is guaranteed built by now (every minibatch ran
-            // through it), so this read never constructs anything.
-            let usage = nofis_parallel::global().usage();
-            tele::counter(tele::Level::Debug, "parallel.runs", usage.runs).emit();
-            tele::counter(tele::Level::Debug, "parallel.chunks", usage.chunks).emit();
-            tele::counter(
-                tele::Level::Debug,
-                "parallel.inline_runs",
-                usage.inline_runs,
-            )
-            .emit();
-            tele::counter(
-                tele::Level::Debug,
-                "parallel.helper_dispatches",
-                usage.helper_dispatches,
-            )
-            .emit();
-        }
-
-        Ok(TrainedNofis {
-            flow,
-            store,
-            levels,
-            loss_history,
-            stage_reports,
-            layers_per_stage: k,
-        })
+        StageRunner::new(&self.config, oracle, rng).run(run)
     }
 
     /// Trains and immediately produces the final estimate with
@@ -941,7 +253,7 @@ impl Nofis {
         limit_state: &L,
         rng: &mut R,
     ) -> Result<(TrainedNofis, IsResult), NofisError> {
-        let oracle = BudgetedOracle::new(limit_state, self.config.max_calls.unwrap_or(u64::MAX));
+        let oracle = self.budgeted(limit_state);
         let trained = self.train_within(&oracle, rng)?;
         let (result, _diag) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
         Ok((trained, result))
@@ -992,10 +304,10 @@ impl Nofis {
         rng: &mut R,
         warm: Option<&WarmStart>,
     ) -> Result<(TrainedNofis, IsResult), NofisError> {
-        let oracle = BudgetedOracle::new(limit_state, self.config.max_calls.unwrap_or(u64::MAX));
+        let oracle = self.budgeted(limit_state);
         let trained = match self.resume_within(&oracle, rng)? {
             Some(trained) => trained,
-            None => self.train_impl(&oracle, rng, None, warm)?,
+            None => self.train_fresh(&oracle, rng, warm)?,
         };
         let (result, _diag) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
         Ok((trained, result))
@@ -1009,6 +321,10 @@ impl Nofis {
     /// caller should train from scratch. Corrupt or torn checkpoint files
     /// are skipped by the loader (falling back to the previous generation),
     /// never an error here.
+    ///
+    /// A resumed run goes through the same stage loop as an uninterrupted
+    /// one, so after the restore point both execute literally the same
+    /// instructions — which is what makes resume bitwise-exact.
     ///
     /// # Errors
     ///
@@ -1030,8 +346,44 @@ impl Nofis {
         let Some((generation, ckpt)) = loaded else {
             return Ok(None);
         };
+        let done = ckpt.done;
+        let run = Run::from_checkpoint(&self.config, oracle, rng, generation, ckpt)?;
+        if done {
+            return Ok(Some(run.into_trained(self.config.layers_per_stage)));
+        }
+        StageRunner::new(&self.config, oracle, rng)
+            .run(run)
+            .map(Some)
+    }
+}
 
-        let dim = oracle.dim();
+/// One training run's state: the flow, its parameters, and everything the
+/// stage loop carries from stage to stage. A run starts cold, warm from a
+/// donor, or from a checkpoint; it leaves as a [`Checkpoint`]
+/// ([`Run::snapshot`]) or a [`TrainedNofis`] ([`Run::into_trained`]).
+struct Run {
+    flow: RealNvp,
+    store: ParamStore,
+    levels: Vec<f64>,
+    loss_history: Vec<Vec<f64>>,
+    stage_reports: Vec<StageReport>,
+    /// Optimizer steps taken across all stages (checkpoint scheduling).
+    global_step: u64,
+    /// The stage in flight when a mid-stage checkpoint was written; the
+    /// loop re-enters it instead of opening a new one.
+    carry: Option<Stage>,
+    /// Donor Adam moments, consumed exactly once by the first stage's
+    /// optimizer; rollback retries and later stages start clean, the same
+    /// as a cold run.
+    warm_adam: Option<AdamState>,
+    config_fingerprint: u64,
+    warm_fingerprint: u64,
+}
+
+impl Run {
+    /// A cold start at stage 0: the flow of `cfg`'s shape, its initial
+    /// parameters drawn from `rng`. Every run builds its flow here.
+    fn cold(cfg: &NofisConfig, dim: usize, rng: &mut impl Rng) -> Result<Run, NofisError> {
         if dim < 2 {
             return Err(NofisError::InvalidInput {
                 message: format!(
@@ -1039,6 +391,71 @@ impl Nofis {
                 ),
             });
         }
+        let mut store = ParamStore::new();
+        let depth = cfg.levels.max_stages() * cfg.layers_per_stage;
+        let flow = RealNvp::new(&mut store, dim, depth, cfg.hidden, cfg.s_max, rng);
+        Ok(Run {
+            flow,
+            store,
+            levels: Vec::new(),
+            loss_history: Vec::new(),
+            stage_reports: Vec::new(),
+            global_step: 0,
+            carry: None,
+            warm_adam: None,
+            config_fingerprint: checkpoint::config_fingerprint(cfg, dim),
+            warm_fingerprint: checkpoint::warm_fingerprint(cfg, dim),
+        })
+    }
+
+    /// A run whose parameters the caller overwrites. The flow structure is
+    /// built with a throwaway RNG: the live stream must stay at its seeded
+    /// (warm) or restored (resume) position, which keeps common random
+    /// numbers across warm and cold corners and resume bitwise.
+    fn restored(cfg: &NofisConfig, dim: usize) -> Result<Run, NofisError> {
+        Run::cold(cfg, dim, &mut StdRng::seed_from_u64(0))
+    }
+
+    /// A warm start seeded from a finished donor's parameters and Adam
+    /// moments, refused unless the donor's warm fingerprint and dimension
+    /// match this configuration.
+    fn warm(cfg: &NofisConfig, dim: usize, ws: &WarmStart) -> Result<Run, NofisError> {
+        let mut run = Run::restored(cfg, dim)?;
+        if ws.dim != dim as u64 || ws.warm_fingerprint != run.warm_fingerprint {
+            return Err(NofisError::Checkpoint {
+                message: format!(
+                    "warm-start donor '{}' is incompatible with this run \
+                     (donor fingerprint {:#018x} / dim {}, ours {:#018x} / \
+                     dim {dim}); train cold instead",
+                    ws.donor, ws.warm_fingerprint, ws.dim, run.warm_fingerprint
+                ),
+            });
+        }
+        // Frozen flags reset to all-live: the recipient's own schedule
+        // decides what to freeze, stage by stage.
+        restore_into(&mut run.store, &ws.params, &vec![false; ws.params.len()])?;
+        run.warm_adam = ws.adam.clone();
+        tele::event(tele::Level::Info, "train.warm_start")
+            .field("donor", ws.donor.as_str())
+            .field("params", ws.params.len())
+            .field("adam", run.warm_adam.is_some())
+            .emit();
+        Ok(run)
+    }
+
+    /// The run a checkpoint describes, validated against this
+    /// configuration; restores the oracle's spent count and the RNG stream
+    /// as a side effect. A finished (`done`) checkpoint has no cursor to
+    /// validate: the caller goes straight to estimation.
+    fn from_checkpoint<L: LimitState + ?Sized, R: StateRng>(
+        cfg: &NofisConfig,
+        oracle: &BudgetedOracle<'_, L>,
+        rng: &mut R,
+        generation: u64,
+        ckpt: Checkpoint,
+    ) -> Result<Run, NofisError> {
+        let dim = oracle.dim();
+        let mut run = Run::restored(cfg, dim)?;
         if ckpt.dim != dim as u64 {
             return Err(NofisError::Checkpoint {
                 message: format!(
@@ -1047,32 +464,14 @@ impl Nofis {
                 ),
             });
         }
-        if ckpt.config_fingerprint != checkpoint::config_fingerprint(&self.config, dim) {
+        if ckpt.config_fingerprint != run.config_fingerprint {
             return Err(NofisError::Checkpoint {
                 message: "checkpoint was written by a different configuration; clear the \
                           checkpoint directory (or restore the original configuration) to proceed"
                     .into(),
             });
         }
-        let cfg = &self.config;
-        let k = cfg.layers_per_stage;
-        let max_stages = cfg.levels.max_stages();
-
-        // Rebuild the flow structure with a throwaway RNG — the parameter
-        // values are overwritten from the checkpoint, and the live stream
-        // must stay at its restored position.
-        let mut store = ParamStore::new();
-        let mut init_rng = StdRng::seed_from_u64(0);
-        let flow = RealNvp::new(
-            &mut store,
-            dim,
-            max_stages * k,
-            cfg.hidden,
-            cfg.s_max,
-            &mut init_rng,
-        );
-        restore_into(&mut store, &ckpt.params, &ckpt.frozen)?;
-
+        restore_into(&mut run.store, &ckpt.params, &ckpt.frozen)?;
         tele::event(tele::Level::Info, "ckpt.load")
             .field("generation", generation)
             .field("global_step", ckpt.global_step)
@@ -1080,123 +479,739 @@ impl Nofis {
             .field("mid_stage", ckpt.partial.is_some())
             .field("oracle_spent", ckpt.oracle_spent)
             .emit();
-
         oracle.restore_spent(ckpt.oracle_spent);
         rng.load_state(ckpt.rng_state);
-
+        run.global_step = ckpt.global_step;
+        run.levels = ckpt.levels;
+        run.loss_history = ckpt.loss_history;
+        run.stage_reports = ckpt.stage_reports;
         if ckpt.done {
-            return Ok(Some(TrainedNofis {
-                flow,
-                store,
-                levels: ckpt.levels,
-                loss_history: ckpt.loss_history,
-                stage_reports: ckpt.stage_reports,
-                layers_per_stage: k,
-            }));
+            return Ok(run);
         }
 
+        let max_stages = cfg.levels.max_stages();
         let start_stage = match &ckpt.partial {
             Some(p) => p.stage as usize,
-            None => ckpt.stage_reports.len(),
+            None => run.stage_reports.len(),
         };
-        if start_stage >= max_stages
-            || (ckpt.partial.is_some() && ckpt.levels.len() != start_stage + 1)
-            || (ckpt.partial.is_none() && ckpt.levels.len() != start_stage)
-        {
+        // A mid-stage checkpoint's level is already chosen (and, for
+        // adaptive schedules, already paid for in pilot calls).
+        let expected_levels = start_stage + usize::from(ckpt.partial.is_some());
+        if start_stage >= max_stages || run.levels.len() != expected_levels {
             return Err(NofisError::Checkpoint {
                 message: format!(
-                    "stage cursor out of range (stage {start_stage}, {} levels, {} stages max)",
-                    ckpt.levels.len(),
-                    max_stages
+                    "stage cursor out of range (stage {start_stage}, {} levels, \
+                     {max_stages} stages max)",
+                    run.levels.len(),
                 ),
             });
         }
-        let carry = match ckpt.partial {
-            None => None,
-            Some(p) => {
-                if p.epoch as usize >= cfg.epochs || p.consumed as usize > cfg.batch_size {
-                    return Err(NofisError::Checkpoint {
-                        message: format!(
-                            "epoch cursor out of range (epoch {}, consumed {})",
-                            p.epoch, p.consumed
-                        ),
-                    });
-                }
-                let mut best_store = store.clone();
-                restore_into(&mut best_store, &p.best_params, &ckpt.frozen)?;
-                let mut epoch_start = store.clone();
-                restore_into(&mut epoch_start, &p.epoch_start_params, &ckpt.frozen)?;
-                Some(StageCarry {
-                    epoch: p.epoch as usize,
-                    consumed: p.consumed as usize,
-                    epoch_loss: p.epoch_loss,
-                    epoch_start,
-                    stage_losses: p.stage_losses,
-                    best_loss: p.best_loss,
-                    best_store,
-                    retries: p.retries as usize,
-                    learning_rate: p.learning_rate,
-                    stage_steps: p.stage_steps,
-                    adam: p.adam,
-                })
-            }
-        };
-        self.train_impl(
-            oracle,
-            rng,
-            Some(ResumeRun {
-                flow,
-                store,
-                levels: ckpt.levels,
-                loss_history: ckpt.loss_history,
-                stage_reports: ckpt.stage_reports,
-                global_step: ckpt.global_step,
-                start_stage,
-                carry,
-            }),
-            None,
-        )
-        .map(Some)
+        if let Some(p) = ckpt.partial {
+            run.carry = Some(Stage::from_partial(cfg, &run, p, &ckpt.frozen)?);
+        }
+        Ok(run)
+    }
+
+    /// The durable form of this run at a checkpoint site: mid-stage with
+    /// the in-flight stage's `partial` cursor, or at a stage boundary with
+    /// the finished stage's `final_adam` (the donor payload a warm-started
+    /// sibling inherits; resume never reads it).
+    fn snapshot(
+        &self,
+        rng_state: [u64; 4],
+        oracle_spent: u64,
+        done: bool,
+        partial: Option<StagePartial>,
+        final_adam: Option<AdamState>,
+    ) -> Checkpoint {
+        let store = &self.store;
+        Checkpoint {
+            config_fingerprint: self.config_fingerprint,
+            warm_fingerprint: self.warm_fingerprint,
+            dim: self.flow.dim() as u64,
+            global_step: self.global_step,
+            rng_state,
+            oracle_spent,
+            done,
+            levels: self.levels.clone(),
+            loss_history: self.loss_history.clone(),
+            stage_reports: self.stage_reports.clone(),
+            params: snapshot_params(store),
+            frozen: store.iter().map(|(id, _)| store.is_frozen(id)).collect(),
+            partial,
+            final_adam,
+        }
+    }
+
+    fn into_trained(self, layers_per_stage: usize) -> TrainedNofis {
+        TrainedNofis {
+            flow: self.flow,
+            store: self.store,
+            levels: self.levels,
+            loss_history: self.loss_history,
+            stage_reports: self.stage_reports,
+            layers_per_stage,
+        }
     }
 }
 
-/// Mid-stage resume cursor rebuilt from a validated
-/// [`StagePartial`]: the retry-loop state the resumed stage enters with.
-struct StageCarry {
+/// The stage in flight: its threshold, the retry state, the current retry
+/// pass and the epoch cursor inside it — the live form of a mid-stage
+/// checkpoint's [`StagePartial`], whose fields these mirror.
+struct Stage {
+    /// 0-based stage index.
+    index: usize,
+    level: f64,
+    lr: f64,
+    retries: usize,
+    steps: u64,
+    opt: Adam,
+    losses: Vec<f64>,
+    best_loss: f64,
+    best_store: ParamStore,
+    truncated: bool,
     epoch: usize,
     consumed: usize,
     epoch_loss: f64,
     epoch_start: ParamStore,
-    stage_losses: Vec<f64>,
-    best_loss: f64,
-    best_store: ParamStore,
-    retries: usize,
-    learning_rate: f64,
-    stage_steps: u64,
-    adam: AdamState,
 }
 
-/// A fully validated and rebuilt resume request handed to `train_impl`.
-struct ResumeRun {
-    flow: RealNvp,
-    store: ParamStore,
-    levels: Vec<f64>,
-    loss_history: Vec<Vec<f64>>,
-    stage_reports: Vec<StageReport>,
-    global_step: u64,
-    start_stage: usize,
-    carry: Option<StageCarry>,
+impl Stage {
+    /// A fresh retry pass at learning rate `lr`, starting from `store`.
+    fn new(cfg: &NofisConfig, index: usize, level: f64, lr: f64, store: &ParamStore) -> Stage {
+        Stage {
+            index,
+            level,
+            lr,
+            retries: 0,
+            steps: 0,
+            opt: Adam::new(lr).with_max_grad_norm(cfg.max_grad_norm),
+            losses: Vec::with_capacity(cfg.epochs),
+            best_loss: f64::INFINITY,
+            best_store: store.clone(),
+            truncated: false,
+            epoch: 0,
+            consumed: 0,
+            epoch_loss: 0.0,
+            epoch_start: store.clone(),
+        }
+    }
+
+    /// Rebuilds the stage in flight from a mid-stage checkpoint cursor,
+    /// validated against `cfg`.
+    fn from_partial(
+        cfg: &NofisConfig,
+        run: &Run,
+        p: StagePartial,
+        frozen: &[bool],
+    ) -> Result<Stage, NofisError> {
+        if p.epoch as usize >= cfg.epochs || p.consumed as usize > cfg.batch_size {
+            return Err(NofisError::Checkpoint {
+                message: format!(
+                    "epoch cursor out of range (epoch {}, consumed {})",
+                    p.epoch, p.consumed
+                ),
+            });
+        }
+        let level = *run.levels.last().expect("stage cursor validated");
+        let mut st = Stage::new(cfg, p.stage as usize, level, p.learning_rate, &run.store);
+        restore_into(&mut st.best_store, &p.best_params, frozen)?;
+        restore_into(&mut st.epoch_start, &p.epoch_start_params, frozen)?;
+        st.opt.restore_state(p.adam);
+        st.retries = p.retries as usize;
+        st.steps = p.stage_steps;
+        st.losses = p.stage_losses;
+        st.best_loss = p.best_loss;
+        st.epoch = p.epoch as usize;
+        st.consumed = p.consumed as usize;
+        st.epoch_loss = p.epoch_loss;
+        Ok(st)
+    }
+
+    /// The checkpoint form of this stage's cursor.
+    fn partial(&self) -> StagePartial {
+        StagePartial {
+            stage: self.index as u64,
+            epoch: self.epoch as u64,
+            consumed: self.consumed as u64,
+            epoch_loss: self.epoch_loss,
+            stage_losses: self.losses.clone(),
+            best_loss: self.best_loss,
+            retries: self.retries as u64,
+            learning_rate: self.lr,
+            stage_steps: self.steps,
+            best_params: snapshot_params(&self.best_store),
+            epoch_start_params: snapshot_params(&self.epoch_start),
+            adam: self.opt.export_state(),
+        }
+    }
+}
+
+/// The stage loop of Algorithm 1. Each stage runs the same phases: pick
+/// the threshold ([`StageRunner::pilot_level`]), freeze the earlier blocks,
+/// fit the new block ([`StageRunner::train_stage`], one
+/// [`StageRunner::step`] per minibatch, each followed by a
+/// [`StageRunner::checkpoint_site`]), and close the stage
+/// ([`StageRunner::close_stage`]). Cold, warm and resumed runs all go
+/// through it; they differ only in the [`Run`] they start from.
+struct StageRunner<'a, 'o, L: LimitState + ?Sized, R> {
+    cfg: &'a NofisConfig,
+    oracle: &'a BudgetedOracle<'o, L>,
+    rng: &'a mut R,
+    base: StandardGaussian,
+    /// One tape for the whole run: `reset()` between minibatches keeps the
+    /// node arena and recycles every buffer, so steady-state steps allocate
+    /// nothing. Frozen-stage pruning skips the backward kernels of earlier
+    /// coupling blocks without changing any surviving gradient bit
+    /// (DESIGN.md §9).
+    g: Graph,
+    /// Trace-once/replay (DESIGN.md §13): the first minibatch of each
+    /// (rows, depth, frozen-mask) combination runs interpreted and is
+    /// lowered into a `CompiledStep`; subsequent matching minibatches
+    /// replay it. Replays are bitwise identical to the interpreted engine,
+    /// so the cache never changes results — any shape or mask change
+    /// (stage advance, tail minibatch, resume) simply retraces.
+    tape_cache: Option<TapeCache>,
+    checkpointer: Option<Checkpointer>,
+}
+
+impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, 'o, L, R> {
+    fn new(cfg: &'a NofisConfig, oracle: &'a BudgetedOracle<'o, L>, rng: &'a mut R) -> Self {
+        let mut g = Graph::new();
+        g.set_pruning(cfg.prune_frozen);
+        StageRunner {
+            cfg,
+            oracle,
+            rng,
+            base: StandardGaussian::new(oracle.dim()),
+            g,
+            tape_cache: None,
+            checkpointer: cfg.checkpoint.clone().map(Checkpointer::new),
+        }
+    }
+
+    /// Runs every remaining stage of `run` and returns the trained model.
+    fn run(mut self, mut run: Run) -> Result<TrainedNofis, NofisError> {
+        let k = self.cfg.layers_per_stage;
+        let max_stages = self.cfg.levels.max_stages();
+        tele::event(tele::Level::Info, "train.start")
+            .field("dim", run.flow.dim())
+            .field("max_stages", max_stages)
+            .field("layers_per_stage", k)
+            .field("budget", self.oracle.budget())
+            .emit();
+
+        // A resumed run starts at the stage its checkpoint left off.
+        let start = run
+            .carry
+            .as_ref()
+            .map_or(run.stage_reports.len(), |st| st.index);
+        for stage in start..max_stages {
+            // Stage-start readings for the span's per-stage deltas. Plain
+            // reads — never fed back into the computation.
+            let (calls, stats) = (self.oracle.used(), self.g.snapshot());
+            let span = tele::span(tele::Level::Info, "train.stage");
+            let st = self.open_stage(&mut run, stage)?;
+            let st = self.train_stage(&mut run, st)?;
+            if self.close_stage(&mut run, st, span, calls, stats) {
+                // The schedule reached the target event (or the budget
+                // truncated the final stage): stop and save the remaining
+                // budget (further stages at level 0 were observed to
+                // over-concentrate the proposal).
+                break;
+            }
+        }
+
+        // Defensive: the fixed schedule always ends at 0.0 by validation;
+        // the adaptive one breaks on 0.0 or forces it at the last stage.
+        debug_assert_eq!(run.levels.last().copied(), Some(0.0));
+        if tele::enabled(tele::Level::Info) {
+            tele::event(tele::Level::Info, "train.end")
+                .field("stages", run.levels.len())
+                .field("oracle_calls", self.oracle.used())
+                .emit();
+            // The pool is guaranteed built by now (every minibatch ran
+            // through it), so this read never constructs anything.
+            let usage = nofis_parallel::global().usage();
+            for (name, value) in [
+                ("parallel.runs", usage.runs),
+                ("parallel.chunks", usage.chunks),
+                ("parallel.inline_runs", usage.inline_runs),
+                ("parallel.helper_dispatches", usage.helper_dispatches),
+            ] {
+                tele::counter(tele::Level::Debug, name, value).emit();
+            }
+        }
+        Ok(run.into_trained(k))
+    }
+
+    /// Opens stage `stage`: picks its threshold (or re-enters the stage a
+    /// mid-stage checkpoint left in flight), then freezes every earlier
+    /// block.
+    fn open_stage(&mut self, run: &mut Run, stage: usize) -> Result<Stage, NofisError> {
+        let carried = run.carry.take();
+        let level = match &carried {
+            Some(st) => st.level,
+            None => {
+                let level = self.pilot_level(run, stage)?;
+                run.levels.push(level);
+                level
+            }
+        };
+        tele::event(tele::Level::Info, "train.stage.start")
+            .field("stage", stage + 1)
+            .field("level", level)
+            .emit();
+        if self.cfg.freeze {
+            let k = self.cfg.layers_per_stage;
+            for id in run.flow.param_ids_for_layers(0..stage * k) {
+                run.store.set_frozen(id, true);
+            }
+        }
+        Ok(carried.unwrap_or_else(|| {
+            let mut st = Stage::new(self.cfg, stage, level, self.cfg.learning_rate, &run.store);
+            if let Some(state) = run.warm_adam.take() {
+                st.opt.restore_state(state);
+            }
+            st
+        }))
+    }
+
+    /// Picks stage `stage`'s threshold `a_m`: the fixed schedule's entry,
+    /// or — adaptive — the `p0` quantile of `g` over a pilot batch drawn
+    /// from the current proposal (the final stage is always 0).
+    fn pilot_level(&mut self, run: &Run, stage: usize) -> Result<f64, NofisError> {
+        let (p0, pilot) = match &self.cfg.levels {
+            Levels::Fixed(v) => return Ok(v[stage]),
+            Levels::AdaptiveQuantile { p0, pilot, .. } => (*p0, *pilot),
+        };
+        if stage + 1 == self.cfg.levels.max_stages() {
+            return Ok(0.0);
+        }
+        let oracle = self.oracle;
+        let granted = oracle.grant(pilot);
+        if granted == 0 {
+            return Err(budget_error(
+                oracle,
+                format!("pilot sampling for stage {}", stage + 1),
+            ));
+        }
+        let depth = stage * self.cfg.layers_per_stage;
+        // Draw serially (the rng is sequential), then score the pilot batch
+        // across the pool — the granted calls were planned above, and the
+        // batch values come back in sample order.
+        let xs: Vec<Vec<f64>> = (0..granted)
+            .map(|_| {
+                if depth == 0 {
+                    self.base.sample(self.rng)
+                } else {
+                    run.flow.sample(&run.store, depth, self.rng).0
+                }
+            })
+            .collect();
+        let gvals = with_shards(oracle, |exec| {
+            batch_values_with_exec(oracle, &xs, nofis_parallel::global(), exec)
+        });
+        // `quantile` skips NaN scores; if the proposal only produces NaN
+        // there is nothing to schedule against.
+        let mut q = quantile(&gvals, p0);
+        if q.is_nan() {
+            return Err(NofisError::DegenerateProposal {
+                context: format!("every pilot sample for stage {} scored NaN", stage + 1),
+            });
+        }
+        // Overshoot guard: tempered training gives the stage proposal a
+        // heavy lower-g tail, which can crash the pilot quantile to 0 long
+        // before the proposal truly covers the failure region. Only allow
+        // the schedule to land on 0 when the pilot actually observes a
+        // healthy failure fraction; otherwise descend geometrically at most.
+        let frac_fail = gvals.iter().filter(|&&g| g <= 0.0).count() as f64 / gvals.len() as f64;
+        if let Some(&prev) = run.levels.last() {
+            if frac_fail < 0.5 * p0 {
+                q = q.max(0.35 * prev);
+            }
+            // Enforce strict decrease: an undertrained stage can leave the
+            // pilot quantile at (or above) the previous threshold, stalling
+            // the schedule.
+            q = q.min(prev - 0.05 * prev.abs());
+        }
+        tele::event(tele::Level::Debug, "train.pilot")
+            .field("stage", stage + 1)
+            .field("granted", granted)
+            .field("quantile", q)
+            .field("frac_fail", frac_fail)
+            .emit();
+        Ok(if q <= 0.0 { 0.0 } else { q })
+    }
+
+    /// Optimizes `D[q_{mK} || p_m^τ]` (Eq. 8) for the stage in flight. A
+    /// divergent pass rolls back to the best checkpoint and retries with a
+    /// halved learning rate and fresh optimizer state, up to
+    /// [`NofisConfig::stage_retries`] times.
+    fn train_stage(&mut self, run: &mut Run, mut st: Stage) -> Result<Stage, NofisError> {
+        loop {
+            let Some((epoch, message)) = self.train_pass(run, &mut st)? else {
+                return Ok(st);
+            };
+            tele::event(tele::Level::Warn, "train.divergence")
+                .field("stage", st.index + 1)
+                .field("epoch", epoch)
+                .field("detail", message.as_str())
+                .emit();
+            let retries = st.retries + 1;
+            if retries > self.cfg.stage_retries {
+                return Err(NofisError::TrainingDiverged {
+                    stage: st.index + 1,
+                    epoch,
+                    retries: retries - 1,
+                    message,
+                });
+            }
+            run.store = st.best_store;
+            st = Stage {
+                retries,
+                steps: st.steps,
+                ..Stage::new(self.cfg, st.index, st.level, st.lr * 0.5, &run.store)
+            };
+            tele::event(tele::Level::Warn, "train.rollback")
+                .field("stage", st.index + 1)
+                .field("retries", retries)
+                .field("lr", st.lr)
+                .emit();
+        }
+    }
+
+    /// One retry pass: the remaining epochs, minibatch by minibatch, from
+    /// the stage's cursor on. `Ok(Some(..))` reports a divergence.
+    fn train_pass(
+        &mut self,
+        run: &mut Run,
+        st: &mut Stage,
+    ) -> Result<Option<(usize, String)>, NofisError> {
+        let cfg = self.cfg;
+        let mb = cfg.minibatch.min(cfg.batch_size);
+        while st.epoch < cfg.epochs {
+            while st.consumed < cfg.batch_size {
+                let n = self.oracle.grant(mb.min(cfg.batch_size - st.consumed));
+                if n == 0 {
+                    if st.level == 0.0 && !st.losses.is_empty() {
+                        // Graceful truncation: the final stage has at least
+                        // one full epoch at the target event, so the
+                        // proposal is usable as-is.
+                        st.truncated = true;
+                        tele::event(tele::Level::Warn, "train.truncated")
+                            .field("stage", st.index + 1)
+                            .field("epoch", st.epoch)
+                            .field("used", self.oracle.used())
+                            .emit();
+                        return Ok(None);
+                    }
+                    return Err(budget_error(
+                        self.oracle,
+                        format!("training stage {}", st.index + 1),
+                    ));
+                }
+                let chunk_loss = match self.step(run, st, n) {
+                    Ok(loss) => loss,
+                    Err(message) => return Ok(Some((st.epoch, message))),
+                };
+                st.consumed += n;
+                st.epoch_loss += chunk_loss * n as f64;
+                self.checkpoint_site(run, st)?;
+            }
+            let epoch_loss = st.epoch_loss / st.consumed as f64;
+            if !epoch_loss.is_finite() || epoch_loss.abs() > LOSS_DIVERGENCE_LIMIT {
+                return Ok(Some((st.epoch, format!("epoch loss = {epoch_loss}"))));
+            }
+            tele::event(tele::Level::Debug, "train.epoch")
+                .field("stage", st.index + 1)
+                .field("epoch", st.epoch)
+                .field("loss", epoch_loss)
+                .emit();
+            st.losses.push(epoch_loss);
+            let epoch_start = std::mem::replace(&mut st.epoch_start, run.store.clone());
+            if epoch_loss < st.best_loss {
+                // Checkpoint the parameters that *produced* this best loss
+                // — the state at the epoch's start.
+                st.best_loss = epoch_loss;
+                st.best_store = epoch_start;
+            }
+            st.epoch += 1;
+            st.consumed = 0;
+            st.epoch_loss = 0.0;
+        }
+        Ok(None)
+    }
+
+    /// One optimizer step on an `n`-row minibatch: sample + flow forward,
+    /// oracle, loss + backward, optimizer. Replays the compiled tape when
+    /// one matches this (rows, depth, frozen mask) exactly; otherwise
+    /// traces interpreted (and compiles the trace for the steps that
+    /// follow). `Err` carries a divergence message.
+    ///
+    /// A non-finite simulator response is sanitized to "safely
+    /// non-failing, zero gradient" so one broken subregion cannot poison
+    /// the whole batch (the call still counts against the budget). A
+    /// panicking worker chunk (pool infrastructure, not the oracle — oracle
+    /// panics are already contained in `BudgetedOracle`) is handled like a
+    /// divergent minibatch; the pool itself survives a worker panic, so
+    /// retrying is sound. Both engines share the sanitize closure and the
+    /// fixed-chunk row evaluator, so the oracle sees the same calls in the
+    /// same order.
+    fn step(&mut self, run: &mut Run, st: &mut Stage, n: usize) -> Result<f64, String> {
+        let cfg = self.cfg;
+        let (oracle, dim, level) = (self.oracle, run.flow.dim(), st.level);
+        let depth = (st.index + 1) * cfg.layers_per_stage;
+        let replaying = cfg.compile_tape
+            && self
+                .tape_cache
+                .as_ref()
+                .is_some_and(|c| c.depth == depth && c.n == n && c.step.mask_matches(&run.store));
+        let sanitized = |row: &[f64]| {
+            let (v, grad) = oracle.value_grad(row);
+            if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
+                (v, grad)
+            } else {
+                (level + 1.0, vec![0.0; dim])
+            }
+        };
+        let (base, rng) = (&self.base, &mut *self.rng);
+        let evaluated = if replaying {
+            let cache = self.tape_cache.as_mut().expect("cache presence checked");
+            let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.step.replay_forward(
+                    &run.store,
+                    |buf| base.sample_fill(buf, rng),
+                    nofis_parallel::global(),
+                    sanitized,
+                );
+            }));
+            match replay {
+                Ok(()) => Some((
+                    cache.step.value(cache.loss).item(),
+                    cache.step.value(cache.logdet).max_abs(),
+                    None,
+                )),
+                Err(_) => {
+                    // A panic can leave the preplanned buffers half-written;
+                    // drop the cache so the retry pass retraces from scratch.
+                    self.tape_cache = None;
+                    None
+                }
+            }
+        } else {
+            let g = &mut self.g;
+            g.reset();
+            let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
+            let (z, logdet) = run.flow.forward_graph(&run.store, g, x, depth);
+            let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.external_rowwise_par(z, nofis_parallel::global(), sanitized)
+            }));
+            eval.ok().map(|gvals| {
+                let loss = tempered_kl_loss(g, cfg.tau, level, z, logdet, gvals);
+                (
+                    g.value(loss).item(),
+                    g.value(logdet).max_abs(),
+                    Some((x, logdet, loss)),
+                )
+            })
+        };
+        let Some((loss, logdet_mag, traced)) = evaluated else {
+            return Err("a worker thread panicked while evaluating the minibatch".into());
+        };
+        if !loss.is_finite() || logdet_mag > LOGDET_DIVERGENCE_LIMIT {
+            return Err(format!("minibatch loss = {loss}, |logdet| = {logdet_mag}"));
+        }
+        match traced {
+            None => {
+                let cache = self.tape_cache.as_mut().expect("replayed from this cache");
+                cache.step.backward();
+                st.opt.step_fused(&mut run.store, &cache.step);
+            }
+            Some((x, logdet, loss)) => {
+                self.g.backward(loss);
+                if cfg.compile_tape {
+                    let step = CompiledStep::compile(&self.g, loss, Some(x), &run.store);
+                    if tele::enabled(tele::Level::Debug) {
+                        tele::event(tele::Level::Debug, "train.compile")
+                            .field("stage", st.index + 1)
+                            .field("n", n)
+                            .field("depth", depth)
+                            .field("instrs", step.len())
+                            .field("backward_nodes", step.backward_nodes())
+                            .emit();
+                    }
+                    self.tape_cache = Some(TapeCache {
+                        depth,
+                        n,
+                        logdet,
+                        loss,
+                        step,
+                    });
+                }
+                st.opt.step_fused(&mut run.store, &self.g);
+            }
+        }
+        st.steps += 1;
+        run.global_step += 1;
+        if tele::enabled(tele::Level::Trace) {
+            let mut event = tele::event(tele::Level::Trace, "train.step")
+                .field("stage", st.index + 1)
+                .field("epoch", st.epoch)
+                .field("n", n)
+                .field("engine", if replaying { "replay" } else { "trace" })
+                .field("loss", loss);
+            if let Some(norm) = st.opt.last_grad_norm() {
+                event = event.field("grad_norm", norm);
+            }
+            event.emit();
+        }
+        Ok(loss)
+    }
+
+    /// Mid-stage checkpoint site: the snapshot describes the state *after*
+    /// this optimizer step, so resume re-enters the loop at the next
+    /// minibatch. A pending preemption request (deadline, shutdown) forces
+    /// a write here regardless of the interval: the checkpoint is the
+    /// preempted run's resume point, and resuming replays the exact §11
+    /// path, so a preempted-then-resumed run is bitwise identical to an
+    /// uninterrupted one.
+    fn checkpoint_site(&mut self, run: &Run, st: &Stage) -> Result<(), NofisError> {
+        let preempt_reason = preempt::current_requested();
+        let mut checkpointed = false;
+        if let Some(cp) = &mut self.checkpointer {
+            if preempt_reason.is_some() || cp.due(run.global_step) {
+                let ckpt = run.snapshot(
+                    self.rng.save_state(),
+                    self.oracle.spent(),
+                    false,
+                    Some(st.partial()),
+                    None,
+                );
+                checkpointed = cp.write(&ckpt);
+            }
+        }
+        let Some(reason) = preempt_reason else {
+            return Ok(());
+        };
+        tele::event(tele::Level::Warn, "train.preempted")
+            .field("stage", st.index + 1)
+            .field("global_step", run.global_step)
+            .field("reason", reason.as_str())
+            .field("checkpointed", checkpointed)
+            .emit();
+        Err(NofisError::Preempted {
+            stage: st.index + 1,
+            global_step: run.global_step,
+            checkpointed,
+            reason: reason.as_str().to_string(),
+        })
+    }
+
+    /// Closes a trained stage: records its report, ends its span, and
+    /// writes the stage-boundary checkpoint — always, when checkpointing is
+    /// on, so a crash between stages costs nothing and a finished run
+    /// resumes straight into estimation. `calls` and `start` are the oracle
+    /// and tape readings the stage opened with. Returns whether training
+    /// is done.
+    fn close_stage(
+        &mut self,
+        run: &mut Run,
+        st: Stage,
+        mut span: tele::Span,
+        calls: u64,
+        start: GraphStats,
+    ) -> bool {
+        let report = StageReport {
+            stage: st.index + 1,
+            level: st.level,
+            epochs_run: st.losses.len(),
+            retries: st.retries,
+            rolled_back: st.retries > 0,
+            best_loss: st.best_loss,
+            final_loss: st.losses.last().copied().unwrap_or(f64::NAN),
+            learning_rate: st.lr,
+            truncated: st.truncated,
+        };
+        // Close the stage span with its summary and per-stage resource
+        // deltas (oracle spend, buffer-pool traffic, pruning work) —
+        // `nofis-trace` derives allocs/step and calls/step from these.
+        if span.is_enabled() {
+            let stats = self.g.snapshot();
+            span.field("stage", report.stage);
+            span.field("level", report.level);
+            span.field("epochs", report.epochs_run);
+            span.field("steps", st.steps);
+            span.field("retries", report.retries);
+            span.field("best_loss", report.best_loss);
+            span.field("final_loss", report.final_loss);
+            span.field("truncated", report.truncated);
+            span.field("oracle_calls", self.oracle.used() - calls);
+            span.field("pool_hits", stats.pool.hits - start.pool.hits);
+            span.field("pool_misses", stats.pool.misses - start.pool.misses);
+            span.field("skipped_nodes", stats.skipped_nodes - start.skipped_nodes);
+            span.field("pruned_nodes", stats.pruned_nodes - start.pruned_nodes);
+            for (name, value) in [
+                ("oracle.calls", self.oracle.used()),
+                ("autograd.pool.hits", stats.pool.hits),
+                ("autograd.pool.misses", stats.pool.misses),
+                ("autograd.backward.skipped", stats.skipped_nodes),
+                ("autograd.tape.pruned", stats.pruned_nodes),
+            ] {
+                tele::counter(tele::Level::Debug, name, value).emit();
+            }
+            let requests = stats.pool.requests();
+            if requests > 0 {
+                tele::gauge(
+                    tele::Level::Debug,
+                    "autograd.pool.hit_rate",
+                    stats.pool.hits as f64 / requests as f64,
+                )
+                .emit();
+            }
+        }
+        span.end();
+        run.stage_reports.push(report);
+        run.loss_history.push(st.losses);
+
+        let done = st.truncated || st.level == 0.0;
+        if let Some(cp) = &mut self.checkpointer {
+            let ckpt = run.snapshot(
+                self.rng.save_state(),
+                self.oracle.spent(),
+                done,
+                None,
+                Some(st.opt.export_state()),
+            );
+            cp.write(&ckpt);
+        }
+        done
+    }
+}
+
+/// The tempered-KL loss of one minibatch (Eq. 8): the negated row mean of
+/// `log det + min(τ(a_m − g(z)), 0) + ln p(z)`.
+fn tempered_kl_loss(g: &mut Graph, tau: f64, level: f64, z: Var, logdet: Var, gvals: Var) -> Var {
+    let dim = g.value(z).cols();
+    let neg_tau_g = g.scale(gvals, -tau);
+    let shifted = g.add_scalar(neg_tau_g, tau * level);
+    let tempered = g.min_scalar(shifted, 0.0);
+    // base log-density of z: -D/2 ln 2π - ||z||²/2
+    let sq = g.square(z);
+    let ssq = g.sum_cols(sq);
+    let half = g.scale(ssq, -0.5);
+    let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
+
+    let a = g.add(logdet, tempered);
+    let per_sample = g.add(a, logp);
+    let mean = g.mean_all(per_sample);
+    g.neg(mean)
 }
 
 /// Clones the store's parameter tensors in id order (the checkpoint's
 /// canonical parameter layout).
 fn snapshot_params(store: &ParamStore) -> Vec<Tensor> {
     store.iter().map(|(_, t)| t.clone()).collect()
-}
-
-/// The per-parameter frozen flags in id order.
-fn snapshot_frozen(store: &ParamStore) -> Vec<bool> {
-    store.iter().map(|(id, _)| store.is_frozen(id)).collect()
 }
 
 /// Overwrites `store`'s parameter values and frozen flags from a
@@ -1395,7 +1410,7 @@ impl TrainedNofis {
         oracle: &BudgetedOracle<'_, L>,
         n_is: usize,
         rng: &mut impl Rng,
-    ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
+    ) -> Result<RungOutcome, NofisError> {
         if n_is == 0 {
             return Err(NofisError::InvalidInput {
                 message: "n_is must be positive".into(),
@@ -1412,114 +1427,67 @@ impl TrainedNofis {
         }
         let p = StandardGaussian::new(self.flow.dim());
         let final_prop = self.proposal();
-
-        // Rung 1: the final proposal.
-        let first = match run_rung(
-            oracle,
-            &final_prop,
-            &p,
-            n_is,
-            FallbackRung::FinalProposal,
-            rng,
-        ) {
-            Some(r) => r,
-            None => return Err(budget_error(oracle, "the final-proposal estimate".into())),
-        };
-        if rung_is_healthy(&first) {
-            return Ok(first);
+        // Rung 2 (the previous stage's, less concentrated proposal) needs a
+        // previous stage; rung 3 (the defensive mixture with the base
+        // distribution) needs a valid mixture.
+        let prev_stage = self.stages().saturating_sub(1);
+        let prev = (prev_stage >= 1).then(|| self.stage_proposal(prev_stage));
+        let defensive = DefensiveMixture::new(&final_prop, DEFENSIVE_ALPHA).ok();
+        let mut rungs: Vec<(&(dyn Proposal + Sync), FallbackRung)> =
+            vec![(&final_prop, FallbackRung::FinalProposal)];
+        if let Some(prev) = &prev {
+            rungs.push((prev, FallbackRung::StageProposal { stage: prev_stage }));
         }
-        let mut last = first;
+        if let Some(defensive) = &defensive {
+            let alpha = DEFENSIVE_ALPHA;
+            rungs.push((defensive, FallbackRung::DefensiveMixture { alpha }));
+        }
 
-        // Rung 2: the previous stage's (less concentrated) proposal.
-        if self.stages() >= 2 {
-            let prev_stage = self.stages() - 1;
-            let prev = self.stage_proposal(prev_stage);
-            match run_rung(
-                oracle,
-                &prev,
-                &p,
-                n_is,
-                FallbackRung::StageProposal { stage: prev_stage },
-                rng,
-            ) {
-                Some(r) => {
-                    if rung_is_healthy(&r) {
-                        return Ok(r);
-                    }
-                    if r.0.estimate.is_finite() {
-                        last = r;
-                    }
-                }
-                None => return accept_last(last),
+        // The best rung so far: the first one always, a later one only when
+        // its estimate is finite.
+        let mut last: Option<RungOutcome> = None;
+        for (proposal, rung) in rungs {
+            let Some(r) = run_rung(oracle, proposal, &p, n_is, rung, rng) else {
+                return match last {
+                    None => Err(budget_error(oracle, "the final-proposal estimate".into())),
+                    Some(last) => accept_last(last),
+                };
+            };
+            if rung_is_healthy(&r) {
+                return Ok(r);
+            }
+            if last.is_none() || r.0.estimate.is_finite() {
+                last = Some(r);
             }
         }
-
-        // Rung 3: the defensive mixture with the base distribution.
-        if let Ok(defensive) = DefensiveMixture::new(&final_prop, DEFENSIVE_ALPHA) {
-            match run_rung(
-                oracle,
-                &defensive,
-                &p,
-                n_is,
-                FallbackRung::DefensiveMixture {
-                    alpha: DEFENSIVE_ALPHA,
-                },
-                rng,
-            ) {
-                Some(r) => {
-                    if rung_is_healthy(&r) {
-                        return Ok(r);
-                    }
-                    if r.0.estimate.is_finite() {
-                        last = r;
-                    }
-                }
-                None => return accept_last(last),
-            }
-        }
+        let last = last.expect("the final-proposal rung always runs");
 
         // Rung 4: plain Monte Carlo within the remaining budget, accepted
         // unconditionally — it cannot produce degenerate weights.
+        let rung = FallbackRung::PlainMonteCarlo;
         let n = oracle.grant(n_is);
         if n == 0 {
             return accept_last(last);
         }
-        let exec = sharded_exec(oracle);
-        let mc = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            monte_carlo_with_exec(
-                oracle,
-                0.0,
-                n,
-                rng,
-                nofis_parallel::global(),
-                as_batch_eval(&exec),
-            )
-        })) {
-            Ok(mc) => mc,
-            Err(_) => {
-                tele::event(tele::Level::Warn, "estimate.rung_panicked")
-                    .field("rung", rung_label(&FallbackRung::PlainMonteCarlo))
-                    .field("rank", FallbackRung::PlainMonteCarlo.rank())
-                    .emit();
-                return accept_last(last);
-            }
+        let Ok(mc) = with_shards(oracle, |exec| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                monte_carlo_with_exec(oracle, 0.0, n, rng, nofis_parallel::global(), exec)
+            }))
+        }) else {
+            emit_rung_panicked(&rung);
+            return accept_last(last);
         };
-        let result = IsResult {
-            estimate: mc.estimate(),
-            hits: mc.hits,
-            effective_sample_size: mc.hits as f64,
-            rung: FallbackRung::PlainMonteCarlo,
-        };
-        tele::event(tele::Level::Debug, "estimate.rung")
-            .field("rung", rung_label(&result.rung))
-            .field("rank", result.rung.rank())
-            .field("granted", n)
-            .field("estimate", result.estimate)
-            .field("hits", result.hits)
-            .field("ess", result.effective_sample_size)
-            .field("healthy", true)
-            .emit();
-        Ok((result, None))
+        let out = (
+            IsResult {
+                estimate: mc.estimate(),
+                hits: mc.hits,
+                effective_sample_size: mc.hits as f64,
+                rung,
+            },
+            None,
+        );
+        emit_rung(&out, n, true);
+        Ok(out)
     }
 
     /// Exact log-density of the final proposal at `x` (used by the
@@ -1534,13 +1502,14 @@ impl TrainedNofis {
     }
 }
 
+/// A ladder rung's estimate plus diagnostics over its finite log-weights.
+type RungOutcome = (IsResult, Option<WeightDiagnostics>);
+
 /// Accepts the best rung seen so far when the ladder is forced to stop
 /// early (budget dry or the plain-MC rung lost to a panic) — unless that
 /// best is itself unusable, in which case the caller gets a typed error
 /// rather than an `Ok` carrying a non-finite estimate.
-fn accept_last(
-    last: (IsResult, Option<WeightDiagnostics>),
-) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
+fn accept_last(last: RungOutcome) -> Result<RungOutcome, NofisError> {
     if last.0.estimate.is_finite() {
         Ok(last)
     } else {
@@ -1550,35 +1519,31 @@ fn accept_last(
     }
 }
 
-/// The shared shard pool serving this oracle, wrapped for the estimators'
-/// external-executor seam (DESIGN.md §16). Leases are taken against
+/// Calls `f` with the shared shard pool serving this oracle as the
+/// estimators' external executor (DESIGN.md §16). Leases are taken against
 /// `oracle` itself, so sharded evaluation charges exactly the meter the
 /// in-process calls would. `None` — fleet off, oracle unregistered, or
 /// pool degraded — always means "evaluate in-process".
-fn sharded_exec<'a, L: LimitState + ?Sized + Sync>(
-    oracle: &'a BudgetedOracle<'_, L>,
-) -> Option<ShardedEval<'a>> {
-    nofis_shard::pool_for(oracle.name())
-        .map(|pool| ShardedEval::new(pool, Some(oracle as &dyn BudgetSource)))
-}
-
-/// Borrows an optional [`ShardedEval`] as the `Option<&dyn BatchEval>` the
-/// estimator entry points take.
-fn as_batch_eval<'a>(exec: &'a Option<ShardedEval<'a>>) -> Option<&'a dyn BatchEval> {
-    exec.as_ref().map(|e| e as &dyn BatchEval)
+fn with_shards<L: LimitState + ?Sized + Sync, T>(
+    oracle: &BudgetedOracle<'_, L>,
+    f: impl FnOnce(Option<&dyn BatchEval>) -> T,
+) -> T {
+    let exec = nofis_shard::pool_for(oracle.name())
+        .map(|pool| ShardedEval::new(pool, Some(oracle as &dyn BudgetSource)));
+    f(exec.as_ref().map(|e| e as &dyn BatchEval))
 }
 
 /// Runs one ladder rung within the budget: `None` when not even one sample
 /// is affordable, otherwise the tagged result plus diagnostics over the
 /// finite log-weights.
-fn run_rung<L: LimitState + ?Sized + Sync, Q: Proposal + ?Sized + Sync>(
+fn run_rung<L: LimitState + ?Sized + Sync>(
     oracle: &BudgetedOracle<'_, L>,
-    proposal: &Q,
+    proposal: &(dyn Proposal + Sync),
     p: &StandardGaussian,
     n_is: usize,
     rung: FallbackRung,
     rng: &mut impl Rng,
-) -> Option<(IsResult, Option<WeightDiagnostics>)> {
+) -> Option<RungOutcome> {
     let n = oracle.grant(n_is);
     if n == 0 {
         tele::event(tele::Level::Debug, "estimate.rung")
@@ -1591,34 +1556,29 @@ fn run_rung<L: LimitState + ?Sized + Sync, Q: Proposal + ?Sized + Sync>(
     // A worker-thread panic during the pooled batch evaluation is contained
     // here and surfaces as an unhealthy rung, so the ladder descends to a
     // less demanding proposal instead of taking the whole estimate down.
-    let exec = sharded_exec(oracle);
-    let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        importance_sampling_detailed_with_exec(
-            oracle,
-            0.0,
-            proposal,
-            p,
-            n,
-            rng,
-            nofis_parallel::global(),
-            as_batch_eval(&exec),
-        )
-    }));
-    let (result, log_weights) = match eval {
-        Ok(v) => v,
-        Err(_) => {
-            tele::event(tele::Level::Warn, "estimate.rung_panicked")
-                .field("rung", rung_label(&rung))
-                .field("rank", rung.rank())
-                .emit();
-            let poisoned = IsResult {
-                estimate: f64::NAN,
-                hits: 0,
-                effective_sample_size: 0.0,
-                rung,
-            };
-            return Some((poisoned, None));
-        }
+    let eval = with_shards(oracle, |exec| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            importance_sampling_detailed_with_exec(
+                oracle,
+                0.0,
+                proposal,
+                p,
+                n,
+                rng,
+                nofis_parallel::global(),
+                exec,
+            )
+        }))
+    });
+    let Ok((result, log_weights)) = eval else {
+        emit_rung_panicked(&rung);
+        let poisoned = IsResult {
+            estimate: f64::NAN,
+            hits: 0,
+            effective_sample_size: 0.0,
+            rung,
+        };
+        return Some((poisoned, None));
     };
     let finite: Vec<f64> = log_weights.into_iter().filter(|w| w.is_finite()).collect();
     let diag = if finite.is_empty() {
@@ -1628,24 +1588,36 @@ fn run_rung<L: LimitState + ?Sized + Sync, Q: Proposal + ?Sized + Sync>(
     };
     let out = (result.with_rung(rung), diag);
     if tele::enabled(tele::Level::Debug) {
-        let (r, d) = &out;
-        let mut ev = tele::event(tele::Level::Debug, "estimate.rung")
-            .field("rung", rung_label(&r.rung))
-            .field("rank", r.rung.rank())
-            .field("granted", n)
-            .field("estimate", r.estimate)
-            .field("hits", r.hits)
-            .field("ess", r.effective_sample_size)
-            .field("healthy", rung_is_healthy(&out));
-        if let Some(d) = d {
-            ev = ev.field("max_weight_share", d.max_weight_share);
-            if let Some(tail) = d.hill_tail_index {
-                ev = ev.field("hill_tail_index", tail);
-            }
-        }
-        ev.emit();
+        emit_rung(&out, n, rung_is_healthy(&out));
     }
     Some(out)
+}
+
+/// The `estimate.rung` event of a rung that drew `granted` samples.
+fn emit_rung((r, diag): &RungOutcome, granted: usize, healthy: bool) {
+    let mut ev = tele::event(tele::Level::Debug, "estimate.rung")
+        .field("rung", rung_label(&r.rung))
+        .field("rank", r.rung.rank())
+        .field("granted", granted)
+        .field("estimate", r.estimate)
+        .field("hits", r.hits)
+        .field("ess", r.effective_sample_size)
+        .field("healthy", healthy);
+    if let Some(d) = diag {
+        ev = ev.field("max_weight_share", d.max_weight_share);
+        if let Some(tail) = d.hill_tail_index {
+            ev = ev.field("hill_tail_index", tail);
+        }
+    }
+    ev.emit();
+}
+
+/// The `estimate.rung_panicked` event: a worker panicked mid-rung.
+fn emit_rung_panicked(rung: &FallbackRung) {
+    tele::event(tele::Level::Warn, "estimate.rung_panicked")
+        .field("rung", rung_label(rung))
+        .field("rank", rung.rank())
+        .emit();
 }
 
 /// Stable machine-readable label for a ladder rung in telemetry fields
@@ -1661,7 +1633,7 @@ fn rung_label(rung: &FallbackRung) -> &'static str {
 
 /// A rung is accepted when its estimate is finite, it saw at least one
 /// failure hit, and the weight diagnostics look healthy.
-fn rung_is_healthy((result, diag): &(IsResult, Option<WeightDiagnostics>)) -> bool {
+fn rung_is_healthy((result, diag): &RungOutcome) -> bool {
     result.estimate.is_finite()
         && result.hits > 0
         && diag.as_ref().is_some_and(|d| d.looks_healthy())
@@ -1855,6 +1827,46 @@ mod tests {
         assert!(matches!(err, NofisError::BudgetExhausted { .. }), "{err}");
         // The cap is honored exactly: truncated grants, no overrun.
         assert_eq!(oracle.calls(), 150);
+    }
+
+    #[test]
+    fn incompatible_warm_start_donor_is_refused_before_any_oracle_call() {
+        let ls = HalfSpace { beta: 3.0 };
+        let cfg = NofisConfig {
+            epochs: 2,
+            ..small_config(Levels::Fixed(vec![1.0, 0.0]))
+        };
+        let fp = checkpoint::warm_fingerprint(&cfg, 2);
+        let nofis = Nofis::new(cfg).unwrap();
+        let donor = nofis.train(&ls, &mut StdRng::seed_from_u64(1)).unwrap();
+        let params: Vec<Tensor> = donor.flow().1.iter().map(|(_, t)| t.clone()).collect();
+        let donor = |warm_fingerprint: u64, dim: u64| WarmStart {
+            params: params.clone(),
+            adam: None,
+            warm_fingerprint,
+            dim,
+            donor: "c0".into(),
+        };
+
+        for bad in [donor(fp ^ 1, 2), donor(fp, 3)] {
+            let oracle = CountingOracle::new(&ls);
+            let mut rng = StdRng::seed_from_u64(2);
+            let err = nofis
+                .run_warm_or_resume(&oracle, &mut rng, Some(&bad))
+                .unwrap_err();
+            assert!(matches!(err, NofisError::Checkpoint { .. }), "{err}");
+            assert!(err.to_string().contains("incompatible"), "{err}");
+            assert_eq!(oracle.calls(), 0);
+        }
+
+        let oracle = CountingOracle::new(&ls);
+        let mut rng = StdRng::seed_from_u64(2);
+        let (trained, result) = nofis
+            .run_warm_or_resume(&oracle, &mut rng, Some(&donor(fp, 2)))
+            .unwrap();
+        assert_eq!(trained.levels(), &[1.0, 0.0]);
+        assert!(result.estimate.is_finite());
+        assert!(oracle.calls() > 0);
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(s.quantile_bucket(q), Some(b));
             let v = s.quantile(q).unwrap();
-            assert!(v >= 3.0 && v <= 3.0 * std::f64::consts::SQRT_2 * 1.0001);
+            assert!((3.0..=3.0 * std::f64::consts::SQRT_2 * 1.0001).contains(&v));
         }
         assert_eq!(HistogramSnapshot::default().quantile(0.5), None);
     }

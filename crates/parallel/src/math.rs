@@ -106,7 +106,7 @@ const Q: [f64; 3] = [
 ///
 /// Three ranges:
 /// - `|x| < 0.625`: Cephes-style rational `x + x³·P(x²)/Q(x²)`.
-/// - `0.625 ≤ |x| < 20`: `e = exp(2|x|)` via [`fast_exp_pos`], then
+/// - `0.625 ≤ |x| < 20`: `e = exp(2|x|)` via `fast_exp_pos`, then
 ///   `(e − 1)/(e + 1)` — `e ≥ e^1.25 ≈ 3.49`, so the subtraction never
 ///   cancels.
 /// - `|x| ≥ 20`: `±1.0` (`tanh(20)` rounds to `1.0` in f64 anyway).

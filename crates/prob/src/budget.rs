@@ -315,7 +315,7 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     /// jointly exceed the budget. Parallel batch evaluation (see
     /// [`batch_values_budgeted`](crate::batch_values_budgeted)) reserves
     /// each chunk up front and then spends the reserved calls with
-    /// [`BudgetedOracle::value_prepaid`].
+    /// `BudgetedOracle::value_prepaid`.
     pub fn reserve(&self, want: usize) -> usize {
         budget_fault(&self.used, self.budget);
         let (granted, used_after) = self.charge(want as u64);

@@ -152,7 +152,7 @@ pub fn importance_sampling(
     n: usize,
     rng: &mut dyn RngCore,
 ) -> IsResult {
-    let (result, _) = importance_sampling_detailed_with_pool(
+    let (result, _) = importance_sampling_detailed_with_exec(
         limit_state,
         threshold,
         proposal,
@@ -160,13 +160,16 @@ pub fn importance_sampling(
         n,
         rng,
         nofis_parallel::global(),
+        None,
     );
     result
 }
 
-/// Importance sampling like [`importance_sampling`] on an explicit pool,
-/// additionally returning the log-weights of the failure-region samples so
-/// callers can run [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
+/// Importance sampling like [`importance_sampling`] on an explicit pool
+/// and an optional external batch executor (the sharded worker-process
+/// pool), additionally returning the log-weights of the failure-region
+/// samples so callers can run
+/// [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
 ///
 /// Samples are drawn serially from `rng` (sampling is cheap next to oracle
 /// calls, and this keeps the random stream identical to a serial run), then
@@ -174,24 +177,6 @@ pub fn importance_sampling(
 /// per-chunk partial sums `(Σw, Σw²)` are reduced in chunk order, so the
 /// estimate, hit count, ESS, and log-weight list are all bitwise identical
 /// for any thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_detailed_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-) -> (IsResult, Vec<f64>) {
-    importance_sampling_detailed_with_exec(limit_state, threshold, proposal, p, n, rng, pool, None)
-}
-
-/// [`importance_sampling_detailed_with_pool`] with an optional external
-/// batch executor (the sharded worker-process pool).
 ///
 /// When `exec` serves the batch, the oracle values for all `n` samples come
 /// back precomputed in sample order and the per-chunk weight pass consumes
@@ -299,28 +284,20 @@ pub fn monte_carlo(
     n: usize,
     rng: &mut dyn RngCore,
 ) -> McResult {
-    monte_carlo_with_pool(limit_state, threshold, n, rng, nofis_parallel::global())
+    monte_carlo_with_exec(
+        limit_state,
+        threshold,
+        n,
+        rng,
+        nofis_parallel::global(),
+        None,
+    )
 }
 
-/// [`monte_carlo`] on an explicit pool. Samples are drawn serially from
-/// `rng` (identical stream to a serial run); oracle calls run chunked
-/// across the pool and the hit count is reduced in chunk order.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn monte_carlo_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-) -> McResult {
-    monte_carlo_with_exec(limit_state, threshold, n, rng, pool, None)
-}
-
-/// [`monte_carlo_with_pool`] with an optional external batch executor —
-/// the same seam (and the same bitwise-identity argument) as
+/// [`monte_carlo`] on an explicit pool and an optional external batch
+/// executor. Samples are drawn serially from `rng` (identical stream to a
+/// serial run); oracle calls run chunked across the pool (or through
+/// `exec`) and the hit count is reduced in chunk order — the same seam (and the same bitwise-identity argument) as
 /// [`importance_sampling_detailed_with_exec`].
 ///
 /// # Panics

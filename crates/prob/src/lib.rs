@@ -61,9 +61,8 @@ pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};
 pub use importance::{
-    importance_sampling, importance_sampling_detailed_with_exec,
-    importance_sampling_detailed_with_pool, monte_carlo, monte_carlo_with_exec,
-    monte_carlo_with_pool, FallbackRung, IsResult, McResult, Proposal,
+    importance_sampling, importance_sampling_detailed_with_exec, monte_carlo,
+    monte_carlo_with_exec, FallbackRung, IsResult, McResult, Proposal,
 };
 pub use limit_state::{CountingOracle, LimitState};
 pub use mixture::GaussianMixture;
