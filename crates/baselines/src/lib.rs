@@ -8,7 +8,6 @@
 //! | SUS | subset simulation (modified Metropolis) | [`SusEstimator`] |
 //! | SSS | scaled-sigma sampling | [`SssEstimator`] |
 //! | Adapt-IS | cross-entropy adaptive IS | [`AdaptIsEstimator`] |
-//! | (extra) Line sampling | reference \[18\]'s method | [`LineSamplingEstimator`] |
 //!
 //! All implement [`RareEventEstimator`] and draw their entire simulator
 //! budget through the provided [`nofis_prob::LimitState`] — wrap it in a
@@ -19,7 +18,6 @@
 
 mod adaptis;
 mod estimator;
-mod linesampling;
 mod mc;
 mod sir;
 mod sss;
@@ -28,7 +26,6 @@ mod sus;
 
 pub use adaptis::AdaptIsEstimator;
 pub use estimator::RareEventEstimator;
-pub use linesampling::LineSamplingEstimator;
 pub use mc::McEstimator;
 pub use sir::SirEstimator;
 pub use sss::SssEstimator;

@@ -20,8 +20,8 @@
 //! `job.end` lifecycle events written by the `nofis-jobs` runner (every
 //! record a job emits carries a `job` field) and prints one row per job:
 //! starts, retries, total backoff, checkpoints written, simulator calls
-//! (from the job's `train.stage` / `estimate` spans, so calls sharded to
-//! external worker processes are counted too), and the terminal outcome.
+//! (from the job's `train.stage` / `estimate` spans), and the terminal
+//! outcome.
 //! It exits 1 if any submitted job never reached a terminal state — the
 //! CI chaos job's no-hang assertion.
 //!
@@ -270,7 +270,6 @@ fn summary(path: &str) -> ExitCode {
     }
 
     sweep_table(&events);
-    shard_table(&events);
 
     let attempts = events.iter().filter(|e| e.name == "estimate.rung").count();
     if let Some(est) = estimate_row(&events) {
@@ -379,79 +378,6 @@ fn sweep_table(events: &[TraceEvent]) {
     );
 }
 
-/// Sharded-execution table from `shard.*` events (nofis-shard worker
-/// fleet, DESIGN.md §16): one row per worker slot with its dispatch,
-/// completion, re-dispatch, and respawn counts, plus a fleet summary line.
-/// Printed only for traces from sharded runs.
-fn shard_table(events: &[TraceEvent]) {
-    #[derive(Default)]
-    struct WorkerRow {
-        dispatched: u64,
-        completed: u64,
-        redispatched: u64,
-        respawns: u64,
-    }
-    let mut workers: Vec<(u64, WorkerRow)> = Vec::new();
-    let row = |workers: &mut Vec<(u64, WorkerRow)>, worker: u64| -> usize {
-        match workers.iter().position(|(w, _)| *w == worker) {
-            Some(idx) => idx,
-            None => {
-                workers.push((worker, WorkerRow::default()));
-                workers.len() - 1
-            }
-        }
-    };
-    for e in events {
-        if !e.name.starts_with("shard.") {
-            continue;
-        }
-        let Some(worker) = e.u64_field("worker") else {
-            continue;
-        };
-        let idx = row(&mut workers, worker);
-        match e.name.as_str() {
-            "shard.dispatch" => workers[idx].1.dispatched += 1,
-            "shard.complete" => workers[idx].1.completed += 1,
-            "shard.redispatch" => workers[idx].1.redispatched += 1,
-            "shard.respawn" => workers[idx].1.respawns += 1,
-            _ => {}
-        }
-    }
-    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-    let timeouts = count("shard.timeout");
-    let deaths = count("shard.death");
-    let degraded = count("shard.degraded");
-    let fallbacks = count("shard.fallback");
-    if workers.is_empty() && timeouts + deaths + degraded + fallbacks == 0 {
-        return;
-    }
-    workers.sort_by_key(|(w, _)| *w);
-    println!(
-        "{:>6} {:>10} {:>10} {:>12} {:>8}",
-        "worker", "dispatched", "completed", "redispatched", "respawns"
-    );
-    for (w, r) in &workers {
-        println!(
-            "{:>6} {:>10} {:>10} {:>12} {:>8}",
-            w, r.dispatched, r.completed, r.redispatched, r.respawns
-        );
-    }
-    print!(
-        "shards: {} dispatched, {} completed, {} timeouts, {} worker deaths",
-        workers.iter().map(|(_, r)| r.dispatched).sum::<u64>(),
-        workers.iter().map(|(_, r)| r.completed).sum::<u64>(),
-        timeouts,
-        deaths,
-    );
-    if fallbacks > 0 {
-        print!(", {fallbacks} in-process fallbacks");
-    }
-    if degraded > 0 {
-        print!(", DEGRADED");
-    }
-    println!();
-}
-
 /// One supervised job's lifecycle, reconstructed from `job.*` events.
 #[derive(Default)]
 struct JobRow {
@@ -464,10 +390,8 @@ struct JobRow {
     backoff_ms: u64,
     ckpt_writes: u64,
     /// Simulator calls attributed to this job, summed from its
-    /// `train.stage` and `estimate` spans. Those spans report the budget
-    /// meter's `used` delta, which shard leases charge exactly like
-    /// in-process calls — so calls executed on external shard workers are
-    /// counted here, not lost.
+    /// `train.stage` and `estimate` spans (each reports its budget meter's
+    /// `used` delta).
     oracle_calls: u64,
     outcome: Option<String>,
     attempts: u64,

@@ -10,8 +10,6 @@
 //! * [`Circuit::dc_solve`] — DC operating point with damped
 //!   Newton–Raphson for nonlinear devices (square-law MOSFETs and
 //!   exponential junction diodes).
-//! * [`Circuit::transient`] — backward-Euler time-domain analysis with
-//!   capacitor companion models.
 //! * [`Circuit::ac_solve`] / [`Circuit::ac_sensitivity`] — complex
 //!   small-signal analysis and adjoint gradients (one extra solve yields
 //!   every element sensitivity), which makes the differentiable NOFIS loss
@@ -30,7 +28,6 @@ mod diode;
 mod mosfet;
 mod netlist;
 mod opamp;
-mod transient;
 
 pub use ac::{AcSensitivity, AcSolution};
 pub use chargepump::ChargePumpBench;
@@ -39,4 +36,3 @@ pub use diode::DiodeParams;
 pub use mosfet::{MosOperatingPoint, MosParams, MosType, Region};
 pub use netlist::{Circuit, CircuitError, Element, ElementId, Node};
 pub use opamp::{OpampBench, OpampDesign};
-pub use transient::TransientSolution;

@@ -456,6 +456,35 @@ fn decode_partial(d: &mut Dec<'_>) -> Result<StagePartial, DecodeError> {
     })
 }
 
+/// CRC-32 (IEEE 802.3, reflected, init/final-xor `0xffff_ffff`) of
+/// `bytes`: the checkpoint trailer's integrity checksum.
+fn crc32(bytes: &[u8]) -> u32 {
+    static TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                bit += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    };
+    let mut c = 0xffff_ffffu32;
+    for &b in bytes {
+        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xffff_ffff
+}
+
 /// Encodes a checkpoint into a complete file image (header + payload +
 /// CRC), ready for an atomic write.
 pub fn encode(c: &Checkpoint) -> Vec<u8> {
@@ -483,7 +512,7 @@ pub fn encode(c: &Checkpoint) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&nofis_shard::crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out
 }
 
@@ -518,7 +547,7 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DecodeError> {
     }
     let payload = &bytes[20..20 + payload_len];
     let stored_crc = u32::from_le_bytes(bytes[20 + payload_len..].try_into().expect("4 bytes"));
-    let actual_crc = nofis_shard::crc32(payload);
+    let actual_crc = crc32(payload);
     if stored_crc != actual_crc {
         return Err(decode_err(format!(
             "CRC mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
@@ -1007,6 +1036,11 @@ mod tests {
             );
         }
         assert!(decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -5,11 +5,10 @@ use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tenso
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
-    batch_values_with_exec, importance_sampling_detailed_with_exec, monte_carlo_with_exec,
-    quantile, BatchEval, BudgetSource, BudgetedOracle, DefensiveMixture, FallbackRung, IsResult,
-    LimitState, Proposal, StandardGaussian, WeightDiagnostics, LN_2PI,
+    batch_values_with, importance_sampling_detailed_with_pool, monte_carlo_with_pool, quantile,
+    BudgetedOracle, DefensiveMixture, FallbackRung, IsResult, LimitState, Proposal,
+    StandardGaussian, WeightDiagnostics, LN_2PI,
 };
-use nofis_shard::ShardedEval;
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng, StateRng};
@@ -131,12 +130,6 @@ impl Nofis {
     /// `/healthz` scrape server and a flight recorder (DESIGN.md §15).
     /// Metrics never influence results.
     ///
-    /// Sharded oracle execution from [`NofisConfig::shard`] (overridable —
-    /// and enableable — via `NOFIS_SHARDS`, with `NOFIS_SHARD_TIMEOUT_MS`
-    /// refining the per-request deadline) configures the process-global
-    /// worker fleet (DESIGN.md §16). Sharding never influences results:
-    /// estimates are bitwise identical at any shard count.
-    ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration is invalid, the
@@ -155,7 +148,6 @@ impl Nofis {
         tele::init(&config.telemetry).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_metrics::install(&config.metrics).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_faults::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
-        config.apply_shard_env()?;
         if let Some(threads) = config.threads {
             nofis_parallel::set_thread_override(threads);
         }
@@ -809,9 +801,7 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
                 }
             })
             .collect();
-        let gvals = with_shards(oracle, |exec| {
-            batch_values_with_exec(oracle, &xs, nofis_parallel::global(), exec)
-        });
+        let gvals = batch_values_with(oracle, &xs, nofis_parallel::global());
         // `quantile` skips NaN scores; if the proposal only produces NaN
         // there is nothing to schedule against.
         let mut q = quantile(&gvals, p0);
@@ -1469,11 +1459,9 @@ impl TrainedNofis {
         if n == 0 {
             return accept_last(last);
         }
-        let Ok(mc) = with_shards(oracle, |exec| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                monte_carlo_with_exec(oracle, 0.0, n, rng, nofis_parallel::global(), exec)
-            }))
-        }) else {
+        let Ok(mc) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            monte_carlo_with_pool(oracle, 0.0, n, rng, nofis_parallel::global())
+        })) else {
             emit_rung_panicked(&rung);
             return accept_last(last);
         };
@@ -1519,20 +1507,6 @@ fn accept_last(last: RungOutcome) -> Result<RungOutcome, NofisError> {
     }
 }
 
-/// Calls `f` with the shared shard pool serving this oracle as the
-/// estimators' external executor (DESIGN.md §16). Leases are taken against
-/// `oracle` itself, so sharded evaluation charges exactly the meter the
-/// in-process calls would. `None` — fleet off, oracle unregistered, or
-/// pool degraded — always means "evaluate in-process".
-fn with_shards<L: LimitState + ?Sized + Sync, T>(
-    oracle: &BudgetedOracle<'_, L>,
-    f: impl FnOnce(Option<&dyn BatchEval>) -> T,
-) -> T {
-    let exec = nofis_shard::pool_for(oracle.name())
-        .map(|pool| ShardedEval::new(pool, Some(oracle as &dyn BudgetSource)));
-    f(exec.as_ref().map(|e| e as &dyn BatchEval))
-}
-
 /// Runs one ladder rung within the budget: `None` when not even one sample
 /// is affordable, otherwise the tagged result plus diagnostics over the
 /// finite log-weights.
@@ -1556,20 +1530,17 @@ fn run_rung<L: LimitState + ?Sized + Sync>(
     // A worker-thread panic during the pooled batch evaluation is contained
     // here and surfaces as an unhealthy rung, so the ladder descends to a
     // less demanding proposal instead of taking the whole estimate down.
-    let eval = with_shards(oracle, |exec| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            importance_sampling_detailed_with_exec(
-                oracle,
-                0.0,
-                proposal,
-                p,
-                n,
-                rng,
-                nofis_parallel::global(),
-                exec,
-            )
-        }))
-    });
+    let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        importance_sampling_detailed_with_pool(
+            oracle,
+            0.0,
+            proposal,
+            p,
+            n,
+            rng,
+            nofis_parallel::global(),
+        )
+    }));
     let Ok((result, log_weights)) = eval else {
         emit_rung_panicked(&rung);
         let poisoned = IsResult {

@@ -71,17 +71,10 @@ pub enum Site {
     /// One job execution attempt starting on a scheduler worker (visited
     /// once per attempt, so retries re-visit the site).
     JobStart,
-    /// One shard-worker process spawn attempt in the `nofis-shard`
-    /// supervisor (visited per spawn, so respawns re-visit the site).
-    ShardSpawn,
-    /// One shard dispatched to a worker process by the `nofis-shard`
-    /// supervisor (visited per dispatch, on the supervisor side, so the
-    /// injection index is deterministic regardless of worker scheduling).
-    ShardDispatch,
 }
 
 impl Site {
-    const COUNT: usize = 8;
+    const COUNT: usize = 6;
 
     fn index(self) -> usize {
         match self {
@@ -91,8 +84,6 @@ impl Site {
             Site::CkptWrite => 3,
             Site::JobSubmit => 4,
             Site::JobStart => 5,
-            Site::ShardSpawn => 6,
-            Site::ShardDispatch => 7,
         }
     }
 
@@ -105,8 +96,6 @@ impl Site {
             Site::CkptWrite => "ckpt_write",
             Site::JobSubmit => "job_submit",
             Site::JobStart => "job_start",
-            Site::ShardSpawn => "shard_spawn",
-            Site::ShardDispatch => "shard_dispatch",
         }
     }
 }
@@ -138,21 +127,23 @@ pub enum FaultKind {
     /// Job admission is forced to see a full queue, exercising the
     /// load-shedding path.
     QueueOverflow,
-    /// A shard-worker process fails to spawn (exec error), exercising the
-    /// respawn/backoff and in-process degradation ladder.
-    ShardSpawnFail,
-    /// A shard worker dies mid-shard: the supervisor directs the worker to
-    /// exit instead of answering, losing the dispatched shard.
-    ShardDeath,
-    /// A shard worker writes garbage bytes on its stdout instead of a valid
-    /// frame, exercising CRC/framing detection and the kill-respawn path.
-    ShardGarbage,
-    /// A shard worker wedges (never answers), exercising the per-request
-    /// wall-clock timeout.
-    ShardHang,
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order — the grammar's keyword table.
+    pub const ALL: [FaultKind; 10] = [
+        FaultKind::OracleNan,
+        FaultKind::OracleInf,
+        FaultKind::OraclePanic,
+        FaultKind::BudgetExhaust,
+        FaultKind::WorkerPanic,
+        FaultKind::CkptWriteFail,
+        FaultKind::Kill,
+        FaultKind::JobPanic,
+        FaultKind::DeadlineStorm,
+        FaultKind::QueueOverflow,
+    ];
+
     /// The seam this fault fires at.
     pub fn site(self) -> Site {
         match self {
@@ -165,10 +156,6 @@ impl FaultKind {
             FaultKind::CkptWriteFail => Site::CkptWrite,
             FaultKind::QueueOverflow => Site::JobSubmit,
             FaultKind::JobPanic | FaultKind::DeadlineStorm => Site::JobStart,
-            FaultKind::ShardSpawnFail => Site::ShardSpawn,
-            FaultKind::ShardDeath | FaultKind::ShardGarbage | FaultKind::ShardHang => {
-                Site::ShardDispatch
-            }
         }
     }
 
@@ -185,31 +172,11 @@ impl FaultKind {
             FaultKind::JobPanic => "job_panic",
             FaultKind::DeadlineStorm => "deadline_storm",
             FaultKind::QueueOverflow => "queue_overflow",
-            FaultKind::ShardSpawnFail => "shard_spawn_fail",
-            FaultKind::ShardDeath => "shard_death",
-            FaultKind::ShardGarbage => "shard_garbage",
-            FaultKind::ShardHang => "shard_hang",
         }
     }
 
     fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "oracle_nan" => FaultKind::OracleNan,
-            "oracle_inf" => FaultKind::OracleInf,
-            "oracle_panic" => FaultKind::OraclePanic,
-            "budget_exhaust" => FaultKind::BudgetExhaust,
-            "worker_panic" => FaultKind::WorkerPanic,
-            "ckpt_fail" => FaultKind::CkptWriteFail,
-            "kill" => FaultKind::Kill,
-            "job_panic" => FaultKind::JobPanic,
-            "deadline_storm" => FaultKind::DeadlineStorm,
-            "queue_overflow" => FaultKind::QueueOverflow,
-            "shard_spawn_fail" => FaultKind::ShardSpawnFail,
-            "shard_death" => FaultKind::ShardDeath,
-            "shard_garbage" => FaultKind::ShardGarbage,
-            "shard_hang" => FaultKind::ShardHang,
-            _ => return None,
-        })
+        FaultKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -298,12 +265,11 @@ impl FaultPlan {
                 .split_once('@')
                 .ok_or_else(|| plan_err(format!("entry {entry:?} is missing '@index'")))?;
             let kind = FaultKind::parse(kind_str.trim()).ok_or_else(|| {
+                let names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.as_str()).collect();
                 plan_err(format!(
-                    "unknown fault kind {:?} (expected one of oracle_nan, oracle_inf, \
-                     oracle_panic, budget_exhaust, worker_panic, ckpt_fail, kill, \
-                     job_panic, deadline_storm, queue_overflow, shard_spawn_fail, \
-                     shard_death, shard_garbage, shard_hang)",
-                    kind_str.trim()
+                    "unknown fault kind {:?} (expected one of {})",
+                    kind_str.trim(),
+                    names.join(", ")
                 ))
             })?;
             let (at_str, count_str) = match rest.split_once('x') {
@@ -458,6 +424,13 @@ mod tests {
         let again = FaultPlan::parse(&plan.to_string()).unwrap();
         assert_eq!(again.specs(), plan.specs());
         assert!(FaultPlan::parse("").unwrap().specs().is_empty());
+        // The plans CI injects.
+        for text in [
+            "oracle_nan@5000x40;kill@24000",
+            "job_panic@0;deadline_storm@1;queue_overflow@2",
+        ] {
+            assert_eq!(FaultPlan::parse(text).unwrap().to_string(), text);
+        }
     }
 
     #[test]
@@ -469,9 +442,17 @@ mod tests {
             "oracle_nan@1x0",   // zero count
             "oracle_nan@1xtwo", // garbled count
             "kill@-1",          // negative index
+            "shard_death@2",    // a removed kind
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should be rejected");
         }
+        // An unknown kind's message lists exactly the kinds that exist.
+        assert_eq!(
+            FaultPlan::parse("shard_death@2").unwrap_err().to_string(),
+            "invalid fault plan: unknown fault kind \"shard_death\" (expected one of \
+             oracle_nan, oracle_inf, oracle_panic, budget_exhaust, worker_panic, ckpt_fail, \
+             kill, job_panic, deadline_storm, queue_overflow)"
+        );
     }
 
     #[test]
@@ -525,14 +506,25 @@ mod tests {
             (FaultKind::JobPanic, Site::JobStart),
             (FaultKind::DeadlineStorm, Site::JobStart),
             (FaultKind::QueueOverflow, Site::JobSubmit),
-            (FaultKind::ShardSpawnFail, Site::ShardSpawn),
-            (FaultKind::ShardDeath, Site::ShardDispatch),
-            (FaultKind::ShardGarbage, Site::ShardDispatch),
-            (FaultKind::ShardHang, Site::ShardDispatch),
         ] {
             assert_eq!(kind.site(), site);
-            // Every kind's keyword parses back to itself.
-            assert_eq!(FaultKind::parse(kind.as_str()), Some(kind));
+        }
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_the_plan_grammar() {
+        for kind in FaultKind::ALL {
+            let text = format!("{kind}@3x2");
+            let plan = FaultPlan::parse(&text).unwrap();
+            assert_eq!(
+                plan.specs(),
+                &[FaultSpec {
+                    kind,
+                    at: 3,
+                    count: 2
+                }]
+            );
+            assert_eq!(plan.to_string(), text);
         }
     }
 }

@@ -11,8 +11,6 @@
 //!   log-scales and identity initialization.
 //! * [`RealNvp`] — a layer stack supporting *prefix* evaluation, which is
 //!   how NOFIS anchors stage `m` at layer `m·K`.
-//! * [`AdditiveCoupling`] (NICE) and [`ActNorm`] — companion invertible
-//!   layers for composition and for the expressiveness ablations.
 //!
 //! # Example
 //!
@@ -31,14 +29,10 @@
 
 #![deny(missing_docs)]
 
-mod actnorm;
 mod coupling;
 mod mask;
-mod nice;
 mod realnvp;
 
-pub use actnorm::{ActNorm, DEFAULT_S_MAX};
 pub use coupling::AffineCoupling;
 pub use mask::Mask;
-pub use nice::AdditiveCoupling;
 pub use realnvp::RealNvp;

@@ -148,18 +148,6 @@ pub struct Aggregator {
     // Sweep.
     sweep_warm_misses: Arc<Counter>,
     sweep_sims_saved: Arc<Counter>,
-    // Sharded execution (DESIGN.md §16).
-    shard_dispatched: Arc<Counter>,
-    shard_completed: Arc<Counter>,
-    shard_redispatched: Arc<Counter>,
-    shard_respawns: Arc<Counter>,
-    shard_timeouts: Arc<Counter>,
-    shard_deaths: Arc<Counter>,
-    shard_spawn_failures: Arc<Counter>,
-    shard_degraded: Arc<Counter>,
-    shard_fallbacks: Arc<Counter>,
-    shard_workers: Arc<Gauge>,
-    shard_inflight: Arc<Gauge>,
     // Faults / checkpoints / flight recorder.
     faults: Arc<Counter>,
     flight_dumps: Arc<Counter>,
@@ -326,68 +314,6 @@ impl Aggregator {
                 "Simulator calls avoided by the sweep oracle cache.",
                 delta,
                 &[],
-            ),
-            shard_dispatched: r.counter(
-                "nofis_shard_dispatched_total",
-                "Shards dispatched to worker processes (re-dispatches included).",
-                delta,
-                &[],
-            ),
-            shard_completed: r.counter(
-                "nofis_shard_completed_total",
-                "Shards completed by worker processes.",
-                delta,
-                &[],
-            ),
-            shard_redispatched: r.counter(
-                "nofis_shard_redispatched_total",
-                "Shards re-queued after a worker death, wedge, or protocol error.",
-                delta,
-                &[],
-            ),
-            shard_respawns: r.counter(
-                "nofis_shard_respawns_total",
-                "Shard worker processes respawned after a failure.",
-                delta,
-                &[],
-            ),
-            shard_timeouts: r.counter(
-                "nofis_shard_timeouts_total",
-                "Shard requests that hit their per-request deadline.",
-                delta,
-                &[],
-            ),
-            shard_deaths: r.counter(
-                "nofis_shard_deaths_total",
-                "Shard worker connections condemned (death/garbage/wedge/protocol).",
-                delta,
-                &[],
-            ),
-            shard_spawn_failures: r.counter(
-                "nofis_shard_spawn_failures_total",
-                "Shard worker spawn attempts that failed.",
-                delta,
-                &[],
-            ),
-            shard_degraded: r.counter(
-                "nofis_shard_degraded_total",
-                "Shard pools that degraded permanently to in-process evaluation.",
-                delta,
-                &[],
-            ),
-            shard_fallbacks: r.counter(
-                "nofis_shard_fallbacks_total",
-                "Sharded evaluations that fell back to the in-process path.",
-                delta,
-                &[],
-            ),
-            shard_workers: r.gauge(
-                "nofis_shard_workers_alive",
-                "Live shard worker processes (most recent pool report).",
-            ),
-            shard_inflight: r.gauge(
-                "nofis_shard_inflight",
-                "Shards currently parked on external worker processes — the signal that exempts a quiet run from the /healthz wedge heuristic.",
             ),
             faults: r.counter("nofis_faults_injected_total", "Injected faults fired.", delta, &[]),
             flight_dumps: r.counter("nofis_flight_dumps_total", "Flight-recorder dumps written.", delta, &[]),
@@ -580,25 +506,6 @@ impl Aggregator {
                 }
             }
             "sweep.warm_miss" => self.sweep_warm_misses.inc(),
-            "shard.dispatch" => self.shard_dispatched.inc(),
-            "shard.complete" => self.shard_completed.inc(),
-            "shard.redispatch" => self.shard_redispatched.inc(),
-            "shard.respawn" => self.shard_respawns.inc(),
-            "shard.timeout" => self.shard_timeouts.inc(),
-            "shard.death" => self.shard_deaths.inc(),
-            "shard.spawn_fail" => self.shard_spawn_failures.inc(),
-            "shard.degraded" => self.shard_degraded.inc(),
-            "shard.fallback" => self.shard_fallbacks.inc(),
-            "shard.workers" => {
-                if let Some(v) = ev.num("value") {
-                    self.shard_workers.set(v, ev.ts_us());
-                }
-            }
-            "shard.inflight" => {
-                if let Some(v) = ev.num("value") {
-                    self.shard_inflight.set(v, ev.ts_us());
-                }
-            }
             "fault.injected" => self.faults.inc(),
             "flight.dump" => self.flight_dumps.inc(),
             "ckpt.write" => self.ckpt_writes.inc(),
@@ -615,27 +522,18 @@ impl Aggregator {
         let jobs_active = self.jobs_active.get();
         let workers_alive = self.workers_alive.get();
         let workers_known = self.workers_alive.last_ts_us() > 0;
-        let shard_inflight = self.shard_inflight.get();
         let last_event_us = self.last_event_ts.last_ts_us();
         let stalled_us = now_us.saturating_sub(last_event_us);
         // Wedged: work is waiting, nothing is running, and the event
         // stream has been silent for 30s — or every worker thread died
-        // while jobs queue behind them. Shards parked on external worker
-        // processes exempt the stall arm: a long sharded evaluation can be
-        // legitimately silent while children compute, and a *wedged* child
-        // cannot stay parked — its per-request deadline fires and emits
-        // timeout/redispatch events that advance the watermark.
-        let stalled = queue_depth > 0.0
-            && jobs_active == 0.0
-            && stalled_us > 30_000_000
-            && shard_inflight == 0.0;
+        // while jobs queue behind them.
+        let stalled = queue_depth > 0.0 && jobs_active == 0.0 && stalled_us > 30_000_000;
         let wedged = stalled || (workers_known && workers_alive == 0.0 && queue_depth > 0.0);
         Health {
             healthy: !wedged,
             workers_alive: workers_alive as u64,
             queue_depth: queue_depth as u64,
             jobs_active: jobs_active as u64,
-            shard_inflight: shard_inflight as u64,
             last_event_us,
         }
     }
@@ -664,8 +562,6 @@ pub struct Health {
     pub queue_depth: u64,
     /// Executing jobs.
     pub jobs_active: u64,
-    /// Shards parked on external worker processes (see DESIGN.md §16).
-    pub shard_inflight: u64,
     /// Telemetry-epoch µs of the newest event (the progress watermark).
     pub last_event_us: u64,
 }
@@ -760,46 +656,6 @@ mod tests {
         ] {
             assert!(text.contains(required), "missing {required}");
         }
-    }
-
-    #[test]
-    fn maps_shard_events() {
-        let agg = Aggregator::new(Arc::new(MetricsRegistry::new()));
-        agg.observe(&ev("shard.dispatch", vec![("shard", Value::U64(0))]));
-        agg.observe(&ev("shard.dispatch", vec![("shard", Value::U64(1))]));
-        agg.observe(&ev("shard.complete", vec![("shard", Value::U64(0))]));
-        agg.observe(&ev("shard.redispatch", vec![("shard", Value::U64(1))]));
-        agg.observe(&ev("shard.respawn", vec![("worker", Value::U64(1))]));
-        agg.observe(&ev("shard.timeout", vec![("worker", Value::U64(1))]));
-        agg.observe(&ev("shard.death", vec![("worker", Value::U64(1))]));
-        agg.observe(&ev("shard.workers", vec![("value", Value::F64(3.0))]));
-        agg.observe(&ev("shard.inflight", vec![("value", Value::F64(2.0))]));
-        let text = agg.registry().render_prometheus();
-        assert!(text.contains("nofis_shard_dispatched_total 2"));
-        assert!(text.contains("nofis_shard_completed_total 1"));
-        assert!(text.contains("nofis_shard_redispatched_total 1"));
-        assert!(text.contains("nofis_shard_respawns_total 1"));
-        assert!(text.contains("nofis_shard_timeouts_total 1"));
-        assert!(text.contains("nofis_shard_deaths_total 1"));
-        assert!(text.contains("nofis_shard_workers_alive 3"));
-        assert!(text.contains("nofis_shard_inflight 2"));
-    }
-
-    #[test]
-    fn health_exempts_work_parked_on_shard_workers() {
-        let agg = Aggregator::new(Arc::new(MetricsRegistry::new()));
-        agg.observe(&ev("queue.depth", vec![("value", Value::F64(2.0))]));
-        agg.observe(&ev("jobs.active", vec![("value", Value::F64(0.0))]));
-        agg.observe(&ev("shard.inflight", vec![("value", Value::F64(2.0))]));
-        // Silent 31s with queued work, but shards are parked on external
-        // workers: their deadlines guarantee progress events, so this is a
-        // long evaluation, not a wedge.
-        let parked = agg.health(1000 + 31_000_000);
-        assert!(parked.healthy, "inflight shards exempt the stall arm");
-        assert_eq!(parked.shard_inflight, 2);
-        // Once the shards drain, the same silence is a wedge again.
-        agg.observe(&ev("shard.inflight", vec![("value", Value::F64(0.0))]));
-        assert!(!agg.health(1000 + 62_000_000).healthy);
     }
 
     #[test]

@@ -23,25 +23,6 @@ use nofis_parallel::ThreadPool;
 /// function of the batch size only — the determinism contract's first rule.
 pub const ORACLE_CHUNK: usize = 32;
 
-/// An external batch-evaluation executor — the seam through which the
-/// sharded worker-process pool (crate `nofis-shard`) plugs into the
-/// estimators without this crate depending on it.
-///
-/// Implementors evaluate `g(x)` for a whole batch *somewhere else* (worker
-/// processes, a remote simulator farm) and return the values in sample
-/// order. The contract that keeps results bitwise-identical to the
-/// in-process path: each returned value must be exactly what
-/// `limit_state.value(&xs[i])` would produce, and the executor handles its
-/// own budget/accounting (e.g. via [`BudgetSource`](crate::BudgetSource)
-/// leases). Returning `None` means the executor cannot serve this batch —
-/// degraded, budget-short, or unavailable — and the caller falls back to
-/// the in-process path.
-pub trait BatchEval: Sync {
-    /// Attempts to evaluate the whole batch externally; `None` → caller
-    /// falls back in-process.
-    fn try_eval(&self, xs: &[Vec<f64>]) -> Option<Vec<f64>>;
-}
-
 /// Evaluates `g(x)` for every sample in `xs` on `pool`, returning values
 /// in sample order.
 ///
@@ -64,24 +45,6 @@ pub fn batch_values_with(
     per_chunk.into_iter().flatten().collect()
 }
 
-/// [`batch_values_with`] with an optional external executor.
-///
-/// When `exec` is present and serves the batch, the returned values come
-/// from the executor (bitwise-identical by the [`BatchEval`] contract, with
-/// accounting done executor-side); otherwise this is exactly
-/// [`batch_values_with`].
-pub fn batch_values_with_exec(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    xs: &[Vec<f64>],
-    pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
-) -> Vec<f64> {
-    if let Some(vals) = exec.and_then(|e| e.try_eval(xs)) {
-        return vals;
-    }
-    batch_values_with(limit_state, xs, pool)
-}
-
 /// Budget-exact parallel batch evaluation.
 ///
 /// Reserves each chunk's calls up front — in chunk order, on the calling
@@ -100,13 +63,10 @@ pub fn batch_values_budgeted<T: LimitState + ?Sized + Sync>(
     // Serial, chunk-ordered reservation: under a tight budget the granted
     // counts form a deterministic prefix (full chunks, then one partial,
     // then zeros) no matter how many threads later run the evaluation.
-    // Each chunk's lease is committed (spent) at dispatch time — the
-    // workers are in-process and will evaluate every granted sample, so
-    // there is no unspent remainder to reclaim on this path.
     let granted: Vec<usize> = (0..n_chunks)
         .map(|ci| {
             let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-            budgeted.lease(end - start).spend_all()
+            budgeted.reserve(end - start)
         })
         .collect();
     let per_chunk: Vec<Vec<f64>> = pool.map_chunks(n_chunks, |ci| {

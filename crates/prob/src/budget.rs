@@ -71,138 +71,6 @@ fn record_grant(op: &'static str, want: usize, granted: usize, used: u64, budget
     }
 }
 
-/// Emits the release-side twin of [`record_grant`]: a trace record when a
-/// lease returns unspent calls to the meter (worker death, early exit), so
-/// chaos traces can reconcile every pre-charged call with either a spend or
-/// a reclamation. Purely observational.
-fn record_release(released: u64, used: u64, budget: u64) {
-    if released > 0 && tele::enabled(tele::Level::Trace) {
-        tele::event(tele::Level::Trace, "budget.release")
-            .field("released", released)
-            .field("used", used)
-            .field("budget", budget)
-            .emit();
-        tele::gauge(
-            tele::Level::Trace,
-            "budget.remaining",
-            budget.saturating_sub(used) as f64,
-        )
-        .emit();
-    }
-}
-
-/// A pre-charged reservation of simulator calls, taken from a
-/// [`BudgetedOracle`] via [`BudgetedOracle::lease`] (or any
-/// [`BudgetSource`]).
-///
-/// The lease owns `granted` calls that have already been charged to the
-/// meter — concurrent lease-holders can never jointly overrun the budget.
-/// The holder commits consumption with [`Lease::spend`] /
-/// [`Lease::spend_all`] as evaluations actually complete; whatever was
-/// granted but never spent flows back to the meter, either explicitly via
-/// [`Lease::release_unspent`] or automatically on drop. That drop guarantee
-/// is the crash-safety contract the sharded executor leans on: when a
-/// worker process dies mid-shard, dropping its lease reclaims the unspent
-/// remainder, so the re-dispatched shard can lease the calls again and
-/// `max_calls` is still never exceeded.
-///
-/// # Example
-///
-/// ```
-/// use nofis_prob::{BudgetSource, BudgetedOracle, LimitState};
-///
-/// struct Line;
-/// impl LimitState for Line {
-///     fn dim(&self) -> usize { 1 }
-///     fn value(&self, x: &[f64]) -> f64 { x[0] }
-/// }
-///
-/// let b = BudgetedOracle::new(&Line, 10);
-/// let mut lease = b.lease(6);
-/// assert_eq!(lease.granted(), 6);
-/// assert_eq!(b.remaining(), 4); // pre-charged
-/// lease.spend(2);               // two evaluations completed
-/// assert_eq!(lease.release_unspent(), 4);
-/// assert_eq!(b.used(), 2);      // only the spent calls stay charged
-/// ```
-#[derive(Debug)]
-pub struct Lease<'a> {
-    meter: &'a AtomicU64,
-    budget: u64,
-    granted: u64,
-    spent: u64,
-}
-
-impl Lease<'_> {
-    /// Calls this lease reserved (already charged to the meter).
-    pub fn granted(&self) -> usize {
-        self.granted as usize
-    }
-
-    /// Calls committed so far via [`Lease::spend`] / [`Lease::spend_all`].
-    pub fn spent(&self) -> usize {
-        self.spent as usize
-    }
-
-    /// Granted calls not yet committed (what drop would reclaim).
-    pub fn unspent(&self) -> usize {
-        (self.granted - self.spent) as usize
-    }
-
-    /// Commits up to `n` of the remaining granted calls as consumed and
-    /// returns how many were actually committed (saturates at the grant —
-    /// a lease can never retroactively spend more than it reserved).
-    pub fn spend(&mut self, n: usize) -> usize {
-        let take = (n as u64).min(self.granted - self.spent);
-        self.spent += take;
-        take as usize
-    }
-
-    /// Commits every remaining granted call; returns how many that was.
-    pub fn spend_all(&mut self) -> usize {
-        self.spend(usize::MAX)
-    }
-
-    /// Explicitly returns the unspent remainder to the meter and consumes
-    /// the lease, returning how many calls were reclaimed. Equivalent to
-    /// dropping the lease, but the count makes accounting assertions (and
-    /// reclamation telemetry at the call site) direct.
-    pub fn release_unspent(mut self) -> usize {
-        let released = self.granted - self.spent;
-        self.refund();
-        released as usize
-    }
-
-    /// Returns `granted - spent` to the meter (at most once — callers zero
-    /// the delta). Only ever subtracts what [`BudgetedOracle::lease`] added,
-    /// so the meter cannot underflow.
-    fn refund(&mut self) {
-        let unspent = self.granted - self.spent;
-        if unspent > 0 {
-            self.granted = self.spent;
-            let now_used = self.meter.fetch_sub(unspent, Ordering::Relaxed) - unspent;
-            record_release(unspent, now_used, self.budget);
-        }
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        self.refund();
-    }
-}
-
-/// Object-safe source of budget [`Lease`]s.
-///
-/// The sharded executor holds a `&dyn BudgetSource` so it can meter
-/// cross-process work against any budget implementation without generics;
-/// [`BudgetedOracle`] is the canonical implementor.
-pub trait BudgetSource: Sync {
-    /// Atomically pre-charges up to `want` calls and returns the lease
-    /// (possibly empty when the budget is exhausted).
-    fn lease(&self, want: usize) -> Lease<'_>;
-}
-
 /// A [`LimitState`] wrapper enforcing a hard simulator-call budget.
 ///
 /// The oracle counts every `value`/`value_grad` invocation. Consumers are
@@ -318,49 +186,18 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     /// `BudgetedOracle::value_prepaid`.
     pub fn reserve(&self, want: usize) -> usize {
         budget_fault(&self.used, self.budget);
-        let (granted, used_after) = self.charge(want as u64);
+        let afford = |used: u64| (want as u64).min(self.budget.saturating_sub(used));
+        let charged = self
+            .used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                (afford(used) > 0).then(|| used + afford(used))
+            });
+        let (granted, used_after) = match charged {
+            Ok(before) => (afford(before), before + afford(before)),
+            Err(used) => (0, used),
+        };
         record_grant("reserve", want, granted as usize, used_after, self.budget);
         granted as usize
-    }
-
-    /// Takes a typed [`Lease`] of up to `want` calls, pre-charging them
-    /// atomically like [`BudgetedOracle::reserve`] but returning a handle
-    /// that tracks commitment: spend what completes, and the unspent
-    /// remainder flows back to the meter on release or drop. This is the
-    /// reservation API call sites should prefer — it makes "reserved but
-    /// never evaluated" impossible to leak.
-    pub fn lease(&self, want: usize) -> Lease<'_> {
-        budget_fault(&self.used, self.budget);
-        let (granted, used_after) = self.charge(want as u64);
-        record_grant("lease", want, granted as usize, used_after, self.budget);
-        Lease {
-            meter: &self.used,
-            budget: self.budget,
-            granted,
-            spent: 0,
-        }
-    }
-
-    /// The CAS pre-charge loop shared by [`BudgetedOracle::reserve`] and
-    /// [`BudgetedOracle::lease`]: consumes up to `want` calls from the
-    /// remaining budget and returns `(granted, used_after)`.
-    fn charge(&self, want: u64) -> (u64, u64) {
-        let mut cur = self.used.load(Ordering::Relaxed);
-        loop {
-            let granted = want.min(self.budget.saturating_sub(cur));
-            if granted == 0 {
-                return (0, cur);
-            }
-            match self.used.compare_exchange(
-                cur,
-                cur + granted,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return (granted, cur + granted),
-                Err(actual) => cur = actual,
-            }
-        }
     }
 
     /// Evaluates the wrapped limit state without charging the budget; the
@@ -454,12 +291,6 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     /// Borrows the wrapped limit state without counting.
     pub fn inner(&self) -> &'a T {
         self.inner
-    }
-}
-
-impl<T: LimitState + ?Sized + Sync> BudgetSource for BudgetedOracle<'_, T> {
-    fn lease(&self, want: usize) -> Lease<'_> {
-        BudgetedOracle::lease(self, want)
     }
 }
 
@@ -601,77 +432,6 @@ mod tests {
         assert_eq!(b.remaining(), 4);
         assert_eq!(b.grant(10), 4);
         assert_eq!(b.spent(), 1, "grant plans; spent reads");
-    }
-
-    #[test]
-    fn lease_precharges_and_commits() {
-        let b = BudgetedOracle::new(&Linear, 10);
-        let mut lease = b.lease(6);
-        assert_eq!(lease.granted(), 6);
-        assert_eq!(lease.spent(), 0);
-        assert_eq!(lease.unspent(), 6);
-        // Pre-charged: a concurrent consumer sees only the remainder.
-        assert_eq!(b.remaining(), 4);
-        assert_eq!(lease.spend(4), 4);
-        // Spending past the grant saturates instead of overrunning.
-        assert_eq!(lease.spend(100), 2);
-        assert_eq!(lease.release_unspent(), 0);
-        assert_eq!(b.used(), 6);
-        assert_eq!(b.overruns(), 0);
-    }
-
-    #[test]
-    fn lease_truncates_at_the_budget_wall() {
-        let b = BudgetedOracle::new(&Linear, 5);
-        let mut a = b.lease(3);
-        let c = b.lease(100);
-        assert_eq!(c.granted(), 2, "only the remainder is leasable");
-        let empty = b.lease(1);
-        assert_eq!(empty.granted(), 0);
-        a.spend_all();
-        drop(a);
-        drop(c); // unspent grant of 2 flows back
-        assert_eq!(b.used(), 3);
-        assert_eq!(b.remaining(), 2);
-    }
-
-    #[test]
-    fn dropped_lease_never_leaks_budget() {
-        // The crash-safety contract: a lease abandoned mid-flight (worker
-        // death, panic unwinding past the holder) returns every unspent
-        // call to the meter — repeatedly leasing and dropping must never
-        // shrink the usable budget.
-        let b = BudgetedOracle::new(&Linear, 10);
-        for _ in 0..100 {
-            let lease = b.lease(7);
-            assert_eq!(lease.granted(), 7);
-            drop(lease);
-            assert_eq!(b.used(), 0, "abandoned lease leaked budget");
-        }
-        // Partial spends leak nothing either: only committed calls stay.
-        let mut lease = b.lease(9);
-        lease.spend(4);
-        drop(lease);
-        assert_eq!(b.used(), 4);
-        assert_eq!(b.remaining(), 6);
-        // And the reclaimed remainder is genuinely re-leasable.
-        let mut again = b.lease(6);
-        assert_eq!(again.granted(), 6);
-        assert_eq!(again.spend_all(), 6);
-        drop(again);
-        assert!(b.is_exhausted());
-        assert_eq!(b.overruns(), 0);
-    }
-
-    #[test]
-    fn lease_through_the_trait_object() {
-        let b = BudgetedOracle::new(&Linear, 8);
-        let source: &dyn BudgetSource = &b;
-        let mut lease = source.lease(5);
-        assert_eq!(lease.granted(), 5);
-        lease.spend(5);
-        drop(lease);
-        assert_eq!(b.used(), 5);
     }
 
     #[test]

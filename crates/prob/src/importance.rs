@@ -1,4 +1,4 @@
-use crate::batch::{BatchEval, ORACLE_CHUNK};
+use crate::batch::ORACLE_CHUNK;
 use crate::{LimitState, StandardGaussian};
 use nofis_parallel::chunks::{chunk_count, chunk_range};
 use nofis_parallel::ThreadPool;
@@ -152,7 +152,7 @@ pub fn importance_sampling(
     n: usize,
     rng: &mut dyn RngCore,
 ) -> IsResult {
-    let (result, _) = importance_sampling_detailed_with_exec(
+    let (result, _) = importance_sampling_detailed_with_pool(
         limit_state,
         threshold,
         proposal,
@@ -160,15 +160,13 @@ pub fn importance_sampling(
         n,
         rng,
         nofis_parallel::global(),
-        None,
     );
     result
 }
 
-/// Importance sampling like [`importance_sampling`] on an explicit pool
-/// and an optional external batch executor (the sharded worker-process
-/// pool), additionally returning the log-weights of the failure-region
-/// samples so callers can run
+/// Importance sampling like [`importance_sampling`] on an explicit pool,
+/// additionally returning the log-weights of the failure-region samples so
+/// callers can run
 /// [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
 ///
 /// Samples are drawn serially from `rng` (sampling is cheap next to oracle
@@ -178,19 +176,10 @@ pub fn importance_sampling(
 /// estimate, hit count, ESS, and log-weight list are all bitwise identical
 /// for any thread count.
 ///
-/// When `exec` serves the batch, the oracle values for all `n` samples come
-/// back precomputed in sample order and the per-chunk weight pass consumes
-/// them instead of calling `limit_state` — same samples, same per-sample
-/// arithmetic, same chunk-ordered reduction, so the estimate is bitwise
-/// identical to the in-process path (the [`BatchEval`] contract guarantees
-/// the values themselves match bitwise). When `exec` is `None` or declines
-/// the batch, this *is* the in-process path, unchanged.
-///
 /// # Panics
 ///
 /// Same conditions as [`importance_sampling`].
-#[allow(clippy::too_many_arguments)]
-pub fn importance_sampling_detailed_with_exec(
+pub fn importance_sampling_detailed_with_pool(
     limit_state: &(impl LimitState + ?Sized + Sync),
     threshold: f64,
     proposal: &(impl Proposal + ?Sized + Sync),
@@ -198,7 +187,6 @@ pub fn importance_sampling_detailed_with_exec(
     n: usize,
     rng: &mut dyn RngCore,
     pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
 ) -> (IsResult, Vec<f64>) {
     assert!(n > 0, "importance sampling needs at least one sample");
     assert_eq!(
@@ -207,20 +195,14 @@ pub fn importance_sampling_detailed_with_exec(
         "proposal and limit state dimensions differ"
     );
     let xs: Vec<Vec<f64>> = (0..n).map(|_| proposal.sample(rng)).collect();
-    let pre = exec.and_then(|e| e.try_eval(&xs));
-    // One parallel pass per chunk: oracle call (or precomputed external
-    // value) + log-weight for failures.
+    // One parallel pass per chunk: oracle call + log-weight for failures.
     let partials: Vec<(f64, f64, Vec<f64>)> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
         let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
         let mut sum_w = 0.0;
         let mut sum_w2 = 0.0;
         let mut lws = Vec::new();
-        for (i, x) in xs[start..end].iter().enumerate() {
-            let value = match &pre {
-                Some(vals) => vals[start + i],
-                None => limit_state.value(x),
-            };
-            if value <= threshold {
+        for x in &xs[start..end] {
+            if limit_state.value(x) <= threshold {
                 let lw = p.log_density(x) - proposal.log_density(x);
                 lws.push(lw);
                 let w = lw.exp();
@@ -284,32 +266,23 @@ pub fn monte_carlo(
     n: usize,
     rng: &mut dyn RngCore,
 ) -> McResult {
-    monte_carlo_with_exec(
-        limit_state,
-        threshold,
-        n,
-        rng,
-        nofis_parallel::global(),
-        None,
-    )
+    monte_carlo_with_pool(limit_state, threshold, n, rng, nofis_parallel::global())
 }
 
-/// [`monte_carlo`] on an explicit pool and an optional external batch
-/// executor. Samples are drawn serially from `rng` (identical stream to a
-/// serial run); oracle calls run chunked across the pool (or through
-/// `exec`) and the hit count is reduced in chunk order — the same seam (and the same bitwise-identity argument) as
-/// [`importance_sampling_detailed_with_exec`].
+/// [`monte_carlo`] on an explicit pool. Samples are drawn serially from
+/// `rng` (identical stream to a serial run); oracle calls run chunked
+/// across the pool and the hit count is reduced in chunk order — the same
+/// bitwise-identity argument as [`importance_sampling_detailed_with_pool`].
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
-pub fn monte_carlo_with_exec(
+pub fn monte_carlo_with_pool(
     limit_state: &(impl LimitState + ?Sized + Sync),
     threshold: f64,
     n: usize,
     rng: &mut dyn RngCore,
     pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
 ) -> McResult {
     assert!(n > 0, "Monte Carlo needs at least one sample");
     let dim = limit_state.dim();
@@ -320,16 +293,12 @@ pub fn monte_carlo_with_exec(
                 .collect()
         })
         .collect();
-    let pre = exec.and_then(|e| e.try_eval(&xs));
     let chunk_hits: Vec<u64> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
         let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-        match &pre {
-            Some(vals) => vals[start..end].iter().filter(|v| **v <= threshold).count() as u64,
-            None => xs[start..end]
-                .iter()
-                .filter(|x| limit_state.value(x) <= threshold)
-                .count() as u64,
-        }
+        xs[start..end]
+            .iter()
+            .filter(|x| limit_state.value(x) <= threshold)
+            .count() as u64
     });
     McResult {
         hits: chunk_hits.iter().sum(),

@@ -50,10 +50,8 @@ mod importance;
 mod limit_state;
 mod mixture;
 
-pub use batch::{
-    batch_values_budgeted, batch_values_with, batch_values_with_exec, BatchEval, ORACLE_CHUNK,
-};
-pub use budget::{BudgetSource, BudgetedOracle, Lease};
+pub use batch::{batch_values_budgeted, batch_values_with, ORACLE_CHUNK};
+pub use budget::BudgetedOracle;
 pub use cache::{cache_key, CacheStats, CachedOracle, OracleCache};
 pub use composite::AnyOf;
 pub use defensive::DefensiveMixture;
@@ -61,8 +59,8 @@ pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};
 pub use importance::{
-    importance_sampling, importance_sampling_detailed_with_exec, monte_carlo,
-    monte_carlo_with_exec, FallbackRung, IsResult, McResult, Proposal,
+    importance_sampling, importance_sampling_detailed_with_pool, monte_carlo,
+    monte_carlo_with_pool, FallbackRung, IsResult, McResult, Proposal,
 };
 pub use limit_state::{CountingOracle, LimitState};
 pub use mixture::GaussianMixture;

@@ -10,7 +10,7 @@
 
 use nofis_parallel::ThreadPool;
 use nofis_prob::{
-    batch_values_budgeted, importance_sampling_detailed_with_exec, BudgetedOracle, CountingOracle,
+    batch_values_budgeted, importance_sampling_detailed_with_pool, BudgetedOracle, CountingOracle,
     LimitState, StandardGaussian, ORACLE_CHUNK,
 };
 use rand::rngs::StdRng;
@@ -106,9 +106,8 @@ fn grant_plus_parallel_importance_sampling_is_exact() {
         let n = budgeted.grant(777);
         assert_eq!(n, 777);
         let before = budgeted.used();
-        let (result, _) = importance_sampling_detailed_with_exec(
-            &budgeted, 0.0, &p, &p, n, &mut rng, &pool, None,
-        );
+        let (result, _) =
+            importance_sampling_detailed_with_pool(&budgeted, 0.0, &p, &p, n, &mut rng, &pool);
         assert!(result.estimate.is_finite());
         assert_eq!(budgeted.used() - before, 777, "threads={threads}");
     }

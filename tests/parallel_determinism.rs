@@ -11,7 +11,7 @@ use nofis::autograd::{Graph, Tensor};
 use nofis::linalg::Matrix;
 use nofis::parallel::ThreadPool;
 use nofis::prob::{
-    batch_values_with, importance_sampling_detailed_with_exec, monte_carlo_with_exec, LimitState,
+    batch_values_with, importance_sampling_detailed_with_pool, monte_carlo_with_pool, LimitState,
     Proposal, StandardGaussian,
 };
 use rand::rngs::StdRng;
@@ -150,7 +150,7 @@ fn importance_sampling_is_bitwise_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(424242);
-        importance_sampling_detailed_with_exec(&Ring, 0.0, &p, &p, 2000, &mut rng, &pool, None)
+        importance_sampling_detailed_with_pool(&Ring, 0.0, &p, &p, 2000, &mut rng, &pool)
     };
     let (base_result, base_lws) = run(1);
     assert!(base_result.hits > 0, "test event must be observable");
@@ -176,7 +176,7 @@ fn monte_carlo_is_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(7);
-        monte_carlo_with_exec(&Ring, 0.5, 5000, &mut rng, &pool, None)
+        monte_carlo_with_pool(&Ring, 0.5, 5000, &mut rng, &pool)
     };
     let base = run(1);
     assert!(base.hits > 0);
@@ -213,9 +213,7 @@ fn weighted_reduction_is_bitwise_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(99);
-        importance_sampling_detailed_with_exec(
-            &Ring, 0.0, &Shifted3, &p, 3000, &mut rng, &pool, None,
-        )
+        importance_sampling_detailed_with_pool(&Ring, 0.0, &Shifted3, &p, 3000, &mut rng, &pool)
     };
     let (base_result, base_lws) = run(1);
     assert!(base_result.hits > 0);
