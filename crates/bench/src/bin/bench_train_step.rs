@@ -7,7 +7,6 @@
 //! bench_train_step [--smoke]
 //! bench_train_step --assert-telemetry-overhead [--smoke]
 //! bench_train_step --assert-checkpoint-overhead [--smoke]
-//! bench_train_step --assert-metrics-overhead [--smoke]
 //! bench_train_step --assert-compile-overhead [--smoke]
 //! ```
 //!
@@ -438,99 +437,6 @@ fn assert_checkpoint_overhead(smoke: bool) {
     println!("OK: disabled checkpointing adds <1% to bench_train_step");
 }
 
-/// One aggregation-sink fold, replicated as a standalone site: what
-/// `nofis-metrics` adds *per telemetry event* on top of the event
-/// dispatch every other sink already pays.
-#[inline(never)]
-fn metrics_step_site(agg: &nofis_metrics::Aggregator, ev: &nofis_telemetry::Event) {
-    use nofis_telemetry::Sink;
-    agg.record(ev);
-}
-
-/// Checks that the metrics aggregation sink adds under 1% to the
-/// steady-state training step, with the same
-/// measure-each-factor-where-it-is-measurable methodology as
-/// [`assert_telemetry_overhead`]: the step time from timed step windows,
-/// the per-event fold cost from a tight loop over pre-built events
-/// (event *construction* is the telemetry layer's cost, covered by its
-/// own assertion — this one isolates the marginal cost of aggregating),
-/// then the asserted ratio. `EVENTS_PER_STEP` is generous: a steady-state
-/// optimizer step emits one `train.step` plus amortized budget/cache
-/// records.
-fn assert_metrics_overhead(smoke: bool) {
-    use nofis_telemetry::{Event, Kind, Level, Value};
-    const EVENTS_PER_STEP: f64 = 8.0;
-    let step_ns = steady_step_ns(smoke);
-
-    // Per-event fold cost over the hot names a training step emits: the
-    // step event itself, a budget gauge, and two cache counters.
-    let agg =
-        nofis_metrics::Aggregator::new(std::sync::Arc::new(nofis_metrics::MetricsRegistry::new()));
-    let events = [
-        Event {
-            ts_us: 1,
-            kind: Kind::Event,
-            level: Level::Trace,
-            name: "train.step",
-            fields: vec![
-                ("stage", Value::U64(3)),
-                ("epoch", Value::U64(7)),
-                ("n", Value::U64(64)),
-                ("loss", Value::F64(0.5)),
-            ],
-            duration_us: None,
-        },
-        Event {
-            ts_us: 2,
-            kind: Kind::Gauge,
-            level: Level::Trace,
-            name: "budget.remaining",
-            fields: vec![("value", Value::F64(1234.0))],
-            duration_us: None,
-        },
-        Event {
-            ts_us: 3,
-            kind: Kind::Counter,
-            level: Level::Trace,
-            name: "cache.hit",
-            fields: vec![("value", Value::U64(1))],
-            duration_us: None,
-        },
-        Event {
-            ts_us: 4,
-            kind: Kind::Counter,
-            level: Level::Trace,
-            name: "cache.miss",
-            fields: vec![("value", Value::U64(1))],
-            duration_us: None,
-        },
-    ];
-    let site_iters: u64 = if smoke { 2_000_000 } else { 10_000_000 };
-    let mut best_site = std::time::Duration::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for i in 0..site_iters {
-            let ev = std::hint::black_box(&events[(i % 4) as usize]);
-            metrics_step_site(&agg, ev);
-        }
-        best_site = best_site.min(t.elapsed());
-    }
-    let site_ns = best_site.as_nanos() as f64 / site_iters as f64;
-
-    let overhead = EVENTS_PER_STEP * site_ns / step_ns;
-    println!(
-        "metrics overhead (aggregation sink): {step_ns:.0} ns/step, {site_ns:.2} ns/event \
-         x {EVENTS_PER_STEP} events/step = {:+.4}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < 0.01,
-        "metrics aggregation adds {:.4}% (>1%) to the training step",
-        overhead * 100.0
-    );
-    println!("OK: metrics aggregation adds <1% to bench_train_step");
-}
-
 /// Checks the one-off trace+compile cost amortizes in under 50 steps on
 /// the default config — the recompilation-trigger budget that makes
 /// `compile_tape` safe to leave on by default (stage shapes live for
@@ -701,7 +607,6 @@ fn main() {
     let mut smoke = false;
     let mut overhead_check = false;
     let mut ckpt_overhead_check = false;
-    let mut metrics_overhead_check = false;
     let mut compile_overhead_check = false;
     let mut worker_variant: Option<String> = None;
     let mut worker_config: Option<String> = None;
@@ -711,7 +616,6 @@ fn main() {
             "--smoke" => smoke = true,
             "--assert-telemetry-overhead" => overhead_check = true,
             "--assert-checkpoint-overhead" => ckpt_overhead_check = true,
-            "--assert-metrics-overhead" => metrics_overhead_check = true,
             "--assert-compile-overhead" => compile_overhead_check = true,
             "--worker" => worker_variant = Some(args.next().expect("--worker VARIANT")),
             "--config" => worker_config = Some(args.next().expect("--config NAME")),
@@ -724,10 +628,6 @@ fn main() {
     }
     if ckpt_overhead_check {
         assert_checkpoint_overhead(smoke);
-        return;
-    }
-    if metrics_overhead_check {
-        assert_metrics_overhead(smoke);
         return;
     }
     if compile_overhead_check {

@@ -6,7 +6,6 @@
 //! nofis-trace summary TRACE.jsonl          # per-stage table + estimate summary
 //! nofis-trace summary --by-job TRACE.jsonl # per-job lifecycle table
 //! nofis-trace diff    A.jsonl B.jsonl      # compare two runs stage by stage
-//! nofis-trace metrics TRACE.jsonl          # replay through the metrics layer
 //! ```
 //!
 //! `summary` reconstructs the run from the structured records alone: the
@@ -25,11 +24,8 @@
 //! It exits 1 if any submitted job never reached a terminal state — the
 //! CI chaos job's no-hang assertion.
 //!
-//! `metrics` replays a recorded trace through `nofis-metrics` — the exact
-//! [`Aggregator`](nofis_metrics::Aggregator) a live process feeds — and
-//! prints the resulting registry in Prometheus text format, so a scrape
-//! of a past run can be reconstructed (and cross-checked against a live
-//! `/metrics` endpoint) from its JSONL trace or flight-recorder dump.
+//! Flight-recorder dumps (`NOFIS_FLIGHT_DIR`) use the same line format,
+//! so every subcommand reads them too.
 
 use nofis_telemetry::trace::{parse_trace, TraceEvent};
 use nofis_telemetry::Kind;
@@ -42,14 +38,12 @@ fn main() -> ExitCode {
         (Some("summary"), 2) => summary(&args[1]),
         (Some("summary"), 3) if args[1] == "--by-job" => by_job(&args[2]),
         (Some("diff"), 3) => diff(&args[1], &args[2]),
-        (Some("metrics"), 2) => metrics(&args[1]),
         _ => {
             eprintln!(
                 "usage: nofis-trace check TRACE.jsonl\n\
                  \x20      nofis-trace summary TRACE.jsonl\n\
                  \x20      nofis-trace summary --by-job TRACE.jsonl\n\
-                 \x20      nofis-trace diff A.jsonl B.jsonl\n\
-                 \x20      nofis-trace metrics TRACE.jsonl"
+                 \x20      nofis-trace diff A.jsonl B.jsonl"
             );
             ExitCode::from(2)
         }
@@ -504,25 +498,6 @@ fn by_job(path: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
-}
-
-/// Replays a trace through the same aggregation code path a live process
-/// uses and prints the registry exactly as `/metrics` would serve it.
-fn metrics(path: &str) -> ExitCode {
-    let events = match load(path) {
-        Ok(events) => events,
-        Err(e) => {
-            eprintln!("INVALID: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let agg =
-        nofis_metrics::Aggregator::new(std::sync::Arc::new(nofis_metrics::MetricsRegistry::new()));
-    for ev in &events {
-        agg.observe(ev);
-    }
-    print!("{}", agg.registry().render_prometheus());
     ExitCode::SUCCESS
 }
 

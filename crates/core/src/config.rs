@@ -112,12 +112,12 @@ pub struct NofisConfig {
     /// construct the estimator before anything else touches the pool.
     pub threads: Option<usize>,
     /// Telemetry sink selection, applied (idempotently, process-wide) by
-    /// [`Nofis::new`](crate::Nofis::new). The `NOFIS_LOG` and
-    /// `NOFIS_TRACE_FILE` environment variables override the corresponding
-    /// fields. The default is fully disabled — every telemetry site then
-    /// costs a single relaxed atomic load. Telemetry observes the run but
-    /// never influences it: with sinks on or off, all numeric results are
-    /// bitwise identical (DESIGN.md §10).
+    /// [`Nofis::new`](crate::Nofis::new). The `NOFIS_LOG`,
+    /// `NOFIS_TRACE_FILE` and `NOFIS_FLIGHT_DIR` environment variables
+    /// override the corresponding fields. The default is fully disabled —
+    /// every telemetry site then costs a single relaxed atomic load.
+    /// Telemetry observes the run but never influences it: with sinks on
+    /// or off, all numeric results are bitwise identical (DESIGN.md §10).
     pub telemetry: nofis_telemetry::Settings,
     /// Durable checkpointing (DESIGN.md §11): when set, training writes
     /// atomic, CRC-guarded snapshots into
@@ -130,16 +130,6 @@ pub struct NofisConfig {
     /// enable) this field in [`Nofis::new`](crate::Nofis::new). `None` (the
     /// default) writes nothing and costs one branch per optimizer step.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Metrics aggregation, scrape endpoint, and flight recorder
-    /// (DESIGN.md §15), installed (idempotently, process-wide, like
-    /// [`NofisConfig::telemetry`]) by [`Nofis::new`](crate::Nofis::new).
-    /// The `NOFIS_METRICS`, `NOFIS_METRICS_ADDR`, `NOFIS_FLIGHT_DIR`, and
-    /// `NOFIS_FLIGHT_CAPACITY` environment variables override (and, for
-    /// the address/dir variables, enable) the corresponding fields.
-    /// Metrics observe the run but never influence it — results are
-    /// bitwise identical with metrics on or off — so this field is
-    /// excluded from the checkpoint config fingerprint.
-    pub metrics: nofis_metrics::MetricsSettings,
 }
 
 impl Default for NofisConfig {
@@ -168,7 +158,6 @@ impl Default for NofisConfig {
             threads: None,
             telemetry: nofis_telemetry::Settings::default(),
             checkpoint: None,
-            metrics: nofis_metrics::MetricsSettings::default(),
         }
     }
 }
@@ -280,12 +269,6 @@ impl NofisConfig {
                     ));
                 }
             }
-        }
-        if self.metrics.flight_capacity == 0 {
-            return Err(ConfigError::new("metrics flight_capacity must be positive"));
-        }
-        if self.metrics.addr.as_deref() == Some("") {
-            return Err(ConfigError::new("metrics addr must be non-empty when set"));
         }
         Ok(())
     }

@@ -113,8 +113,11 @@ impl Nofis {
     /// configuration error, never a silent fallback.
     ///
     /// Telemetry sinks from [`NofisConfig::telemetry`] (overridable via
-    /// `NOFIS_LOG` / `NOFIS_TRACE_FILE`) are installed process-wide on the
-    /// first `Nofis::new` call; later calls leave them untouched.
+    /// `NOFIS_LOG` / `NOFIS_TRACE_FILE` / `NOFIS_FLIGHT_DIR`) are installed
+    /// process-wide on the first successful `Nofis::new` call; later calls
+    /// leave them untouched. `NOFIS_FLIGHT_DIR` adds a flight recorder that
+    /// dumps the last events as JSONL on a panic or an injected fault
+    /// (DESIGN.md §10).
     ///
     /// Checkpoint settings from [`NofisConfig::checkpoint`] are combined
     /// with the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP`
@@ -123,30 +126,17 @@ impl Nofis {
     /// installs the deterministic fault-injection plan (`nofis_faults`)
     /// process-wide on the first call.
     ///
-    /// Metrics aggregation from [`NofisConfig::metrics`] (overridable —
-    /// and enableable — via `NOFIS_METRICS` / `NOFIS_METRICS_ADDR` /
-    /// `NOFIS_FLIGHT_DIR`) is likewise installed process-wide on the
-    /// first enabled call: an aggregating sink, optionally a `/metrics` +
-    /// `/healthz` scrape server and a flight recorder (DESIGN.md §15).
-    /// Metrics never influence results.
-    ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration is invalid, the
-    /// `NOFIS_THREADS` / `NOFIS_CKPT_*` / `NOFIS_METRICS*` /
-    /// `NOFIS_FLIGHT_*` environment variables do not parse, a requested
-    /// trace file cannot be created, the metrics scrape address cannot be
-    /// bound, or `NOFIS_FAULT_PLAN` is malformed.
+    /// `NOFIS_THREADS` / `NOFIS_CKPT_*` environment variables do not
+    /// parse, a requested trace file cannot be created, or
+    /// `NOFIS_FAULT_PLAN` is malformed.
     pub fn new(mut config: NofisConfig) -> Result<Self, ConfigError> {
         config.apply_checkpoint_env()?;
-        config
-            .metrics
-            .apply_env()
-            .map_err(|e| ConfigError::new(e.to_string()))?;
         config.validate()?;
         nofis_parallel::env_threads_checked().map_err(|e| ConfigError::new(e.to_string()))?;
         tele::init(&config.telemetry).map_err(|e| ConfigError::new(e.to_string()))?;
-        nofis_metrics::install(&config.metrics).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_faults::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
         if let Some(threads) = config.threads {
             nofis_parallel::set_thread_override(threads);

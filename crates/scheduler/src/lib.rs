@@ -491,10 +491,10 @@ impl RunnerInner {
         // flight recorder is installed. Best-effort by construction.
         match &result {
             Err(JobError::Panicked { .. }) => {
-                let _ = nofis_metrics::flight_dump("job_panicked");
+                let _ = tele::flight_dump("job_panicked");
             }
             Err(JobError::DeadlineExceeded { .. }) => {
-                let _ = nofis_metrics::flight_dump("job_deadline");
+                let _ = tele::flight_dump("job_deadline");
             }
             _ => {}
         }
@@ -525,13 +525,6 @@ impl JobRunner {
         // surfaces per job as a typed config error from `Nofis::new`.
         let _ = tele::init(&tele::Settings::default());
         let _ = nofis_faults::init_from_env();
-        // Same best-effort treatment for metrics: `NOFIS_METRICS_ADDR` /
-        // `NOFIS_FLIGHT_DIR` bring up the scrape endpoint and flight
-        // recorder before the first job runs, so scheduler-level series
-        // (queue depth, workers alive) cover the whole runner lifetime.
-        if let Ok(settings) = nofis_metrics::MetricsSettings::from_env() {
-            let _ = nofis_metrics::install(&settings);
-        }
         let inner = Arc::new(RunnerInner {
             state: Mutex::new(QueueState {
                 queue: Vec::new(),

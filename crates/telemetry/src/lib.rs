@@ -15,11 +15,13 @@
 //!   sample. Fields are typed [`Value`]s keyed by `&'static str`.
 //! * A [`Sink`] receives events. Built-ins: [`StderrSink`] (pretty
 //!   one-line-per-event for humans), [`JsonlSink`] (one JSON object per
-//!   line, machine-readable, consumed by the `nofis-trace` tool), and
-//!   [`MemorySink`] (test assertions).
+//!   line, machine-readable, consumed by the `nofis-trace` tool),
+//!   [`FlightRecorder`] (a ring of the last events, dumped as JSONL for
+//!   post-mortems), and [`MemorySink`] (test assertions).
 //! * Sinks register in a process-global registry ([`add_sink`] /
 //!   [`remove_sink`]). [`init`] wires sinks from a [`Settings`] value plus
-//!   the `NOFIS_LOG` / `NOFIS_TRACE_FILE` environment variables (env wins).
+//!   the `NOFIS_LOG` / `NOFIS_TRACE_FILE` / `NOFIS_FLIGHT_DIR` environment
+//!   variables (env wins).
 //!
 //! # Disabled fast path
 //!
@@ -70,17 +72,19 @@
 mod context;
 mod event;
 mod json;
+mod recorder;
 mod sink;
 pub mod trace;
 
 pub use context::{push_context, ContextGuard};
 pub use event::{counter, event, gauge, span, Event, EventBuilder, Kind, Span, Value};
 pub use json::event_to_json;
+pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Severity / verbosity of an event.
@@ -198,6 +202,9 @@ pub struct Settings {
     pub stderr: Option<Level>,
     /// Write a full-verbosity JSONL trace to this path.
     pub trace_file: Option<PathBuf>,
+    /// Keep a [`FlightRecorder`] ring and dump it into this directory on
+    /// a panic, an injected fault, or a [`flight_dump`] call.
+    pub flight_dir: Option<PathBuf>,
 }
 
 impl Settings {
@@ -205,7 +212,7 @@ impl Settings {
     pub fn stderr(level: Level) -> Settings {
         Settings {
             stderr: Some(level),
-            trace_file: None,
+            ..Settings::default()
         }
     }
 }
@@ -223,7 +230,11 @@ struct SinkEntry {
 /// disabled instrumentation site is one relaxed load of this.
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
 static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
-static INIT_DONE: AtomicBool = AtomicBool::new(false);
+/// Whether [`init`] has installed its sinks; held across the whole of
+/// `init` so a failed attempt leaves it unset.
+static INIT_DONE: Mutex<bool> = Mutex::new(false);
+/// The recorder [`init`] installed, if `flight_dir` was set.
+static FLIGHT: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
 
 fn registry() -> &'static RwLock<Vec<SinkEntry>> {
     static SINKS: OnceLock<RwLock<Vec<SinkEntry>>> = OnceLock::new();
@@ -235,14 +246,6 @@ fn registry() -> &'static RwLock<Vec<SinkEntry>> {
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Microseconds elapsed since the process-wide telemetry epoch — the same
-/// clock [`Event::ts_us`] is stamped from, so consumers (e.g. a liveness
-/// probe comparing "now" against the newest event's timestamp) can measure
-/// staleness without a second time base.
-pub fn now_us() -> u64 {
-    epoch().elapsed().as_micros() as u64
 }
 
 /// Opaque handle returned by [`add_sink`], used to [`remove_sink`] it.
@@ -323,7 +326,8 @@ pub(crate) fn dispatch(ev: &Event) {
 
 /// Resolves the effective settings: `NOFIS_LOG` overrides
 /// `settings.stderr` (value `off` silences it), `NOFIS_TRACE_FILE`
-/// overrides `settings.trace_file` (empty value means unset).
+/// overrides `settings.trace_file` and `NOFIS_FLIGHT_DIR` overrides
+/// `settings.flight_dir` (an empty value leaves either unchanged).
 ///
 /// Exposed so configuration validation can reject a bad `NOFIS_LOG`
 /// before a run starts.
@@ -339,39 +343,74 @@ pub fn resolve_settings(settings: &Settings) -> Result<Settings, TelemetryError>
             resolved.trace_file = Some(PathBuf::from(raw));
         }
     }
+    if let Ok(raw) = std::env::var("NOFIS_FLIGHT_DIR") {
+        if !raw.trim().is_empty() {
+            resolved.flight_dir = Some(PathBuf::from(raw));
+        }
+    }
     Ok(resolved)
 }
 
 /// Installs sinks according to `settings` plus environment overrides.
 ///
-/// Idempotent per process: the first call wins and returns `Ok(true)`;
-/// later calls return `Ok(false)` without touching the registry, so a
-/// library entry point (e.g. `Nofis::new`) can call this unconditionally.
-/// Sinks added directly via [`add_sink`] (tests) are unaffected.
+/// Idempotent per process: the first successful call wins and returns
+/// `Ok(true)`; later calls return `Ok(false)` without touching the
+/// registry, so a library entry point (e.g. `Nofis::new`) can call this
+/// unconditionally. A failed call installs nothing, so the next call
+/// tries again and reports the same error. Sinks added directly via
+/// [`add_sink`] (tests) are unaffected.
+///
+/// A flight directory also installs a panic hook (chained to the previous
+/// one) that dumps the recorder with reason `panic`.
 ///
 /// Errors: invalid `NOFIS_LOG` value, or an unwritable trace file.
 pub fn init(settings: &Settings) -> Result<bool, TelemetryError> {
     let resolved = resolve_settings(settings)?;
-    if INIT_DONE.swap(true, Ordering::SeqCst) {
+    let mut done = INIT_DONE.lock().unwrap_or_else(|e| e.into_inner());
+    if *done {
         return Ok(false);
     }
+    let jsonl = match &resolved.trace_file {
+        Some(path) => Some(
+            JsonlSink::create(path).map_err(|e| TelemetryError::TraceFile {
+                path: path.clone(),
+                message: e.to_string(),
+            })?,
+        ),
+        None => None,
+    };
     if let Some(level) = resolved.stderr {
         if level != Level::Off {
             add_sink(Arc::new(StderrSink::new(level)));
         }
     }
-    if let Some(path) = &resolved.trace_file {
-        let sink = JsonlSink::create(path).map_err(|e| TelemetryError::TraceFile {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
+    if let Some(sink) = jsonl {
         add_sink(Arc::new(sink));
     }
+    if let Some(dir) = &resolved.flight_dir {
+        let recorder = FLIGHT.get_or_init(|| Arc::new(FlightRecorder::new(dir)));
+        add_sink(recorder.clone());
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let _ = flight_dump("panic");
+            prev(info);
+        }));
+    }
+    *done = true;
     Ok(true)
 }
 
+/// Dumps the flight recorder [`init`] installed with the given reason and
+/// returns the dump path. Best-effort: `None` when no recorder is
+/// installed or the write failed — callers on failure paths (panic hook,
+/// job post-mortems) must not fail twice.
+pub fn flight_dump(reason: &str) -> Option<PathBuf> {
+    FLIGHT.get()?.dump(reason).ok()
+}
+
 /// Convenience for binaries: [`init`] with default settings, so only the
-/// environment (`NOFIS_LOG`, `NOFIS_TRACE_FILE`) selects sinks.
+/// environment (`NOFIS_LOG`, `NOFIS_TRACE_FILE`, `NOFIS_FLIGHT_DIR`)
+/// selects sinks.
 pub fn init_from_env() -> Result<bool, TelemetryError> {
     init(&Settings::default())
 }
@@ -433,9 +472,11 @@ mod tests {
         // Env manipulation is racy across tests; scope it under the lock.
         std::env::set_var("NOFIS_LOG", "debug");
         std::env::set_var("NOFIS_TRACE_FILE", "/tmp/t.jsonl");
+        std::env::set_var("NOFIS_FLIGHT_DIR", "/tmp/flight");
         let resolved = resolve_settings(&Settings::stderr(Level::Error)).unwrap();
         assert_eq!(resolved.stderr, Some(Level::Debug));
         assert_eq!(resolved.trace_file, Some(PathBuf::from("/tmp/t.jsonl")));
+        assert_eq!(resolved.flight_dir, Some(PathBuf::from("/tmp/flight")));
         std::env::set_var("NOFIS_LOG", "loud");
         assert!(matches!(
             resolve_settings(&Settings::default()),
@@ -443,9 +484,11 @@ mod tests {
         ));
         std::env::remove_var("NOFIS_LOG");
         std::env::remove_var("NOFIS_TRACE_FILE");
+        std::env::remove_var("NOFIS_FLIGHT_DIR");
         let resolved = resolve_settings(&Settings::stderr(Level::Warn)).unwrap();
         assert_eq!(resolved.stderr, Some(Level::Warn));
         assert_eq!(resolved.trace_file, None);
+        assert_eq!(resolved.flight_dir, None);
     }
 
     #[test]

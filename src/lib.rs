@@ -32,7 +32,6 @@ pub use nofis_faults as faults;
 pub use nofis_flows as flows;
 pub use nofis_jobs as jobs;
 pub use nofis_linalg as linalg;
-pub use nofis_metrics as metrics;
 pub use nofis_nn as nn;
 pub use nofis_parallel as parallel;
 pub use nofis_photonics as photonics;

@@ -1,14 +1,13 @@
-//! Flight-recorder acceptance (DESIGN.md §15): a panicking job must leave
+//! Flight-recorder acceptance (DESIGN.md §10): a panicking job must leave
 //! a post-mortem JSONL dump on disk whose events match the tail of what an
 //! in-memory sink saw, ending at the job's terminal `job.end`.
 //!
-//! `nofis::metrics::install` is one-shot per process (global sink, panic
-//! hook), so this lives in its own integration binary with a single test.
+//! `tele::init` is one-shot per process (global sinks, panic hook), so
+//! this lives in its own integration binary with a single test.
 
 use nofis::core::{Levels, NofisConfig};
 use nofis::faults::{self, FaultPlan};
 use nofis::jobs::{JobError, JobRunner, JobSpec, RetryPolicy, RunnerConfig, ShutdownMode};
-use nofis::metrics::MetricsSettings;
 use nofis::prob::LimitState;
 use nofis::telemetry as tele;
 use nofis::telemetry::trace::parse_trace;
@@ -35,16 +34,14 @@ fn panicking_job_dumps_flight_tail_matching_memory_sink() {
     let dir = std::env::temp_dir().join(format!("nofis-flight-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Full stack: aggregation + flight ring + chained panic hook.
-    let settings = MetricsSettings {
-        enabled: true,
-        addr: None,
+    // Flight ring + chained panic hook.
+    let settings = tele::Settings {
         flight_dir: Some(dir.clone()),
-        flight_capacity: 64,
+        ..Default::default()
     };
     assert!(
-        nofis::metrics::install(&settings).expect("install metrics"),
-        "first install must activate"
+        tele::init(&settings).expect("install telemetry"),
+        "first init must activate"
     );
     // Reference stream: everything the recorder saw, the memory sink saw.
     let memory = Arc::new(tele::MemorySink::new(tele::Level::Trace));
@@ -132,20 +129,12 @@ fn panicking_job_dumps_flight_tail_matching_memory_sink() {
         "flight dump tail diverges from the in-memory sink"
     );
 
-    // The dump announcement is aggregated (but, by ordering, never part
-    // of its own dump) and at least the fault + panic + terminal dumps
-    // fired.
-    let agg = nofis::metrics::global().expect("global aggregator installed");
-    let rendered = agg.registry().render_prometheus();
-    let dumps: f64 = rendered
-        .lines()
-        .find(|l| l.starts_with("nofis_flight_dumps_total "))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0.0);
+    // The terminal dump announces itself on the event stream (but, by
+    // ordering, is never part of its own dump).
     assert!(
-        dumps >= 1.0,
-        "no flight.dump events aggregated:\n{rendered}"
+        mem.iter()
+            .any(|e| e.name == "flight.dump" && e.str_field("reason") == Some("job_panicked")),
+        "no flight.dump event with reason job_panicked"
     );
     assert!(
         !dumped.iter().any(|e| e.name == "flight.dump"

@@ -8,7 +8,7 @@
 
 use nofis_core::{Levels, Nofis, NofisConfig};
 use nofis_prob::{CountingOracle, FallbackRung, LimitState};
-use nofis_telemetry::{self as tele, Event, Level, MemorySink};
+use nofis_telemetry::{self as tele, Event, FlightRecorder, Level, MemorySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
@@ -281,7 +281,13 @@ fn results_are_bitwise_identical_with_telemetry_on_and_off() {
             .expect("run succeeds")
     };
     let (trained_off, result_off) = run();
+    // The "on" run is observed by a Trace-level memory sink and a
+    // flight-recorder ring.
+    let dir = std::env::temp_dir().join(format!("nofis-flight-identity-{}", std::process::id()));
+    let recorder = tele::add_sink(Arc::new(FlightRecorder::new(&dir)));
     let (events, (trained_on, result_on)) = capture(Level::Trace, run);
+    tele::remove_sink(recorder);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(!events.is_empty(), "the sink observed the run");
 
     assert_eq!(
