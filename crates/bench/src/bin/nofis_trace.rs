@@ -15,12 +15,11 @@
 //! `diff` lines up two traces by stage number to compare timings and
 //! resource spend — e.g. before/after a performance change.
 //!
-//! `summary --by-job` reads the `job.submit` / `job.start` / `job.retry` /
-//! `job.end` lifecycle events written by the `nofis-jobs` runner (every
-//! record a job emits carries a `job` field) and prints one row per job:
-//! starts, retries, total backoff, checkpoints written, simulator calls
-//! (from the job's `train.stage` / `estimate` spans), and the terminal
-//! outcome.
+//! `summary --by-job` reads the `job.submit` / `job.start` / `job.end`
+//! lifecycle events written by the `nofis-jobs` runner (every record a job
+//! emits carries a `job` field) and prints one row per job: starts,
+//! checkpoints written, simulator calls (from the job's `train.stage` /
+//! `estimate` spans), and the terminal outcome.
 //! It exits 1 if any submitted job never reached a terminal state — the
 //! CI chaos job's no-hang assertion.
 //!
@@ -372,24 +371,19 @@ fn sweep_table(events: &[TraceEvent]) {
     );
 }
 
-/// One supervised job's lifecycle, reconstructed from `job.*` events.
+/// One job's lifecycle, reconstructed from `job.*` events.
 #[derive(Default)]
 struct JobRow {
     id: u64,
     name: String,
-    priority: u64,
     submitted: bool,
     starts: u64,
-    retries: u64,
-    backoff_ms: u64,
     ckpt_writes: u64,
     /// Simulator calls attributed to this job, summed from its
     /// `train.stage` and `estimate` spans (each reports its budget meter's
     /// `used` delta).
     oracle_calls: u64,
     outcome: Option<String>,
-    attempts: u64,
-    checkpointed: Option<bool>,
 }
 
 fn by_job(path: &str) -> ExitCode {
@@ -422,17 +416,10 @@ fn by_job(path: &str) -> ExitCode {
             "job.submit" => {
                 rows[idx].submitted = true;
                 rows[idx].name = e.str_field("name").unwrap_or("?").to_string();
-                rows[idx].priority = e.u64_field("priority").unwrap_or(0);
             }
             "job.start" => rows[idx].starts += 1,
-            "job.retry" => {
-                rows[idx].retries += 1;
-                rows[idx].backoff_ms += e.u64_field("backoff_ms").unwrap_or(0);
-            }
             "job.end" => {
                 rows[idx].outcome = Some(e.str_field("outcome").unwrap_or("?").to_string());
-                rows[idx].attempts = e.u64_field("attempts").unwrap_or(0);
-                rows[idx].checkpointed = e.bool_field("checkpointed");
                 if rows[idx].name.is_empty() {
                     rows[idx].name = e.str_field("name").unwrap_or("?").to_string();
                 }
@@ -450,26 +437,18 @@ fn by_job(path: &str) -> ExitCode {
     }
     rows.sort_by_key(|r| r.id);
     println!(
-        "{:>5} {:<14} {:>4} {:>6} {:>7} {:>11} {:>5} {:>8} {:>8}  outcome",
-        "job", "name", "prio", "starts", "retries", "backoff(ms)", "ckpt", "oracle", "attempts"
+        "{:>5} {:<14} {:>6} {:>5} {:>8}  outcome",
+        "job", "name", "starts", "ckpt", "oracle"
     );
     for r in &rows {
-        let outcome = match (&r.outcome, r.checkpointed) {
-            (Some(o), Some(true)) => format!("{o} (checkpointed)"),
-            (Some(o), _) => o.clone(),
-            (None, _) => "NON-TERMINAL".to_string(),
-        };
         println!(
-            "{:>5} {:<14} {:>4} {:>6} {:>7} {:>11} {:>5} {:>8} {:>8}  {outcome}",
+            "{:>5} {:<14} {:>6} {:>5} {:>8}  {}",
             r.id,
             r.name,
-            r.priority,
             r.starts,
-            r.retries,
-            r.backoff_ms,
             r.ckpt_writes,
             r.oracle_calls,
-            r.attempts
+            r.outcome.as_deref().unwrap_or("NON-TERMINAL")
         );
     }
     let submitted = rows.iter().filter(|r| r.submitted).count();
@@ -479,17 +458,13 @@ fn by_job(path: &str) -> ExitCode {
             .filter(|r| r.outcome.as_deref() == Some(what))
             .count()
     };
-    let total_retries: u64 = rows.iter().map(|r| r.retries).sum();
     println!(
         "jobs: {submitted} submitted, {terminal} terminal \
-         ({} done, {} failed, {} panicked, {} shed, {} deadline, {} suspended), \
-         {total_retries} retries",
+         ({} done, {} failed, {} panicked, {} shed)",
         count("done"),
         count("failed"),
         count("panicked"),
         count("shed"),
-        count("deadline"),
-        count("suspended"),
     );
     if terminal < submitted {
         eprintln!(

@@ -884,10 +884,8 @@ impl Checkpointer {
     }
 
     /// Writes `ckpt` as the next generation and rotates. Failures warn
-    /// (`ckpt.write_failed`) and are swallowed; the returned flag reports
-    /// whether the write landed (preemption uses it to tell the caller
-    /// whether a resume point exists).
-    pub(crate) fn write(&mut self, ckpt: &Checkpoint) -> bool {
+    /// (`ckpt.write_failed`) and are swallowed.
+    pub(crate) fn write(&mut self, ckpt: &Checkpoint) {
         let generation = self.next_gen;
         match write_atomic(&self.dir, generation, ckpt) {
             Ok(path) => {
@@ -900,7 +898,6 @@ impl Checkpointer {
                     .field("path", path.display().to_string().as_str())
                     .emit();
                 let _ = rotate(&self.dir, self.cfg.keep.max(1));
-                true
             }
             Err(e) => {
                 tele::event(tele::Level::Warn, "ckpt.write_failed")
@@ -908,7 +905,6 @@ impl Checkpointer {
                     .field("global_step", ckpt.global_step)
                     .field("error", e.to_string().as_str())
                     .emit();
-                false
             }
         }
     }

@@ -125,10 +125,11 @@ pub struct NofisConfig {
     /// [`CheckpointConfig::every_steps`] optimizer steps and at every stage
     /// boundary, and [`Nofis::run_or_resume`](crate::Nofis::run_or_resume)
     /// continues a killed run bitwise-identically from the newest valid
-    /// one. The `NOFIS_CKPT_DIR`, `NOFIS_CKPT_EVERY`, and `NOFIS_CKPT_KEEP`
-    /// environment variables override (or, for `NOFIS_CKPT_DIR` alone,
-    /// enable) this field in [`Nofis::new`](crate::Nofis::new). `None` (the
-    /// default) writes nothing and costs one branch per optimizer step.
+    /// one. In [`Nofis::new`](crate::Nofis::new), `NOFIS_CKPT_DIR` enables
+    /// checkpointing when this field is `None` (an explicit directory
+    /// wins), and `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP` override the
+    /// interval and rotation depth. `None` (the default) writes nothing
+    /// and costs one branch per optimizer step.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
@@ -276,8 +277,9 @@ impl NofisConfig {
     /// Applies the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP`
     /// environment overrides to [`NofisConfig::checkpoint`] (called by
     /// [`Nofis::new`](crate::Nofis::new)). `NOFIS_CKPT_DIR` enables
-    /// checkpointing even when the field is `None`; the interval and
-    /// rotation variables refine whichever configuration results.
+    /// checkpointing when the field is `None` and leaves an explicit
+    /// directory alone; the interval and rotation variables refine
+    /// whichever configuration results.
     ///
     /// # Errors
     ///
@@ -299,9 +301,8 @@ impl NofisConfig {
             if dir.is_empty() {
                 return Err(ConfigError::new("NOFIS_CKPT_DIR must be non-empty"));
             }
-            match &mut self.checkpoint {
-                Some(ckpt) => ckpt.dir = dir.into(),
-                None => self.checkpoint = Some(CheckpointConfig::new(dir)),
+            if self.checkpoint.is_none() {
+                self.checkpoint = Some(CheckpointConfig::new(dir));
             }
         }
         if let Some(every) = positive("NOFIS_CKPT_EVERY")? {

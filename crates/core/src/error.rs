@@ -57,46 +57,6 @@ pub enum NofisError {
         /// Why the checkpoint was rejected.
         message: String,
     },
-    /// Training was preempted by a supervisor (deadline hit or graceful
-    /// shutdown) at a minibatch boundary. When `checkpointed` is true the
-    /// run left a durable checkpoint at the preemption point and
-    /// [`Nofis::run_or_resume`](crate::Nofis::run_or_resume) will finish it
-    /// bitwise-identically to an uninterrupted run.
-    Preempted {
-        /// The 1-based stage that was interrupted.
-        stage: usize,
-        /// The global optimizer-step cursor at the preemption point.
-        global_step: u64,
-        /// Whether a checkpoint covering the preemption point was written
-        /// (false when checkpointing is disabled or the write failed).
-        checkpointed: bool,
-        /// Why the run was preempted (`"deadline"` or `"shutdown"`).
-        reason: String,
-    },
-}
-
-impl NofisError {
-    /// Whether retrying the same run, unchanged, could plausibly succeed.
-    ///
-    /// Transient failures are environmental: an oracle NaN burst that blew
-    /// past the rollback retries ([`NofisError::TrainingDiverged`] — a
-    /// worker panic degrades to the same divergence path), or a checkpoint
-    /// that cannot be used right now ([`NofisError::Checkpoint`], e.g. a
-    /// half-written directory another writer is still repairing). Permanent
-    /// failures are deterministic properties of the inputs — bad
-    /// configuration, an exhausted call budget (retrying spends *more*
-    /// budget), a structurally degenerate proposal — and
-    /// [`NofisError::Preempted`], which asks for a *resume*, not a retry.
-    /// The `nofis-jobs` retry policy keys on this.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            NofisError::TrainingDiverged { .. } | NofisError::Checkpoint { .. } => true,
-            NofisError::InvalidInput { .. }
-            | NofisError::BudgetExhausted { .. }
-            | NofisError::DegenerateProposal { .. }
-            | NofisError::Preempted { .. } => false,
-        }
-    }
 }
 
 impl fmt::Display for NofisError {
@@ -129,20 +89,6 @@ impl fmt::Display for NofisError {
             NofisError::Checkpoint { message } => {
                 write!(f, "unusable checkpoint: {message}")
             }
-            NofisError::Preempted {
-                stage,
-                global_step,
-                checkpointed,
-                reason,
-            } => write!(
-                f,
-                "preempted ({reason}) at stage {stage}, step {global_step}{}",
-                if *checkpointed {
-                    "; checkpointed, resumable"
-                } else {
-                    "; no checkpoint"
-                }
-            ),
         }
     }
 }
@@ -179,59 +125,6 @@ mod tests {
             context: "training stage 1".into(),
         };
         assert!(format!("{e}").contains("100/100"));
-
-        let e = NofisError::Preempted {
-            stage: 3,
-            global_step: 412,
-            checkpointed: true,
-            reason: "deadline".into(),
-        };
-        let s = format!("{e}");
-        assert!(s.contains("deadline") && s.contains("stage 3") && s.contains("412"));
-        assert!(s.contains("resumable"));
-    }
-
-    #[test]
-    fn transience_classification_is_exhaustive() {
-        // One instance per variant; the `match` in `is_transient` has no
-        // wildcard arm, so adding a variant without classifying it is a
-        // compile error — this test just locks the chosen polarity.
-        let transient = [
-            NofisError::TrainingDiverged {
-                stage: 1,
-                epoch: 0,
-                retries: 2,
-                message: "loss = NaN".into(),
-            },
-            NofisError::Checkpoint {
-                message: "fingerprint mismatch".into(),
-            },
-        ];
-        let permanent = [
-            NofisError::InvalidInput {
-                message: "dim < 2".into(),
-            },
-            NofisError::BudgetExhausted {
-                used: 10,
-                budget: 10,
-                context: "stage 1".into(),
-            },
-            NofisError::DegenerateProposal {
-                context: "all pilot weights NaN".into(),
-            },
-            NofisError::Preempted {
-                stage: 1,
-                global_step: 7,
-                checkpointed: false,
-                reason: "shutdown".into(),
-            },
-        ];
-        for e in &transient {
-            assert!(e.is_transient(), "{e} should be transient");
-        }
-        for e in &permanent {
-            assert!(!e.is_transient(), "{e} should be permanent");
-        }
     }
 
     #[test]

@@ -51,7 +51,6 @@
 pub mod checkpoint;
 mod config;
 mod error;
-pub mod preempt;
 mod proposal;
 mod report;
 mod train;

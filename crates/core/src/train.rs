@@ -1,5 +1,4 @@
 use crate::checkpoint::{self, Checkpoint, Checkpointer, StagePartial, WarmStart};
-use crate::preempt;
 use crate::{ConfigError, FlowProposal, Levels, NofisConfig, NofisError, StageReport};
 use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tensor, Var};
 use nofis_flows::RealNvp;
@@ -121,10 +120,12 @@ impl Nofis {
     ///
     /// Checkpoint settings from [`NofisConfig::checkpoint`] are combined
     /// with the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP`
-    /// environment variables (the environment wins; `NOFIS_CKPT_DIR` alone
-    /// enables checkpointing). A `NOFIS_FAULT_PLAN` variable, if present,
-    /// installs the deterministic fault-injection plan (`nofis_faults`)
-    /// process-wide on the first call.
+    /// environment variables: `NOFIS_CKPT_DIR` enables checkpointing when
+    /// the config has none (an explicit directory wins), and the interval
+    /// and rotation variables override the config's values. A
+    /// `NOFIS_FAULT_PLAN` variable, if present, installs the deterministic
+    /// fault-injection plan (`nofis_faults`) process-wide on the first
+    /// call.
     ///
     /// # Errors
     ///
@@ -897,7 +898,7 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
                 };
                 st.consumed += n;
                 st.epoch_loss += chunk_loss * n as f64;
-                self.checkpoint_site(run, st)?;
+                self.checkpoint_site(run, st);
             }
             let epoch_loss = st.epoch_loss / st.consumed as f64;
             if !epoch_loss.is_finite() || epoch_loss.abs() > LOSS_DIVERGENCE_LIMIT {
@@ -1051,16 +1052,10 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
 
     /// Mid-stage checkpoint site: the snapshot describes the state *after*
     /// this optimizer step, so resume re-enters the loop at the next
-    /// minibatch. A pending preemption request (deadline, shutdown) forces
-    /// a write here regardless of the interval: the checkpoint is the
-    /// preempted run's resume point, and resuming replays the exact §11
-    /// path, so a preempted-then-resumed run is bitwise identical to an
-    /// uninterrupted one.
-    fn checkpoint_site(&mut self, run: &Run, st: &Stage) -> Result<(), NofisError> {
-        let preempt_reason = preempt::current_requested();
-        let mut checkpointed = false;
+    /// minibatch.
+    fn checkpoint_site(&mut self, run: &Run, st: &Stage) {
         if let Some(cp) = &mut self.checkpointer {
-            if preempt_reason.is_some() || cp.due(run.global_step) {
+            if cp.due(run.global_step) {
                 let ckpt = run.snapshot(
                     self.rng.save_state(),
                     self.oracle.spent(),
@@ -1068,24 +1063,9 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
                     Some(st.partial()),
                     None,
                 );
-                checkpointed = cp.write(&ckpt);
+                cp.write(&ckpt);
             }
         }
-        let Some(reason) = preempt_reason else {
-            return Ok(());
-        };
-        tele::event(tele::Level::Warn, "train.preempted")
-            .field("stage", st.index + 1)
-            .field("global_step", run.global_step)
-            .field("reason", reason.as_str())
-            .field("checkpointed", checkpointed)
-            .emit();
-        Err(NofisError::Preempted {
-            stage: st.index + 1,
-            global_step: run.global_step,
-            checkpointed,
-            reason: reason.as_str().to_string(),
-        })
     }
 
     /// Closes a trained stage: records its report, ends its span, and

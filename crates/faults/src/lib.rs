@@ -68,8 +68,7 @@ pub enum Site {
     /// One job admission decision in the `nofis-jobs` scheduler (visited
     /// once per `JobRunner::submit` call).
     JobSubmit,
-    /// One job execution attempt starting on a scheduler worker (visited
-    /// once per attempt, so retries re-visit the site).
+    /// One job starting on a scheduler worker (visited once per job).
     JobStart,
 }
 
@@ -118,12 +117,9 @@ pub enum FaultKind {
     /// The process exits immediately with [`KILL_EXIT_CODE`] (a simulated
     /// `kill -9` at an exact oracle-call index).
     Kill,
-    /// A scheduler job panics as its attempt starts (a poisoned testcase;
+    /// A scheduler job panics as it starts (a poisoned testcase;
     /// must never take down co-tenant jobs).
     JobPanic,
-    /// A job's wall-clock deadline is treated as already expired when the
-    /// attempt starts, forcing immediate checkpoint-based preemption.
-    DeadlineStorm,
     /// Job admission is forced to see a full queue, exercising the
     /// load-shedding path.
     QueueOverflow,
@@ -131,7 +127,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in declaration order — the grammar's keyword table.
-    pub const ALL: [FaultKind; 10] = [
+    pub const ALL: [FaultKind; 9] = [
         FaultKind::OracleNan,
         FaultKind::OracleInf,
         FaultKind::OraclePanic,
@@ -140,7 +136,6 @@ impl FaultKind {
         FaultKind::CkptWriteFail,
         FaultKind::Kill,
         FaultKind::JobPanic,
-        FaultKind::DeadlineStorm,
         FaultKind::QueueOverflow,
     ];
 
@@ -155,7 +150,7 @@ impl FaultKind {
             FaultKind::WorkerPanic => Site::WorkerChunk,
             FaultKind::CkptWriteFail => Site::CkptWrite,
             FaultKind::QueueOverflow => Site::JobSubmit,
-            FaultKind::JobPanic | FaultKind::DeadlineStorm => Site::JobStart,
+            FaultKind::JobPanic => Site::JobStart,
         }
     }
 
@@ -170,7 +165,6 @@ impl FaultKind {
             FaultKind::CkptWriteFail => "ckpt_fail",
             FaultKind::Kill => "kill",
             FaultKind::JobPanic => "job_panic",
-            FaultKind::DeadlineStorm => "deadline_storm",
             FaultKind::QueueOverflow => "queue_overflow",
         }
     }
@@ -427,7 +421,7 @@ mod tests {
         // The plans CI injects.
         for text in [
             "oracle_nan@5000x40;kill@24000",
-            "job_panic@0;deadline_storm@1;queue_overflow@2",
+            "job_panic@0;queue_overflow@2",
         ] {
             assert_eq!(FaultPlan::parse(text).unwrap().to_string(), text);
         }
@@ -443,6 +437,7 @@ mod tests {
             "oracle_nan@1xtwo", // garbled count
             "kill@-1",          // negative index
             "shard_death@2",    // a removed kind
+            "deadline_storm@1", // a removed kind
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should be rejected");
         }
@@ -451,7 +446,7 @@ mod tests {
             FaultPlan::parse("shard_death@2").unwrap_err().to_string(),
             "invalid fault plan: unknown fault kind \"shard_death\" (expected one of \
              oracle_nan, oracle_inf, oracle_panic, budget_exhaust, worker_panic, ckpt_fail, \
-             kill, job_panic, deadline_storm, queue_overflow)"
+             kill, job_panic, queue_overflow)"
         );
     }
 
@@ -504,7 +499,6 @@ mod tests {
             (FaultKind::WorkerPanic, Site::WorkerChunk),
             (FaultKind::CkptWriteFail, Site::CkptWrite),
             (FaultKind::JobPanic, Site::JobStart),
-            (FaultKind::DeadlineStorm, Site::JobStart),
             (FaultKind::QueueOverflow, Site::JobSubmit),
         ] {
             assert_eq!(kind.site(), site);

@@ -2,9 +2,8 @@
 //!
 //! Scaled-sigma sampling (SSS) fits the model
 //! `ln P(s) = alpha + beta * ln(s) + gamma / s^2` by least squares over a
-//! handful of scale points, and the SIR baseline's diagnostics fit small
-//! polynomials. The design matrices involved are tiny (tens of rows, 2–4
-//! columns), so the normal-equation approach is accurate enough.
+//! handful of scale points. The design matrices involved are tiny (tens of
+//! rows, 2–4 columns), so the normal-equation approach is accurate enough.
 
 use crate::{lu::LuDecomposition, LinalgError, Matrix};
 
@@ -60,45 +59,6 @@ pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError>
     LuDecomposition::new(&ata)?.solve(&atb)
 }
 
-/// Fits a polynomial of degree `degree` to `(x, y)` points, returning
-/// coefficients in ascending-power order (`c0 + c1 x + …`).
-///
-/// # Errors
-///
-/// * [`LinalgError::ShapeMismatch`] if `xs` and `ys` differ in length.
-/// * [`LinalgError::InvalidArgument`] if fewer than `degree + 1` points.
-/// * Propagates solver failures from [`lstsq`].
-pub fn polyfit(xs: &[f64], ys: &[f64], degree: usize) -> Result<Vec<f64>, LinalgError> {
-    if xs.len() != ys.len() {
-        return Err(LinalgError::shape(format!(
-            "polyfit over {} xs but {} ys",
-            xs.len(),
-            ys.len()
-        )));
-    }
-    if xs.len() < degree + 1 {
-        return Err(LinalgError::invalid(format!(
-            "polyfit of degree {degree} needs at least {} points, got {}",
-            degree + 1,
-            xs.len()
-        )));
-    }
-    let mut design = Matrix::zeros(xs.len(), degree + 1);
-    for (i, &x) in xs.iter().enumerate() {
-        let mut p = 1.0;
-        for j in 0..=degree {
-            design[(i, j)] = p;
-            p *= x;
-        }
-    }
-    lstsq(&design, ys, 0.0)
-}
-
-/// Evaluates a polynomial with ascending-power coefficients at `x`.
-pub fn polyval(coeffs: &[f64], x: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,22 +94,5 @@ mod tests {
         let a = Matrix::zeros(3, 2);
         assert!(lstsq(&a, &[0.0, 0.0], 0.0).is_err()); // wrong rhs length
         assert!(lstsq(&a, &[0.0; 3], -1.0).is_err());
-    }
-
-    #[test]
-    fn polyfit_quadratic() {
-        let xs: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 2.0 - x + 0.5 * x * x).collect();
-        let c = polyfit(&xs, &ys, 2).unwrap();
-        assert!((c[0] - 2.0).abs() < 1e-9);
-        assert!((c[1] + 1.0).abs() < 1e-9);
-        assert!((c[2] - 0.5).abs() < 1e-9);
-        assert!((polyval(&c, 10.0) - (2.0 - 10.0 + 50.0)).abs() < 1e-7);
-    }
-
-    #[test]
-    fn polyfit_needs_enough_points() {
-        assert!(polyfit(&[0.0, 1.0], &[0.0, 1.0], 2).is_err());
-        assert!(polyfit(&[0.0, 1.0], &[0.0], 1).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Chunk partitioning arithmetic and chunk-ordered reductions.
+//! Chunk partitioning arithmetic.
 //!
 //! The determinism contract hinges on one rule: **chunk boundaries are a
 //! function of the workload size only** — never of the thread count or the
@@ -22,20 +22,6 @@ pub fn chunk_range(n: usize, chunk_len: usize, idx: usize) -> (usize, usize) {
     let start = (idx * chunk_len).min(n);
     let end = ((idx + 1) * chunk_len).min(n);
     (start, end)
-}
-
-/// Sums `f64` partials **in slice order** with plain sequential addition.
-///
-/// This is the only reduction the workspace uses over parallel partials:
-/// because the partials arrive in chunk-indexed slots, the floating-point
-/// addition order is fixed regardless of which thread produced which
-/// partial, making the sum bitwise reproducible across thread counts.
-pub fn sum_chunk_ordered(partials: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &p in partials {
-        acc += p;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -69,18 +55,5 @@ mod tests {
     fn out_of_range_chunk_is_empty() {
         let (s, e) = chunk_range(10, 4, 99);
         assert_eq!(s, e);
-    }
-
-    #[test]
-    fn chunk_ordered_sum_matches_sequential() {
-        let xs: Vec<f64> = (0..57).map(|i| (i as f64).sin() * 1e-3 + 1.0).collect();
-        let seq: f64 = {
-            let mut acc = 0.0;
-            for &x in &xs {
-                acc += x;
-            }
-            acc
-        };
-        assert_eq!(sum_chunk_ordered(&xs).to_bits(), seq.to_bits());
     }
 }

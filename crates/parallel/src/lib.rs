@@ -10,19 +10,16 @@
 //!   workspace's vendored-offline dependency policy). Work is split into
 //!   *chunks*; idle workers claim whole chunks from a shared atomic cursor,
 //!   never from each other's queues.
-//! * [`chunks`] — chunk partitioning arithmetic and chunk-ordered
-//!   reductions. Chunk boundaries depend only on the workload size, never
-//!   on the thread count, so every reduction is **bitwise identical**
-//!   regardless of how many threads execute it.
+//! * [`chunks`] — chunk partitioning arithmetic. Chunk boundaries depend
+//!   only on the workload size, never on the thread count, so every
+//!   reduction is **bitwise identical** regardless of how many threads
+//!   execute it.
 //! * [`kernels`] — a blocked, row-partitioned parallel `matmul` over
 //!   row-major `f64` buffers with a serial fallback below a size threshold;
 //!   the shared kernel behind both `nofis_linalg::Matrix::matmul` and
 //!   `nofis_autograd::Tensor::matmul` (forward *and* backward).
 //! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
 //!   shared by the interpreted graph and the compiled-tape replay engine.
-//! * [`rng`] — the shared SplitMix64 mixer used for retry-backoff jitter
-//!   and content-addressed cache keys; previously each call site carried
-//!   a private copy.
 //! * [`global`] / [`default_threads`] — a process-wide pool sized from (in
 //!   precedence order) the `NOFIS_THREADS` environment variable, an
 //!   explicit [`set_thread_override`] (wired to `NofisConfig::threads`),
@@ -52,7 +49,6 @@ pub mod chunks;
 pub mod kernels;
 pub mod math;
 mod pool;
-pub mod rng;
 
 pub use pool::{LaneGuard, PoolUsage, ThreadPool};
 

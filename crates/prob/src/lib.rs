@@ -41,19 +41,16 @@
 mod batch;
 mod budget;
 mod cache;
-mod composite;
 mod defensive;
 mod diagnostics;
 mod estimate;
 mod gaussian;
 mod importance;
 mod limit_state;
-mod mixture;
 
 pub use batch::{batch_values_budgeted, batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
 pub use cache::{cache_key, CacheStats, CachedOracle, OracleCache};
-pub use composite::AnyOf;
 pub use defensive::DefensiveMixture;
 pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};
@@ -63,4 +60,3 @@ pub use importance::{
     monte_carlo_with_pool, FallbackRung, IsResult, McResult, Proposal,
 };
 pub use limit_state::{CountingOracle, LimitState};
-pub use mixture::GaussianMixture;

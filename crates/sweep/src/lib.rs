@@ -419,8 +419,8 @@ impl SweepReport {
 /// for a wave to finish before submitting the next, because warm starts
 /// read *finished* donor checkpoints. Within a wave, corners run
 /// concurrently on [`SweepConfig::workers`] runner workers, sharing the
-/// raw-metric cache when [`SweepConfig::cache`] is on. Earlier waves get
-/// strictly higher admission priority.
+/// raw-metric cache when [`SweepConfig::cache`] is on, and start in
+/// submission order.
 ///
 /// A failed corner is recorded in its [`CornerReport::error`] and does
 /// not abort the sweep; corners that would have warm-started from it
@@ -523,8 +523,6 @@ pub fn run_sweep<F: CornerFamily + 'static>(
                 Arc::clone(&oracle) as Arc<dyn LimitState + Send + Sync>,
                 cfg.seed,
             );
-            // Earlier waves admit (and survive shedding) first.
-            spec.priority = 255u8.saturating_sub((k.min(31) as u8) * 8);
             spec.warm_start = warm_start;
             let handle = runner.submit(spec);
             in_flight.push((corner, label, donor_label, warm, epochs, oracle, handle));

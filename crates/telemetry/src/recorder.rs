@@ -1,6 +1,6 @@
 //! Flight recorder: a bounded ring of the most recent telemetry events,
 //! dumped to JSONL when something goes wrong (a panic, an injected fault,
-//! a job blowing its deadline). The dump reuses the [`JsonlSink`] line
+//! a panicked job). The dump reuses the [`JsonlSink`] line
 //! format, so `nofis-trace check`/`summary` read flight dumps unchanged.
 //!
 //! [`JsonlSink`]: crate::JsonlSink

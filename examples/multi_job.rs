@@ -1,29 +1,25 @@
-//! Serve-style multi-job walkthrough: a small fleet of concurrent NOFIS
-//! estimations under supervision — priorities, deadlines, retry policies,
-//! admission control — on one shared worker pool.
+//! Multi-job walkthrough: a small batch of concurrent NOFIS estimations on
+//! one shared worker pool.
 //!
 //! ```text
 //! cargo run --release --example multi_job
 //! ```
 //!
 //! Every submitted job reaches a *terminal typed state* (done, failed,
-//! shed, deadline, suspended, panicked) — the example prints the final
-//! table and exits 0 as long as that invariant holds, even when individual
-//! jobs fail.
+//! shed, panicked) — the example prints the final table and exits 0 as
+//! long as that invariant holds, even when individual jobs fail.
 //!
 //! This is also the CI `job-chaos` driver: with `NOFIS_FAULT_PLAN` set
-//! (e.g. `job_panic@0;deadline_storm@1;queue_overflow@2`) faults are
-//! injected at the scheduler's seams, and with `NOFIS_TRACE_FILE=run.jsonl`
-//! the full per-job lifecycle lands in a JSONL trace for
-//! `nofis-trace summary --by-job`. Set `NOFIS_CKPT_DIR` to give every job
-//! a durable, namespaced checkpoint directory — a deadline-preempted job
-//! can then be resubmitted and resumes bitwise-identically.
+//! (e.g. `job_panic@0;queue_overflow@2`) faults are injected at the
+//! runner's seams, and with `NOFIS_TRACE_FILE=run.jsonl` the full per-job
+//! lifecycle lands in a JSONL trace for `nofis-trace summary --by-job`.
+//! Set `NOFIS_CKPT_DIR` to give every job a durable, namespaced checkpoint
+//! directory.
 
 use nofis_core::{Levels, NofisConfig};
-use nofis_jobs::{JobRunner, JobSpec, RetryPolicy, RunnerConfig, ShutdownMode};
+use nofis_jobs::{JobError, JobRunner, JobSpec, RunnerConfig, ShutdownMode};
 use nofis_testcases::{Leaf, Ring};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn ring_config() -> NofisConfig {
     NofisConfig {
@@ -54,33 +50,19 @@ fn leaf_config() -> NofisConfig {
 
 fn main() {
     // Two concurrent job lanes over the shared pool; a small queue so the
-    // admission-control path is reachable under chaos plans.
+    // shedding path is reachable under chaos plans.
     let runner = JobRunner::new(RunnerConfig {
         workers: 2,
         queue_capacity: 4,
     });
 
-    let mut specs = vec![
-        JobSpec::new("ring-hi", ring_config(), Arc::new(Ring::default()), 11),
-        JobSpec::new("leaf", leaf_config(), Arc::new(Leaf), 22),
-        JobSpec::new("ring-lo", ring_config(), Arc::new(Ring::default()), 33),
-        JobSpec::new(
-            "ring-deadline",
-            ring_config(),
-            Arc::new(Ring::default()),
-            44,
-        ),
-        JobSpec::new("leaf-retry", leaf_config(), Arc::new(Leaf), 55),
+    let specs = vec![
+        JobSpec::new("ring-1", ring_config(), Arc::new(Ring::default()), 11),
+        JobSpec::new("leaf-1", leaf_config(), Arc::new(Leaf), 22),
+        JobSpec::new("ring-2", ring_config(), Arc::new(Ring::default()), 33),
+        JobSpec::new("ring-3", ring_config(), Arc::new(Ring::default()), 44),
+        JobSpec::new("leaf-2", leaf_config(), Arc::new(Leaf), 55),
     ];
-    specs[0].priority = 2; // runs (and survives shedding) first
-    specs[1].priority = 1;
-    specs[3].deadline = Some(Duration::from_secs(120)); // generous in CI
-    specs[4].retry = RetryPolicy {
-        max_retries: 2,
-        base: Duration::from_millis(20),
-        cap: Duration::from_millis(200),
-    };
-
     let submitted = specs.len();
     let handles: Vec<_> = specs.into_iter().map(|s| runner.submit(s)).collect();
 
@@ -89,18 +71,13 @@ fn main() {
     let mut terminal = 0;
     for handle in &handles {
         let detail = match handle.wait() {
-            Ok(result) => {
-                terminal += 1;
-                format!(
-                    "done       estimate={:.3e} hits={}",
-                    result.estimate, result.hits
-                )
-            }
-            Err(err) => {
-                terminal += 1;
-                format!("{:<10} {err}", state_of(&err))
-            }
+            Ok(result) => format!(
+                "done       estimate={:.3e} hits={}",
+                result.estimate, result.hits
+            ),
+            Err(err) => format!("{:<10} {err}", state_of(&err)),
         };
+        terminal += 1;
         println!(
             "{:<6} {:<14} {detail}",
             handle.id().to_string(),
@@ -108,7 +85,6 @@ fn main() {
         );
     }
 
-    // Drain: pending retries (if a chaos plan triggered any) finish too.
     runner.shutdown(ShutdownMode::Drain);
 
     println!("\n{terminal}/{submitted} jobs reached a terminal state");
@@ -119,13 +95,10 @@ fn main() {
     }
 }
 
-fn state_of(err: &nofis_jobs::JobError) -> &'static str {
-    use nofis_jobs::JobError::*;
+fn state_of(err: &JobError) -> &'static str {
     match err {
-        Shed { .. } => "shed",
-        DeadlineExceeded { .. } => "deadline",
-        Suspended { .. } => "suspended",
-        Panicked { .. } => "panicked",
-        Failed { .. } => "failed",
+        JobError::Shed { .. } => "shed",
+        JobError::Panicked { .. } => "panicked",
+        JobError::Failed { .. } => "failed",
     }
 }

@@ -7,7 +7,7 @@
 
 use nofis::core::{Levels, NofisConfig};
 use nofis::faults::{self, FaultPlan};
-use nofis::jobs::{JobError, JobRunner, JobSpec, RetryPolicy, RunnerConfig, ShutdownMode};
+use nofis::jobs::{JobError, JobRunner, JobSpec, RunnerConfig, ShutdownMode};
 use nofis::prob::LimitState;
 use nofis::telemetry as tele;
 use nofis::telemetry::trace::parse_trace;
@@ -63,9 +63,7 @@ fn panicking_job_dumps_flight_tail_matching_memory_sink() {
         tau: 10.0,
         ..Default::default()
     };
-    let mut spec = JobSpec::new("doomed", cfg, Arc::new(HalfSpace), 3);
-    spec.retry = RetryPolicy::none(); // fail fast: the terminal state must be Panicked
-    let handle = runner.submit(spec);
+    let handle = runner.submit(JobSpec::new("doomed", cfg, Arc::new(HalfSpace), 3));
     let err = handle.wait().expect_err("injected panic must surface");
     assert!(
         matches!(err, JobError::Panicked { .. }),
