@@ -13,6 +13,7 @@
 //! 26-dimensional gradient* cost two BPM runs, which is what makes the
 //! differentiable NOFIS loss affordable on the Y-branch test case.
 
+use crate::geometry::StepProfile;
 use crate::YBranch;
 use nofis_linalg::{tridiag::solve_complex_tridiagonal, Complex64, LinalgError};
 
@@ -167,56 +168,55 @@ impl BpmSolver {
         &self.xs
     }
 
-    /// Assembles the CN tridiagonal operators at mid-step `z`:
-    /// `A u_{n+1} = B u_n` with `A = I + i(dz/2)H`, `B = I - i(dz/2)H`.
+    /// Mid-point `z` of propagation step `step`.
+    fn z_mid(&self, step: usize) -> f64 {
+        (step as f64 + 0.5) * self.dz
+    }
+
+    /// The constant off-diagonal `i(dz/2)·off` of the CN matrix
+    /// `A = I + i(dz/2)H`, shared by its lower and upper bands.
+    fn a_band(&self) -> Vec<Complex64> {
+        let off = -self.lap_coeff / (self.dx * self.dx);
+        vec![Complex64::new(0.0, 0.5 * self.dz) * off; self.config.nx]
+    }
+
+    /// Assembles the CN diagonals of one step, `A u_{n+1} = B u_n` with
+    /// `A = I + i(dz/2)H`, `B = I - i(dz/2)H`, from the step's `z`-only
+    /// index profile.
     ///
-    /// Returns `(a_lower, a_diag, a_upper, h_diag)` where the B-product is
-    /// applied directly from `h_diag` and the constant off-diagonals.
+    /// Returns `(a_diag, h_diag)`: A's off-diagonals are [`Self::a_band`]
+    /// and the B-product is applied directly from `h_diag`. When `dn2_dw`
+    /// is given it receives `dn²/dδw` at every grid point.
     fn operators(
         &self,
-        z: f64,
-        params: &[f64],
-        dn2_dw: Option<&mut Vec<f64>>,
-    ) -> (
-        Vec<Complex64>,
-        Vec<Complex64>,
-        Vec<Complex64>,
-        Vec<Complex64>,
-    ) {
-        let nx = self.config.nx;
+        profile: &StepProfile,
+        dn2_dw: Option<&mut [f64]>,
+    ) -> (Vec<Complex64>, Vec<Complex64>) {
         let off = -self.lap_coeff / (self.dx * self.dx);
         let n0sq = self.geometry.n_clad() * self.geometry.n_clad();
+        let h_at = |j: usize, n2: f64| {
+            Complex64::new(
+                -2.0 * off - self.index_coeff * (n2 - n0sq),
+                -self.index_coeff * self.absorber[j],
+            )
+        };
 
-        let mut h_diag = vec![Complex64::ZERO; nx];
-        match dn2_dw {
-            Some(dw_out) => {
-                dw_out.clear();
-                for (j, &x) in self.xs.iter().enumerate() {
-                    let (n2, dw) = self.geometry.index_squared_dw(x, z, params);
-                    dw_out.push(dw);
-                    h_diag[j] = Complex64::new(
-                        -2.0 * off - self.index_coeff * (n2 - n0sq),
-                        -self.index_coeff * self.absorber[j],
-                    );
-                }
-            }
-            None => {
-                for (j, &x) in self.xs.iter().enumerate() {
-                    let n2 = self.geometry.index_squared(x, z, params);
-                    h_diag[j] = Complex64::new(
-                        -2.0 * off - self.index_coeff * (n2 - n0sq),
-                        -self.index_coeff * self.absorber[j],
-                    );
-                }
-            }
-        }
+        let h_diag: Vec<Complex64> = match dn2_dw {
+            Some(dw_out) => (self.xs.iter().zip(dw_out).enumerate())
+                .map(|(j, (&x, dw))| {
+                    let (n2, d) = self.geometry.profile_n2_dw(profile, x);
+                    *dw = d;
+                    h_at(j, n2)
+                })
+                .collect(),
+            None => (self.xs.iter().enumerate())
+                .map(|(j, &x)| h_at(j, self.geometry.profile_n2(profile, x)))
+                .collect(),
+        };
 
         let half = Complex64::new(0.0, 0.5 * self.dz);
-        let a_off = half * off;
-        let a_lower = vec![a_off; nx];
-        let a_upper = vec![a_off; nx];
-        let a_diag: Vec<Complex64> = h_diag.iter().map(|&h| Complex64::ONE + half * h).collect();
-        (a_lower, a_diag, a_upper, h_diag)
+        let a_diag = h_diag.iter().map(|&h| Complex64::ONE + half * h).collect();
+        (a_diag, h_diag)
     }
 
     fn apply_b(&self, h_diag: &[Complex64], u: &[Complex64]) -> Vec<Complex64> {
@@ -249,12 +249,16 @@ impl BpmSolver {
     ///
     /// Panics if `params.len() != geometry.n_modes()`.
     pub fn run(&self, params: &[f64]) -> Result<BpmRun, LinalgError> {
+        let band = self.a_band();
+        let mut row = vec![0.0; self.geometry.n_modes()];
         let mut u = self.launch.clone();
         for step in 0..self.config.nz {
-            let z_mid = (step as f64 + 0.5) * self.dz;
-            let (al, ad, au, h) = self.operators(z_mid, params, None);
+            let profile = self
+                .geometry
+                .step_profile(self.z_mid(step), params, &mut row);
+            let (ad, h) = self.operators(&profile, None);
             let rhs = self.apply_b(&h, &u);
-            u = solve_complex_tridiagonal(&al, &ad, &au, &rhs)?;
+            u = solve_complex_tridiagonal(&band, &ad, &band, &rhs)?;
         }
         let transmission: f64 = u
             .iter()
@@ -279,22 +283,26 @@ impl BpmSolver {
     ///
     /// Panics if `params.len() != geometry.n_modes()`.
     pub fn run_with_gradient(&self, params: &[f64]) -> Result<(f64, Vec<f64>), LinalgError> {
-        let nz = self.config.nz;
+        let (nx, nz) = (self.config.nx, self.config.nz);
         let n_modes = self.geometry.n_modes();
 
-        // Forward pass, storing the field history and per-step dn²/dw.
+        // Forward pass, storing the field history, per-step dn²/dw and
+        // per-step mode rows (nz × nx and nz × n_modes, row-major).
+        let band = self.a_band();
         let mut fields: Vec<Vec<Complex64>> = Vec::with_capacity(nz + 1);
-        let mut dn2_dw_steps: Vec<Vec<f64>> = Vec::with_capacity(nz);
+        let mut dn2_dw = vec![0.0; nz * nx];
+        let mut rows = vec![0.0; nz * n_modes];
         let mut h_diags: Vec<Vec<Complex64>> = Vec::with_capacity(nz);
         fields.push(self.launch.clone());
-        let mut dw_buf = Vec::new();
-        for step in 0..nz {
-            let z_mid = (step as f64 + 0.5) * self.dz;
-            let (al, ad, au, h) = self.operators(z_mid, params, Some(&mut dw_buf));
+        for (step, (dw, row)) in (dn2_dw.chunks_exact_mut(nx))
+            .zip(rows.chunks_exact_mut(n_modes))
+            .enumerate()
+        {
+            let profile = self.geometry.step_profile(self.z_mid(step), params, row);
+            let (ad, h) = self.operators(&profile, Some(dw));
             let rhs = self.apply_b(&h, fields.last().expect("non-empty"));
-            let next = solve_complex_tridiagonal(&al, &ad, &au, &rhs)?;
+            let next = solve_complex_tridiagonal(&band, &ad, &band, &rhs)?;
             fields.push(next);
-            dn2_dw_steps.push(dw_buf.clone());
             h_diags.push(h);
         }
         let u_out = fields.last().expect("non-empty");
@@ -316,32 +324,30 @@ impl BpmSolver {
 
         let off = -self.lap_coeff / (self.dx * self.dx);
         let half = Complex64::new(0.0, 0.5 * self.dz);
-        let a_off_conj = (half * off).conj();
+        // Solve A^H μ = λ: A^H is tridiagonal with conjugated entries.
+        let band_conj: Vec<Complex64> = band.iter().map(|b| b.conj()).collect();
 
         for step in (0..nz).rev() {
-            let z_mid = (step as f64 + 0.5) * self.dz;
-            // Solve A^H μ = λ: A^H is tridiagonal with conjugated entries.
-            let nx = self.config.nx;
-            let al = vec![a_off_conj; nx];
-            let au = vec![a_off_conj; nx];
             let ad: Vec<Complex64> = h_diags[step]
                 .iter()
                 .map(|&h| (Complex64::ONE + half * h).conj())
                 .collect();
-            let mu = solve_complex_tridiagonal(&al, &ad, &au, &lambda)?;
+            let mu = solve_complex_tridiagonal(&band_conj, &ad, &band_conj, &lambda)?;
 
             // Parameter accumulation: δB u_k − δA u_{k+1}
             //   = -i(dz/2) δH (u_k + u_{k+1}),  δH_j = -index_coeff · dn²_j.
             // Inner product over x is common to all modes.
+            let dw = &dn2_dw[step * nx..(step + 1) * nx];
             let mut s = Complex64::ZERO;
             for j in 0..nx {
                 let du = fields[step][j] + fields[step + 1][j];
-                s += mu[j].conj() * du * dn2_dw_steps[step][j];
+                s += mu[j].conj() * du * dw[j];
             }
             let common = Complex64::new(0.0, -0.5 * self.dz) * (-self.index_coeff);
             let contrib = common * s;
-            for (m, g) in grad.iter_mut().enumerate() {
-                *g += 2.0 * (contrib.re) * self.geometry.mode_basis(m, z_mid);
+            let row = &rows[step * n_modes..(step + 1) * n_modes];
+            for (g, &sin) in grad.iter_mut().zip(row) {
+                *g += 2.0 * (contrib.re) * self.geometry.basis_from_sin(sin);
             }
 
             // λ_k = B^H μ.

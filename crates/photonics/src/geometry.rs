@@ -10,9 +10,18 @@ fn smooth_step(t: f64) -> f64 {
     }
 }
 
-fn smooth_step_deriv(t: f64) -> f64 {
-    let s = smooth_step(t);
-    s * (1.0 - s)
+/// The part of the index profile that depends only on `z`, evaluated
+/// once per propagation step by [`YBranch::step_profile`] and applied at
+/// every lateral grid point by [`YBranch::profile_n2`] and
+/// [`YBranch::profile_n2_dw`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepProfile {
+    /// Core half-width `max(w₀ + δw(z), 0.05)`.
+    half_w: f64,
+    /// `1` when the clamp is inactive (the edges follow `δw`), else `0`.
+    dw_active: f64,
+    /// Arm center offset `c(z)`, or `None` where the arms coincide.
+    arm: Option<f64>,
 }
 
 /// A symmetric Y-branch: one input waveguide splitting into two linearly
@@ -116,52 +125,100 @@ impl YBranch {
         self.n_modes
     }
 
-    /// Arm center positions `±c(z)`.
-    fn centers(&self, z: f64) -> (f64, f64) {
-        if z <= self.split_start {
-            (0.0, 0.0)
+    /// `sin(π (j+1) z / L)`: deformation mode `j` (0-based) at `z`
+    /// before scaling by the amplitude `σ`.
+    fn mode_sin(&self, j: usize, z: f64) -> f64 {
+        (std::f64::consts::PI * (j + 1) as f64 * z / self.length).sin()
+    }
+
+    /// Evaluates the `z`-only part of the profile under deformation
+    /// `params`: the width perturbation `δw(z) = σ · Σ_j x_j sin(π j z / L)`
+    /// with its clamp, and the arm centers `±c(z)`. Fills `row` with the
+    /// unscaled mode values `sin(π (j+1) z / L)`, so the adjoint can reuse
+    /// them (the per-mode basis is `σ · row[j]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != self.n_modes()`.
+    pub(crate) fn step_profile(&self, z: f64, params: &[f64], row: &mut [f64]) -> StepProfile {
+        assert_eq!(params.len(), self.n_modes, "deformation dimension mismatch");
+        debug_assert_eq!(row.len(), self.n_modes);
+        let mut acc = 0.0;
+        for (j, (s, &c)) in row.iter_mut().zip(params).enumerate() {
+            *s = self.mode_sin(j, z);
+            acc += c * *s;
+        }
+        let raw = self.half_width + self.deform_sigma * acc;
+        let arm = if z <= self.split_start {
+            None
         } else {
             let t = (z - self.split_start) / (self.length - self.split_start);
-            let c = self.arm_sep * t;
-            (-c, c)
+            Some(self.arm_sep * t)
+        };
+        StepProfile {
+            half_w: raw.max(0.05),
+            dw_active: if raw > 0.05 { 1.0 } else { 0.0 },
+            arm,
         }
     }
 
-    /// Width perturbation `δw(z) = σ · Σ_j x_j sin(π j z / L)`.
-    fn deformation(&self, z: f64, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), self.n_modes);
-        let mut acc = 0.0;
-        for (j, &c) in x.iter().enumerate() {
-            acc += c * (std::f64::consts::PI * (j + 1) as f64 * z / self.length).sin();
-        }
-        self.deform_sigma * acc
+    /// Soft left and right edge indicators of one guide centered at `c`.
+    fn edges(&self, xpos: f64, c: f64, half_w: f64) -> (f64, f64) {
+        let tl = (xpos - (c - half_w)) / self.edge_softness;
+        let tr = ((c + half_w) - xpos) / self.edge_softness;
+        (smooth_step(tl), smooth_step(tr))
     }
 
-    /// Smooth "in-core" indicator (union of the two arms) and its
-    /// derivative with respect to the half-width.
-    fn indicator(&self, xpos: f64, z: f64, half_w: f64) -> (f64, f64) {
-        let (c1, c2) = self.centers(z);
-        let mut inds = [0.0; 2];
-        let mut dinds = [0.0; 2];
-        for (k, &c) in [c1, c2].iter().enumerate() {
-            let tl = (xpos - (c - half_w)) / self.edge_softness;
-            let tr = ((c + half_w) - xpos) / self.edge_softness;
-            let sl = smooth_step(tl);
-            let sr = smooth_step(tr);
-            inds[k] = sl * sr;
-            // d/d(half_w): left edge moves out (+), right edge moves out (+).
-            dinds[k] =
-                (smooth_step_deriv(tl) * sr + sl * smooth_step_deriv(tr)) / self.edge_softness;
-        }
-        if self.centers(z).0 == self.centers(z).1 {
-            // Arms coincide (input section): a single guide.
-            (inds[0], dinds[0])
-        } else {
-            // Smooth union so the junction region stays bounded by 1.
-            let u = inds[0] + inds[1] - inds[0] * inds[1];
-            let du = dinds[0] * (1.0 - inds[1]) + dinds[1] * (1.0 - inds[0]);
-            (u, du)
-        }
+    /// One guide's indicator and its derivative with respect to the
+    /// half-width (both edges move out as it grows).
+    fn guide_dw(&self, xpos: f64, c: f64, half_w: f64) -> (f64, f64) {
+        let (sl, sr) = self.edges(xpos, c, half_w);
+        let (dl, dr) = (sl * (1.0 - sl), sr * (1.0 - sr));
+        (sl * sr, (dl * sr + sl * dr) / self.edge_softness)
+    }
+
+    /// `n²` for an in-core indicator `ind`.
+    fn n2_of(&self, ind: f64) -> f64 {
+        let (nc2, ncl2) = (self.n_core * self.n_core, self.n_clad * self.n_clad);
+        ncl2 + (nc2 - ncl2) * ind
+    }
+
+    /// Squared index at lateral position `xpos` of the step `p`. Past the
+    /// split the two arms are joined by a smooth union, so the junction
+    /// region stays bounded by the core index.
+    pub(crate) fn profile_n2(&self, p: &StepProfile, xpos: f64) -> f64 {
+        let ind = match p.arm {
+            None => {
+                let (sl, sr) = self.edges(xpos, 0.0, p.half_w);
+                sl * sr
+            }
+            Some(c) => {
+                let (l0, r0) = self.edges(xpos, -c, p.half_w);
+                let (l1, r1) = self.edges(xpos, c, p.half_w);
+                let (i0, i1) = (l0 * r0, l1 * r1);
+                i0 + i1 - i0 * i1
+            }
+        };
+        self.n2_of(ind)
+    }
+
+    /// [`YBranch::profile_n2`] together with `dn²/dδw`.
+    pub(crate) fn profile_n2_dw(&self, p: &StepProfile, xpos: f64) -> (f64, f64) {
+        let (ind, dind) = match p.arm {
+            None => self.guide_dw(xpos, 0.0, p.half_w),
+            Some(c) => {
+                let (i0, d0) = self.guide_dw(xpos, -c, p.half_w);
+                let (i1, d1) = self.guide_dw(xpos, c, p.half_w);
+                (i0 + i1 - i0 * i1, d0 * (1.0 - i1) + d1 * (1.0 - i0))
+            }
+        };
+        let (nc2, ncl2) = (self.n_core * self.n_core, self.n_clad * self.n_clad);
+        (self.n2_of(ind), (nc2 - ncl2) * dind * p.dw_active)
+    }
+
+    /// The step profile at `z` without keeping the mode row.
+    fn profile_at(&self, z: f64, params: &[f64]) -> StepProfile {
+        self.step_profile(z, params, &mut vec![0.0; self.n_modes])
     }
 
     /// Squared refractive index at `(x, z)` under deformation `params`.
@@ -170,11 +227,7 @@ impl YBranch {
     ///
     /// Panics if `params.len() != self.n_modes()`.
     pub fn index_squared(&self, xpos: f64, z: f64, params: &[f64]) -> f64 {
-        assert_eq!(params.len(), self.n_modes, "deformation dimension mismatch");
-        let half_w = (self.half_width + self.deformation(z, params)).max(0.05);
-        let (ind, _) = self.indicator(xpos, z, half_w);
-        let (nc2, ncl2) = (self.n_core * self.n_core, self.n_clad * self.n_clad);
-        ncl2 + (nc2 - ncl2) * ind
+        self.profile_n2(&self.profile_at(z, params), xpos)
     }
 
     /// Squared index together with its derivative with respect to the
@@ -185,19 +238,19 @@ impl YBranch {
     ///
     /// Panics if `params.len() != self.n_modes()`.
     pub fn index_squared_dw(&self, xpos: f64, z: f64, params: &[f64]) -> (f64, f64) {
-        assert_eq!(params.len(), self.n_modes, "deformation dimension mismatch");
-        let raw = self.half_width + self.deformation(z, params);
-        let half_w = raw.max(0.05);
-        let (ind, dind) = self.indicator(xpos, z, half_w);
-        let (nc2, ncl2) = (self.n_core * self.n_core, self.n_clad * self.n_clad);
-        let dw_active = if raw > 0.05 { 1.0 } else { 0.0 };
-        (ncl2 + (nc2 - ncl2) * ind, (nc2 - ncl2) * dind * dw_active)
+        self.profile_n2_dw(&self.profile_at(z, params), xpos)
     }
 
     /// The per-mode deformation basis value `σ sin(π j z / L)` for mode
     /// index `j` (0-based).
     pub fn mode_basis(&self, j: usize, z: f64) -> f64 {
-        self.deform_sigma * (std::f64::consts::PI * (j + 1) as f64 * z / self.length).sin()
+        self.deform_sigma * self.mode_sin(j, z)
+    }
+
+    /// Scales an unscaled mode value from [`YBranch::step_profile`]'s row
+    /// to the per-mode basis `σ sin(π j z / L)`.
+    pub(crate) fn basis_from_sin(&self, sin: f64) -> f64 {
+        self.deform_sigma * sin
     }
 }
 

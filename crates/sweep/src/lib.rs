@@ -209,38 +209,39 @@ pub fn plan_waves<F: CornerFamily + ?Sized>(family: &F) -> Vec<Vec<usize>> {
     if n == 0 {
         return Vec::new();
     }
+    // Row-major n × n: `dist[a * n + b] = family.distance(a, b)`, every
+    // ordered pair, so an asymmetric distance plans as it is queried.
+    let dist: Vec<f64> = (0..n)
+        .flat_map(|a| (0..n).map(move |b| family.distance(a, b)))
+        .collect();
+    let sums: Vec<f64> = dist.chunks_exact(n).map(|row| row.iter().sum()).collect();
     let seed = (0..n)
         .min_by(|&a, &b| {
-            let sa: f64 = (0..n).map(|c| family.distance(a, c)).sum();
-            let sb: f64 = (0..n).map(|c| family.distance(b, c)).sum();
-            sa.partial_cmp(&sb)
+            sums[a]
+                .partial_cmp(&sums[b])
                 .expect("corner distances must not be NaN")
                 .then(a.cmp(&b))
         })
         .expect("n > 0");
     let mut assigned = vec![false; n];
-    assigned[seed] = true;
-    let mut waves = vec![vec![seed]];
-    while assigned.iter().any(|&a| !a) {
-        // Distance of each unassigned corner to the assigned frontier.
-        let dist_to_frontier = |c: usize| -> f64 {
-            (0..n)
-                .filter(|&a| assigned[a])
-                .map(|a| family.distance(c, a))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let dmin = (0..n)
-            .filter(|&c| !assigned[c])
-            .map(dist_to_frontier)
-            .fold(f64::INFINITY, f64::min);
-        let wave: Vec<usize> = (0..n)
-            .filter(|&c| !assigned[c] && dist_to_frontier(c) <= dmin)
-            .collect();
-        debug_assert!(!wave.is_empty(), "frontier expansion must progress");
-        for &c in &wave {
-            assigned[c] = true;
+    // Distance of each corner to the assigned frontier, lowered as each
+    // corner is assigned.
+    let mut frontier = vec![f64::INFINITY; n];
+    let mut waves = Vec::new();
+    let mut wave = vec![seed];
+    while !wave.is_empty() {
+        for &a in &wave {
+            assigned[a] = true;
+            for (c, f) in frontier.iter_mut().enumerate() {
+                *f = f.min(dist[c * n + a]);
+            }
         }
         waves.push(wave);
+        let unassigned = || (0..n).filter(|&c| !assigned[c]);
+        let dmin = unassigned()
+            .map(|c| frontier[c])
+            .fold(f64::INFINITY, f64::min);
+        wave = unassigned().filter(|&c| frontier[c] <= dmin).collect();
     }
     waves
 }
@@ -665,6 +666,67 @@ mod tests {
         fn threshold(&self, corner: usize) -> f64 {
             corner as f64 * 0.1
         }
+    }
+
+    /// The straightforward planner that `plan_waves` replaced: it
+    /// recomputes distances on every comparison. The test below holds
+    /// `plan_waves` to its waves.
+    fn plan_waves_reference<F: CornerFamily + ?Sized>(family: &F) -> Vec<Vec<usize>> {
+        let n = family.corners();
+        if n == 0 {
+            return Vec::new();
+        }
+        let seed = (0..n)
+            .min_by(|&a, &b| {
+                let sa: f64 = (0..n).map(|c| family.distance(a, c)).sum();
+                let sb: f64 = (0..n).map(|c| family.distance(b, c)).sum();
+                sa.partial_cmp(&sb)
+                    .expect("corner distances must not be NaN")
+                    .then(a.cmp(&b))
+            })
+            .expect("n > 0");
+        let mut assigned = vec![false; n];
+        assigned[seed] = true;
+        let mut waves = vec![vec![seed]];
+        while assigned.iter().any(|&a| !a) {
+            let dist_to_frontier = |c: usize| -> f64 {
+                (0..n)
+                    .filter(|&a| assigned[a])
+                    .map(|a| family.distance(c, a))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let dmin = (0..n)
+                .filter(|&c| !assigned[c])
+                .map(dist_to_frontier)
+                .fold(f64::INFINITY, f64::min);
+            let wave: Vec<usize> = (0..n)
+                .filter(|&c| !assigned[c] && dist_to_frontier(c) <= dmin)
+                .collect();
+            for &c in &wave {
+                assigned[c] = true;
+            }
+            waves.push(wave);
+        }
+        waves
+    }
+
+    #[test]
+    fn plan_waves_matches_the_reference_planner() {
+        for nv in 1..=7 {
+            for nt in 1..=7 {
+                let grid = PvtGrid::opamp(nv, nt);
+                assert_eq!(
+                    plan_waves(&grid),
+                    plan_waves_reference(&grid),
+                    "{nv}x{nt} grid"
+                );
+            }
+        }
+        for n in 1..=9 {
+            let line = Line { n };
+            assert_eq!(plan_waves(&line), plan_waves_reference(&line), "line {n}");
+        }
+        assert!(plan_waves(&Line { n: 0 }).is_empty());
     }
 
     #[test]

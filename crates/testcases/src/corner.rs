@@ -246,6 +246,15 @@ impl CornerFamily for PvtGrid {
         format!("v{iv}t{it}")
     }
 
+    /// The default Euclidean distance over [`PvtGrid::corner_params`],
+    /// bit for bit, without allocating the two parameter vectors.
+    fn distance(&self, a: usize, b: usize) -> f64 {
+        let ((va, ta), (vb, tb)) = (self.split(a), self.split(b));
+        let dv = Self::axis(va, self.nv) - Self::axis(vb, self.nv);
+        let dt = Self::axis(ta, self.nt) - Self::axis(tb, self.nt);
+        (dv * dv + dt * dt).sqrt()
+    }
+
     fn raw(&self, x: &[f64]) -> f64 {
         self.bench
             .gain_db(x)
@@ -314,6 +323,32 @@ mod tests {
         assert!(grid.distance(4, 5) < grid.distance(4, 8));
         assert!((grid.distance(4, 5) - 1.0).abs() < 1e-12);
         assert!((grid.distance(4, 8) - 2f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn distance_equals_the_euclidean_default_bitwise() {
+        for nv in 1..=7 {
+            for nt in 1..=7 {
+                let grid = PvtGrid::opamp(nv, nt);
+                for a in 0..grid.corners() {
+                    let pa = grid.corner_params(a);
+                    for b in 0..grid.corners() {
+                        let pb = grid.corner_params(b);
+                        let euclid = pa
+                            .iter()
+                            .zip(&pb)
+                            .map(|(x, y)| (x - y) * (x - y))
+                            .sum::<f64>()
+                            .sqrt();
+                        assert_eq!(
+                            grid.distance(a, b).to_bits(),
+                            euclid.to_bits(),
+                            "{nv}x{nt} grid, corners {a} and {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

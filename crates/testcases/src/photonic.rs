@@ -106,6 +106,66 @@ mod tests {
         assert!(grad.iter().any(|g| g.abs() > 0.0));
     }
 
+    /// `(value bits, value_grad gradient bits)` at [`pinned_point`] `k`.
+    /// Captured before the BPM evaluated its `z`-only geometry once per
+    /// step; any change to the oracle's arithmetic shows up here.
+    #[rustfmt::skip]
+    const PINNED: [(u64, [u64; 26]); 3] = [
+        (0x4048509aa1438b90, [
+            0x4006e807bd060c6d, 0xc01031a00f8b9931, 0xbfecf01f76bf3463, 0xc01dc9107f447743,
+            0xc00a2b7a768abd53, 0xc010b6aa9ce3545f, 0xbffa3a69f6598d65, 0x4006478229ff2057,
+            0xc009acce2ae81c9d, 0xc01c29a8f53fa10c, 0x4012df633877fccf, 0xbfe088e377dd4d1b,
+            0xbfe4608f93398d9f, 0x3fabe0f00e72e6c8, 0x3fe5899f2af9c9b3, 0xbfd6eef2422a2332,
+            0x3ff691162925fb62, 0x3fe424183128c10b, 0x3fed766a29ac7d22, 0x3fef7e45a323b04e,
+            0xbfcd37021ae040a7, 0xbfc91531406c9bb1, 0x3fd2449f030b41cf, 0xbfe11cd10cbd61a2,
+            0x3ff785f28ae6254f, 0xbfc189129e8ff30f,
+        ]),
+        (0x40425a6ded38006a, [
+            0x401d1069c5142c53, 0xbfab1f8e6de37366, 0x400d6e43fd36e28b, 0xc0135083bee16680,
+            0xbfde087ec7ba282c, 0xc003402d7cb8581f, 0xbfebf548a944f20d, 0x4005f02c22c4789d,
+            0xc00d0dd4bc42e942, 0xc024fb7e92ad5921, 0x3ff3477a59583b15, 0xc01178b4080a35a1,
+            0xc005ee750efe3e40, 0xbfef3bc69b92e7ff, 0xbfc5e38059636834, 0x3ff54766c48983b9,
+            0x4000db742d144632, 0x3ff114eaf2dd6ab8, 0x3ff8d4a52807ccd8, 0x3fec9f04df59b0c0,
+            0xbff90f6315c21a2f, 0xc000128fa556f37b, 0xc00a34fa0392dbde, 0xc00b5a184fdc872d,
+            0x3fdba64c94f9be09, 0xbff03d1f51e19b09,
+        ]),
+        (0x403cd20f8846f8b8, [
+            0x401309dec60d396e, 0xc00ca3ef9afc8f91, 0x40235b45985787b3, 0xc00db46e0e077036,
+            0x4019c111dea5337a, 0xbfd867712f657076, 0x3fd463f8493ffa40, 0x4001dcd57b1b0a1f,
+            0xc003aa321c02f61e, 0x3fe43afac8e1adde, 0xbff0eab5bbedacc8, 0xc006fc85f2604db4,
+            0x3ff458a08b8d493c, 0xc00caf179c2f83f7, 0x3ff47a090d4e2f17, 0xbff7063efe6741f6,
+            0xbff0ae57f1b0a275, 0x3fc4fe674f80175b, 0xc0016ee38eabac14, 0x3fd8761974638a98,
+            0xbfa63ce28bef1695, 0x3fe09815257dcaaa, 0x3ffe12fcc13a3410, 0x3fcbc28bebc5b69e,
+            0xbfc70d714c55dd05, 0xbfead9ff05803aba,
+        ]),
+    ];
+
+    /// The nominal geometry, a smooth mixed deformation, and one whose
+    /// first mode pinches the guide past the half-width clamp.
+    fn pinned_point(k: usize) -> Vec<f64> {
+        (0..26)
+            .map(|i| match (k, i) {
+                (0, _) => 0.0,
+                (1, _) => 0.5 * (i as f64 * 0.31).sin(),
+                (_, 0) => -4.0,
+                _ => 0.3 * (i as f64 * 0.7).cos(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn value_and_grad_bits_are_pinned() {
+        let yb = YBranchCase::default();
+        for (k, (value_bits, grad_bits)) in PINNED.iter().enumerate() {
+            let x = pinned_point(k);
+            assert_eq!(yb.value(&x).to_bits(), *value_bits, "value at point {k}");
+            let (v, grad) = yb.value_grad(&x);
+            assert_eq!(v.to_bits(), *value_bits, "value_grad value at point {k}");
+            let bits: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();
+            assert_eq!(bits, grad_bits, "gradient at point {k}");
+        }
+    }
+
     #[test]
     fn coarse_grid_tracks_fine_grid() {
         // The default (coarse) grid must agree with a 2× finer grid on the
