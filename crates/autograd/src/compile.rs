@@ -1,25 +1,28 @@
 //! Trace-once/replay execution of a recorded tape (DESIGN.md §13).
 //!
-//! [`CompiledStep::compile`] lowers a built [`Graph`] tape into a flat
-//! instruction stream with preplanned buffer slots: one value tensor per
-//! node, one gradient tensor per grad-reachable node, the backward
-//! schedule (which nodes propagate, in what order, and whether each
-//! accumulation site is the first write into its target or a merge)
-//! precomputed by simulating [`Graph::backward`] once at compile time.
-//! [`CompiledStep::replay_forward`] + [`CompiledStep::backward`] then
-//! re-execute the step without any per-step node allocation, pruning
-//! decisions, or graph bookkeeping — only the kernels run.
+//! [`CompiledStep::compile`] copies a built [`Graph`] tape — its op list,
+//! value slots and external-Jacobian slots — and plans its backward pass
+//! once: which nodes propagate a gradient, in what order, and whether each
+//! accumulation is the first write into its target's gradient slot or a
+//! merge. Gradient slots are preallocated for exactly the nodes the plan
+//! reaches. [`CompiledStep::replay_forward`] + [`CompiledStep::backward`]
+//! then re-execute the step in those buffers, without any per-step
+//! allocation, pruning decisions, or graph bookkeeping.
 //!
 //! # Bitwise contract
 //!
 //! Replay is bitwise identical to rebuilding and re-running the tape
-//! interpreted: every forward op mirrors the arithmetic (and element
-//! order) of the corresponding `Graph` constructor, every backward step
-//! mirrors `Graph::apply_backward` including the compute-delta-then-add
-//! accumulation order, external rows are evaluated through the same
-//! fixed-chunk parallel helper, and all matmuls go through the same
-//! shared kernels. `tests/compiled_equivalence.rs` asserts this across
-//! shapes, frozen masks, thread counts, and resume boundaries.
+//! interpreted because both engines run the same code per op: one forward
+//! kernel, one backward kernel and one input-visit order, defined once in
+//! the crate's `ops` module, with the same rule for accumulating into a
+//! gradient slot. The engines differ only in where the first-write-or-merge
+//! flag comes from: [`Graph::backward`] works it out as it walks, and the
+//! compiled plan is made up front with the same visit order and the same
+//! pruning flags. External rows go through the same fixed-chunk parallel
+//! helper and matmuls through the same shared kernels.
+//! `tests/tape_ops_equivalence.rs` pins every op and
+//! `tests/compiled_equivalence.rs` whole training runs, across shapes,
+//! frozen masks, thread counts, and resume boundaries.
 //!
 //! # Recompilation triggers
 //!
@@ -31,7 +34,7 @@
 //! whose mask no longer matches the compile-time snapshot panics rather
 //! than silently reusing stale `requires_grad` pruning decisions.
 
-use crate::graph::{self, Op};
+use crate::ops::{self, Op, Tape};
 use crate::pool::PoolStats;
 use crate::{BufferPool, Graph, ParamId, ParamStore, Tensor, Var};
 
@@ -53,70 +56,25 @@ pub trait GradSource {
 
 impl GradSource for Graph {
     fn for_each_param_grad<F: FnMut(ParamId, &Tensor)>(&self, f: F) {
-        Graph::for_each_param_grad(self, f);
+        self.tape.for_each_param_grad(f);
     }
 
     fn param_grads(&self) -> Vec<(ParamId, Tensor)> {
-        Graph::param_grads(self)
+        self.tape.param_grads()
     }
 }
 
-/// One lowered tape node. Operand `usize`s are value-slot indices (equal
-/// to the traced node's tape position).
-#[derive(Debug, Clone)]
-enum Instr {
-    /// Constant leaf: the compiled value buffer is reused verbatim.
-    Const,
-    /// The designated batch-input leaf, refilled by the caller per replay.
-    BatchInput,
-    /// Parameter leaf, refreshed from the [`ParamStore`] per replay via
-    /// the `param_slots` table.
-    Param,
-    Add(usize, usize),
-    AddRow(usize, usize),
-    Sub(usize, usize),
-    Mul(usize, usize),
-    MulRow(usize, usize),
-    Matmul(usize, usize),
-    Linear {
-        x: usize,
-        w: usize,
-        b: usize,
-        tanh: bool,
-    },
-    Scale(usize, f64),
-    AddScalar(usize, f64),
-    Neg(usize),
-    Tanh(usize),
-    TanhScale(usize, f64),
-    Sigmoid(usize),
-    Softplus(usize),
-    Relu(usize),
-    Exp(usize),
-    Ln(usize),
-    Square(usize),
-    MinScalar(usize, f64),
-    SumAll(usize),
-    MeanAll(usize),
-    SumCols(usize),
-    /// Row-wise oracle; its Jacobian buffer lives in `ext_grads`.
-    External {
-        input: usize,
-    },
-}
-
-/// One precomputed backward visit: the node whose gradient propagates and,
-/// per accumulation site in the op's visit order, whether that site is the
-/// first write into its target's gradient buffer (a move in the
-/// interpreted engine) or a merge (an axpy).
+/// One planned backward visit: the node whose gradient propagates and,
+/// per input visit in [`ops::Op::inputs`] order, whether it is the first
+/// write into its target's gradient slot or a merge.
 #[derive(Debug, Clone, Copy)]
 struct BackStep {
     node: usize,
     first: [bool; 3],
 }
 
-/// A [`Graph`] tape lowered to a flat instruction stream with preplanned
-/// buffer slots, replayable without per-step tape construction.
+/// A [`Graph`] tape copied into preplanned buffer slots with its backward
+/// pass planned, replayable without per-step tape construction.
 ///
 /// Compile once per (minibatch-rows, stage-shape, frozen-mask) with
 /// [`CompiledStep::compile`] after running the step interpreted; replay
@@ -125,17 +83,11 @@ struct BackStep {
 /// triggers.
 #[derive(Debug)]
 pub struct CompiledStep {
-    instrs: Vec<Instr>,
-    /// Forward value buffer per node, indexed by tape position.
-    values: Vec<Tensor>,
-    /// Gradient buffer per node; `Some` exactly for grad-reachable nodes.
-    grads: Vec<Option<Tensor>>,
-    /// Reverse schedule over grad-reachable nodes, descending tape order.
+    /// The traced tape; gradient slots are `Some` exactly for the nodes
+    /// the backward plan reaches.
+    tape: Tape,
+    /// Backward plan over grad-reachable nodes, descending tape order.
     schedule: Vec<BackStep>,
-    /// External Jacobian buffers, keyed by tape position.
-    ext_grads: Vec<(usize, Tensor)>,
-    /// Parameter leaves in tape order.
-    param_slots: Vec<(ParamId, usize)>,
     batch_slot: Option<usize>,
     loss_slot: usize,
     /// Per-parameter trainability snapshot at compile time.
@@ -146,7 +98,7 @@ pub struct CompiledStep {
 }
 
 impl CompiledStep {
-    /// Lowers the built tape of `g` into a replayable instruction stream.
+    /// Copies the built tape of `g` into a replayable step.
     ///
     /// `loss` is the scalar node [`CompiledStep::backward`] will seed;
     /// `batch_input`, when given, names the constant leaf that
@@ -164,110 +116,45 @@ impl CompiledStep {
             (1, 1),
             "compile requires a scalar (1x1) loss"
         );
-        let n = g.len();
+        let src = &g.tape;
         let loss_slot = loss.index();
-        let mut instrs = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        let mut ext_grads = Vec::new();
-        let mut param_slots = Vec::new();
-        for i in 0..n {
-            values.push(g.node_value(i).clone());
-            let instr = match *g.node_op(i) {
-                Op::Leaf => Instr::Const,
-                Op::Param(id) => {
-                    param_slots.push((id, i));
-                    Instr::Param
-                }
-                Op::Add(a, b) => Instr::Add(a.index(), b.index()),
-                Op::AddRow(a, b) => Instr::AddRow(a.index(), b.index()),
-                Op::Sub(a, b) => Instr::Sub(a.index(), b.index()),
-                Op::Mul(a, b) => Instr::Mul(a.index(), b.index()),
-                Op::MulRow(a, b) => Instr::MulRow(a.index(), b.index()),
-                Op::Matmul(a, b) => Instr::Matmul(a.index(), b.index()),
-                Op::Linear { x, w, b, tanh } => Instr::Linear {
-                    x: x.index(),
-                    w: w.index(),
-                    b: b.index(),
-                    tanh,
-                },
-                Op::Scale(a, s) => Instr::Scale(a.index(), s),
-                Op::AddScalar(a, s) => Instr::AddScalar(a.index(), s),
-                Op::Neg(a) => Instr::Neg(a.index()),
-                Op::Tanh(a) => Instr::Tanh(a.index()),
-                Op::TanhScale(a, s) => Instr::TanhScale(a.index(), s),
-                Op::Sigmoid(a) => Instr::Sigmoid(a.index()),
-                Op::Softplus(a) => Instr::Softplus(a.index()),
-                Op::Relu(a) => Instr::Relu(a.index()),
-                Op::Exp(a) => Instr::Exp(a.index()),
-                Op::Ln(a) => Instr::Ln(a.index()),
-                Op::Square(a) => Instr::Square(a.index()),
-                Op::MinScalar(a, c) => Instr::MinScalar(a.index(), c),
-                Op::SumAll(a) => Instr::SumAll(a.index()),
-                Op::MeanAll(a) => Instr::MeanAll(a.index()),
-                Op::SumCols(a) => Instr::SumCols(a.index()),
-                Op::External { input, ref grads } => {
-                    ext_grads.push((i, grads.clone()));
-                    Instr::External {
-                        input: input.index(),
-                    }
-                }
-            };
-            instrs.push(instr);
-        }
         let batch_slot = batch_input.map(|v| {
-            let i = v.index();
             assert!(
-                matches!(instrs[i], Instr::Const),
+                matches!(src.ops[v.index()], Op::Leaf),
                 "batch_input must be a constant leaf"
             );
-            instrs[i] = Instr::BatchInput;
-            i
+            v.index()
         });
 
-        // Simulate Graph::backward once: which nodes receive a gradient
-        // (descending tape order, gated per input by requires_grad), and
-        // per accumulation site whether it is the first write (the
-        // interpreted engine moves the delta in) or a merge (axpy).
-        let mut reach = vec![false; n];
-        let mut written = vec![false; n];
+        // Plan the walk Graph::backward takes: which nodes receive a
+        // gradient (descending tape order, gated per input by
+        // requires_grad) and which input visits are first writes.
+        let mut reach = vec![false; src.ops.len()];
+        reach[loss_slot] = g.requires_grad[loss_slot];
         let mut schedule = Vec::new();
-        if g.node_requires_grad(loss_slot) {
-            reach[loss_slot] = true;
-            written[loss_slot] = true; // the seed
-        }
-        for i in (0..=loss_slot).rev() {
-            if !reach[i] {
-                continue;
+        for node in (0..=loss_slot).rev() {
+            if reach[node] {
+                let first = ops::first_writes(src.ops[node], |j| {
+                    g.requires_grad[j] && !std::mem::replace(&mut reach[j], true)
+                });
+                schedule.push(BackStep { node, first });
             }
-            let mut first = [false; 3];
-            for (slot, input) in backward_visit_order(g.node_op(i)).into_iter().enumerate() {
-                let Some(v) = input else { continue };
-                let j = v.index();
-                if !g.node_requires_grad(j) {
-                    continue;
-                }
-                reach[j] = true;
-                first[slot] = !written[j];
-                written[j] = true;
-            }
-            schedule.push(BackStep { node: i, first });
         }
-        let grads = (0..n)
-            .map(|i| {
-                reach[i].then(|| {
-                    let (r, c) = values[i].shape();
-                    Tensor::from_vec(r, c, vec![0.0; r * c])
-                })
-            })
+        let grads = src
+            .values
+            .iter()
+            .zip(&reach)
+            .map(|(v, &r)| r.then(|| Tensor::zeros(v.rows(), v.cols())))
             .collect();
 
         CompiledStep {
-            instrs,
-            values,
-            grads,
+            tape: Tape {
+                ops: src.ops.clone(),
+                values: src.values.clone(),
+                grads,
+                jacs: src.jacs.clone(),
+            },
             schedule,
-            ext_grads,
-            param_slots,
             batch_slot,
             loss_slot,
             trainable: store.iter().map(|(id, _)| !store.is_frozen(id)).collect(),
@@ -276,14 +163,14 @@ impl CompiledStep {
         }
     }
 
-    /// Number of lowered instructions (one per traced tape node).
+    /// Number of compiled tape nodes (one per traced node).
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.tape.ops.len()
     }
 
     /// Returns `true` if the compiled tape is empty.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.tape.ops.is_empty()
     }
 
     /// How many times this step has been replayed since compilation.
@@ -298,7 +185,7 @@ impl CompiledStep {
 
     /// Row count of the designated batch-input leaf, if one was named.
     pub fn batch_rows(&self) -> Option<usize> {
-        self.batch_slot.map(|i| self.values[i].rows())
+        self.batch_slot.map(|i| self.tape.values[i].rows())
     }
 
     /// Whether `store`'s frozen mask still matches the compile-time
@@ -322,20 +209,20 @@ impl CompiledStep {
     /// The forward value of `v` from the latest replay (or the trace, if
     /// never replayed). `v` must come from the traced graph.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.values[v.index()]
+        &self.tape.values[v.index()]
     }
 
     /// The gradient of the loss with respect to `v` from the latest
     /// [`CompiledStep::backward`], if `v` is grad-reachable.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
-        self.grads[v.index()].as_ref()
+        self.tape.grads[v.index()].as_ref()
     }
 
     /// Re-executes the forward pass in place: refreshes parameter leaves
     /// from `store`, refills the batch-input leaf via `fill` (handed a
-    /// zeroed buffer, exactly like [`Graph::constant_with`]), runs every
-    /// lowered instruction in tape order, and evaluates `External` nodes
-    /// through the same fixed-chunk parallel helper as
+    /// zeroed buffer, exactly like [`Graph::constant_with`]), runs the
+    /// shared forward kernel of every node in tape order, and evaluates
+    /// `External` nodes through the same fixed-chunk parallel helper as
     /// [`Graph::external_rowwise_par`] on `pool`.
     ///
     /// # Panics
@@ -355,600 +242,72 @@ impl CompiledStep {
             "stale compiled tape: the ParamStore frozen mask changed since \
              compile; the pruning plan no longer applies — recompile"
         );
-        for &(id, slot) in &self.param_slots {
-            let src = store.get(id);
-            assert_eq!(
-                src.shape(),
-                self.values[slot].shape(),
-                "parameter {id:?} changed shape since compile"
-            );
-            self.values[slot]
-                .as_mut_slice()
-                .copy_from_slice(src.as_slice());
+        let tape = &mut self.tape;
+        for (op, value) in tape.ops.iter().zip(&mut tape.values) {
+            if let Op::Param(id) = *op {
+                let src = store.get(id);
+                assert_eq!(
+                    src.shape(),
+                    value.shape(),
+                    "parameter {id:?} changed shape since compile"
+                );
+                value.as_mut_slice().copy_from_slice(src.as_slice());
+            }
         }
         if let Some(slot) = self.batch_slot {
-            let buf = self.values[slot].as_mut_slice();
+            let buf = tape.values[slot].as_mut_slice();
             buf.fill(0.0);
             fill(buf);
         }
-        for i in 0..self.instrs.len() {
-            let (prev, rest) = self.values.split_at_mut(i);
-            let out = &mut rest[0];
-            match self.instrs[i] {
-                Instr::Const | Instr::BatchInput | Instr::Param => {}
-                Instr::Add(a, b) => elementwise_zip(out, &prev[a], &prev[b], |x, y| x + y),
-                Instr::Sub(a, b) => elementwise_zip(out, &prev[a], &prev[b], |x, y| x - y),
-                Instr::Mul(a, b) => elementwise_zip(out, &prev[a], &prev[b], |x, y| x * y),
-                Instr::AddRow(a, b) => rowwise_zip(out, &prev[a], &prev[b], |x, r| x + r),
-                Instr::MulRow(a, b) => rowwise_zip(out, &prev[a], &prev[b], |x, r| x * r),
-                Instr::Matmul(a, b) => {
-                    let (lhs, rhs) = (&prev[a], &prev[b]);
-                    nofis_parallel::kernels::matmul_into(
-                        nofis_parallel::global(),
-                        lhs.as_slice(),
-                        rhs.as_slice(),
-                        out.as_mut_slice(),
-                        lhs.rows(),
-                        lhs.cols(),
-                        rhs.cols(),
-                    );
-                }
-                Instr::Linear { x, w, b, tanh } => {
-                    let (xs, ws) = (&prev[x], &prev[w]);
-                    nofis_parallel::kernels::matmul_into(
-                        nofis_parallel::global(),
-                        xs.as_slice(),
-                        ws.as_slice(),
-                        out.as_mut_slice(),
-                        xs.rows(),
-                        xs.cols(),
-                        ws.cols(),
-                    );
-                    // Same one-pass bias(+tanh) loop as Graph::linear: per
-                    // element `tanh(xw + bias)` through the shared
-                    // [`nofis_parallel::math::tanh`] kernel.
-                    let d = ws.cols();
-                    let bias = prev[b].as_slice();
-                    if tanh {
-                        for row in out.as_mut_slice().chunks_exact_mut(d) {
-                            for (v, &bv) in row.iter_mut().zip(bias) {
-                                *v = nofis_parallel::math::tanh(*v + bv);
-                            }
-                        }
-                    } else {
-                        for row in out.as_mut_slice().chunks_exact_mut(d) {
-                            for (v, &bv) in row.iter_mut().zip(bias) {
-                                *v += bv;
-                            }
-                        }
-                    }
-                }
-                Instr::Scale(a, s) => elementwise(out, &prev[a], |x| x * s),
-                Instr::AddScalar(a, s) => elementwise(out, &prev[a], |x| x + s),
-                Instr::Neg(a) => elementwise(out, &prev[a], |x| -x),
-                Instr::Tanh(a) => elementwise(out, &prev[a], nofis_parallel::math::tanh),
-                Instr::TanhScale(a, s) => {
-                    elementwise(out, &prev[a], |x| nofis_parallel::math::tanh(x) * s)
-                }
-                Instr::Sigmoid(a) => elementwise(out, &prev[a], graph::sigmoid),
-                Instr::Softplus(a) => elementwise(out, &prev[a], graph::softplus),
-                Instr::Relu(a) => elementwise(out, &prev[a], |x| x.max(0.0)),
-                Instr::Exp(a) => elementwise(out, &prev[a], f64::exp),
-                Instr::Ln(a) => elementwise(out, &prev[a], f64::ln),
-                Instr::Square(a) => elementwise(out, &prev[a], |x| x * x),
-                Instr::MinScalar(a, c) => elementwise(out, &prev[a], |x| x.min(c)),
-                Instr::SumAll(a) => out.as_mut_slice()[0] = prev[a].sum(),
-                Instr::MeanAll(a) => out.as_mut_slice()[0] = prev[a].mean(),
-                Instr::SumCols(a) => {
-                    let src = &prev[a];
-                    for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
-                        *o = src.row(r).iter().sum();
-                    }
-                }
-                Instr::External { input } => {
-                    let (_, jac) = self
-                        .ext_grads
-                        .iter_mut()
-                        .find(|(nd, _)| *nd == i)
-                        .expect("external Jacobian slot");
-                    graph::eval_external_rows(&prev[input], pool, &external, out, jac);
-                }
+        for node in 0..tape.ops.len() {
+            if let Op::External { .. } = tape.ops[node] {
+                tape.forward_external(node, pool, &external);
+            } else {
+                tape.forward(node);
             }
         }
         self.replays += 1;
     }
 
-    /// Runs the precomputed backward schedule, mirroring
-    /// [`Graph::backward`] bit for bit: gradients land in the preplanned
-    /// slots and are read back via [`CompiledStep::grad`] or the
-    /// [`GradSource`] methods.
+    /// Runs the planned backward pass — the same per-node kernel as
+    /// [`Graph::backward`], with the planned first-write flags — so
+    /// gradients land in the preplanned slots bit for bit as the
+    /// interpreted tape computes them. Read them back via
+    /// [`CompiledStep::grad`] or the [`GradSource`] methods.
     pub fn backward(&mut self) {
         if self.schedule.is_empty() {
             // Nothing trainable feeds the loss.
             return;
         }
-        self.grads[self.loss_slot]
+        self.tape.grads[self.loss_slot]
             .as_mut()
             .expect("loss grad slot")
             .as_mut_slice()[0] = 1.0;
-        for si in 0..self.schedule.len() {
-            self.exec_back_step(si);
-        }
-    }
-
-    fn exec_back_step(&mut self, si: usize) {
-        let BackStep { node, first } = self.schedule[si];
-        let (lo, hi) = self.grads.split_at_mut(node);
-        let up = hi[0].as_ref().expect("scheduled node has a gradient");
-        let values = &self.values;
-        let scratch = &mut self.scratch;
-        match self.instrs[node] {
-            Instr::Const | Instr::BatchInput | Instr::Param => {}
-            Instr::Add(a, b) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().copied());
-                }
-                if let Some(g) = lo[b].as_mut() {
-                    acc_from(g, first[1], up.as_slice().iter().copied());
-                }
-            }
-            Instr::Sub(a, b) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().copied());
-                }
-                if let Some(g) = lo[b].as_mut() {
-                    acc_from(g, first[1], up.as_slice().iter().map(|&x| -x));
-                }
-            }
-            Instr::Mul(a, b) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let bv = values[b].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice().iter().zip(bv).map(|(&u, &y)| u * y),
-                    );
-                }
-                if let Some(g) = lo[b].as_mut() {
-                    let av = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[1],
-                        up.as_slice().iter().zip(av).map(|(&u, &x)| u * x),
-                    );
-                }
-            }
-            Instr::AddRow(a, b) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().copied());
-                }
-                if let Some(g) = lo[b].as_mut() {
-                    acc_col_sums(g, first[1], up, |u, _| u);
-                }
-            }
-            Instr::MulRow(a, b) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let row = values[b].as_slice();
-                    let d = row.len();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .enumerate()
-                            .map(|(idx, &u)| u * row[idx % d]),
-                    );
-                }
-                if let Some(g) = lo[b].as_mut() {
-                    let av = values[a].as_slice();
-                    acc_col_sums(g, first[1], up, |u, idx| u * av[idx]);
-                }
-            }
-            Instr::Matmul(a, b) => {
-                if lo[a].is_some() {
-                    let rhs = &values[b];
-                    acc_matmul(lo[a].as_mut().expect("slot"), first[0], scratch, |dst| {
-                        nofis_parallel::kernels::matmul_bt_into(
-                            nofis_parallel::global(),
-                            up.as_slice(),
-                            rhs.as_slice(),
-                            dst,
-                            up.rows(),
-                            up.cols(),
-                            rhs.rows(),
-                        );
-                    });
-                }
-                if lo[b].is_some() {
-                    let lhs = &values[a];
-                    acc_matmul(lo[b].as_mut().expect("slot"), first[1], scratch, |dst| {
-                        nofis_parallel::kernels::matmul_at_into(
-                            nofis_parallel::global(),
-                            lhs.as_slice(),
-                            up.as_slice(),
-                            dst,
-                            lhs.rows(),
-                            lhs.cols(),
-                            up.cols(),
-                        );
-                    });
-                }
-            }
-            Instr::Linear { x, w, b, tanh } => {
-                // dpre = up ⊙ (1 - y²) for tanh, else up — then the same
-                // b-first, x, w visit order as Graph::linear_backward.
-                let owned_dpre = tanh.then(|| {
-                    let y = values[node].as_slice();
-                    let mut buf = scratch.take_uninit(y.len());
-                    buf.extend(
-                        up.as_slice()
-                            .iter()
-                            .zip(y)
-                            .map(|(&u, &yv)| u * (1.0 - yv * yv)),
-                    );
-                    Tensor::from_vec(up.rows(), up.cols(), buf)
-                });
-                {
-                    let dpre = owned_dpre.as_ref().unwrap_or(up);
-                    if let Some(g) = lo[b].as_mut() {
-                        acc_col_sums(g, first[0], dpre, |u, _| u);
-                    }
-                    if lo[x].is_some() {
-                        let ws = &values[w];
-                        acc_matmul(lo[x].as_mut().expect("slot"), first[1], scratch, |dst| {
-                            nofis_parallel::kernels::matmul_bt_into(
-                                nofis_parallel::global(),
-                                dpre.as_slice(),
-                                ws.as_slice(),
-                                dst,
-                                dpre.rows(),
-                                dpre.cols(),
-                                ws.rows(),
-                            );
-                        });
-                    }
-                    if lo[w].is_some() {
-                        let xs = &values[x];
-                        acc_matmul(lo[w].as_mut().expect("slot"), first[2], scratch, |dst| {
-                            nofis_parallel::kernels::matmul_at_into(
-                                nofis_parallel::global(),
-                                xs.as_slice(),
-                                dpre.as_slice(),
-                                dst,
-                                xs.rows(),
-                                xs.cols(),
-                                dpre.cols(),
-                            );
-                        });
-                    }
-                }
-                if let Some(t) = owned_dpre {
-                    scratch.put(t.into_vec());
-                }
-            }
-            Instr::Scale(a, s) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().map(|&x| x * s));
-                }
-            }
-            Instr::AddScalar(a, _) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().copied());
-                }
-            }
-            Instr::Neg(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    acc_from(g, first[0], up.as_slice().iter().map(|&x| -x));
-                }
-            }
-            Instr::Tanh(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let y = values[node].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .zip(y)
-                            .map(|(&u, &yv)| u * (1.0 - yv * yv)),
-                    );
-                }
-            }
-            Instr::TanhScale(a, s) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice().iter().zip(xv).map(|(&u, &x)| {
-                            let t = nofis_parallel::math::tanh(x);
-                            (u * s) * (1.0 - t * t)
-                        }),
-                    );
-                }
-            }
-            Instr::Sigmoid(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let y = values[node].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .zip(y)
-                            .map(|(&u, &yv)| u * yv * (1.0 - yv)),
-                    );
-                }
-            }
-            Instr::Softplus(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .zip(xv)
-                            .map(|(&u, &x)| u * graph::sigmoid(x)),
-                    );
-                }
-            }
-            Instr::Relu(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .zip(xv)
-                            .map(|(&u, &x)| if x > 0.0 { u } else { 0.0 }),
-                    );
-                }
-            }
-            Instr::Exp(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let y = values[node].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice().iter().zip(y).map(|(&u, &yv)| u * yv),
-                    );
-                }
-            }
-            Instr::Ln(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice().iter().zip(xv).map(|(&u, &x)| u / x),
-                    );
-                }
-            }
-            Instr::Square(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice().iter().zip(xv).map(|(&u, &x)| u * 2.0 * x),
-                    );
-                }
-            }
-            Instr::MinScalar(a, c) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let xv = values[a].as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        up.as_slice()
-                            .iter()
-                            .zip(xv)
-                            .map(|(&u, &x)| if x < c { u } else { 0.0 }),
-                    );
-                }
-            }
-            Instr::SumAll(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let u = up.item();
-                    acc_from(g, first[0], std::iter::repeat_n(u, g.len()));
-                }
-            }
-            Instr::MeanAll(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let len = g.len();
-                    let s = up.item() / len as f64;
-                    acc_from(g, first[0], std::iter::repeat_n(s, len));
-                }
-            }
-            Instr::SumCols(a) => {
-                if let Some(g) = lo[a].as_mut() {
-                    let d = g.cols();
-                    let ups = up.as_slice();
-                    acc_from(g, first[0], (0..ups.len() * d).map(|idx| ups[idx / d]));
-                }
-            }
-            Instr::External { input } => {
-                if let Some(g) = lo[input].as_mut() {
-                    let (_, jac) = self
-                        .ext_grads
-                        .iter()
-                        .find(|(nd, _)| *nd == node)
-                        .expect("external Jacobian slot");
-                    let d = jac.cols();
-                    let ups = up.as_slice();
-                    let js = jac.as_slice();
-                    acc_from(
-                        g,
-                        first[0],
-                        js.iter().enumerate().map(|(idx, &jv)| ups[idx / d] * jv),
-                    );
-                }
-            }
+        for &BackStep { node, first } in &self.schedule {
+            self.tape.backward(node, first, &mut self.scratch);
         }
     }
 
     /// Visits every parameter-leaf gradient in tape order (the
     /// [`GradSource`] hand-off to fused optimizer steps).
-    pub fn for_each_param_grad(&self, mut f: impl FnMut(ParamId, &Tensor)) {
-        for &(id, slot) in &self.param_slots {
-            if let Some(g) = self.grads[slot].as_ref() {
-                f(id, g);
-            }
-        }
+    pub fn for_each_param_grad(&self, f: impl FnMut(ParamId, &Tensor)) {
+        self.tape.for_each_param_grad(f);
     }
 
     /// Collects accumulated parameter gradients as `(id, grad)` pairs,
     /// summing duplicates in first-appearance order (the same merge order
     /// as [`Graph::param_grads`]).
     pub fn param_grads(&self) -> Vec<(ParamId, Tensor)> {
-        let mut out: Vec<(ParamId, Tensor)> = Vec::new();
-        self.for_each_param_grad(|id, g| {
-            if let Some((_, acc)) = out.iter_mut().find(|(pid, _)| *pid == id) {
-                acc.axpy(1.0, g);
-            } else {
-                out.push((id, g.clone()));
-            }
-        });
-        out
+        self.tape.param_grads()
     }
 }
 
 impl GradSource for CompiledStep {
     fn for_each_param_grad<F: FnMut(ParamId, &Tensor)>(&self, f: F) {
-        CompiledStep::for_each_param_grad(self, f);
+        self.tape.for_each_param_grad(f);
     }
 
     fn param_grads(&self) -> Vec<(ParamId, Tensor)> {
-        CompiledStep::param_grads(self)
-    }
-}
-
-/// Inputs of `op` in the exact order `Graph::apply_backward` accumulates
-/// into them (`Linear` visits bias, then x, then W).
-fn backward_visit_order(op: &Op) -> [Option<Var>; 3] {
-    match *op {
-        Op::Leaf | Op::Param(_) => [None; 3],
-        Op::Add(a, b)
-        | Op::AddRow(a, b)
-        | Op::Sub(a, b)
-        | Op::Mul(a, b)
-        | Op::MulRow(a, b)
-        | Op::Matmul(a, b) => [Some(a), Some(b), None],
-        Op::Linear { x, w, b, .. } => [Some(b), Some(x), Some(w)],
-        Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::Neg(a)
-        | Op::Tanh(a)
-        | Op::TanhScale(a, _)
-        | Op::Sigmoid(a)
-        | Op::Softplus(a)
-        | Op::Relu(a)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Square(a)
-        | Op::MinScalar(a, _)
-        | Op::SumAll(a)
-        | Op::MeanAll(a)
-        | Op::SumCols(a) => [Some(a), None, None],
-        Op::External { input, .. } => [Some(input), None, None],
-    }
-}
-
-/// `out[j] = f(a[j], b[j])` — the replay mirror of `pooled_zip`.
-fn elementwise_zip(out: &mut Tensor, a: &Tensor, b: &Tensor, f: impl Fn(f64, f64) -> f64) {
-    for ((o, &x), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = f(x, y);
-    }
-}
-
-/// `out[r][c] = f(a[r][c], row[c])` — the replay mirror of the broadcast
-/// `add_row`/`mul_row` constructors (copy then op is a single arithmetic
-/// op per element either way).
-fn rowwise_zip(out: &mut Tensor, a: &Tensor, row: &Tensor, f: impl Fn(f64, f64) -> f64) {
-    let d = row.len();
-    let rv = row.as_slice();
-    for (orow, arow) in out
-        .as_mut_slice()
-        .chunks_exact_mut(d)
-        .zip(a.as_slice().chunks_exact(d))
-    {
-        for ((o, &x), &r) in orow.iter_mut().zip(arow).zip(rv) {
-            *o = f(x, r);
-        }
-    }
-}
-
-/// `out[j] = f(a[j])` — the replay mirror of `pooled_map`.
-fn elementwise(out: &mut Tensor, a: &Tensor, f: impl Fn(f64) -> f64) {
-    for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
-        *o = f(x);
-    }
-}
-
-/// Writes (`first`) or merges the per-element delta stream into `dst`.
-///
-/// Mirrors the interpreted compute-delta-then-move/axpy exactly: a first
-/// write lands the delta verbatim (the interpreted engine moves the delta
-/// buffer in), a merge adds element-by-element in index order (axpy).
-fn acc_from(dst: &mut Tensor, first: bool, delta: impl Iterator<Item = f64>) {
-    if first {
-        for (o, d) in dst.as_mut_slice().iter_mut().zip(delta) {
-            *o = d;
-        }
-    } else {
-        for (o, d) in dst.as_mut_slice().iter_mut().zip(delta) {
-            *o += d;
-        }
-    }
-}
-
-/// Column-sum accumulation for `1 x D` broadcast gradients: per column the
-/// terms `f(up[r*d + c], r*d + c)` are summed over ascending rows from
-/// `0.0` — the same per-element add sequence as the interpreted zeroed
-/// buffer filled row-by-row — then written or merged into `dst`.
-fn acc_col_sums(dst: &mut Tensor, first: bool, up: &Tensor, f: impl Fn(f64, usize) -> f64) {
-    let d = dst.len();
-    let ups = up.as_slice();
-    for (c, o) in dst.as_mut_slice().iter_mut().enumerate() {
-        let mut acc = 0.0;
-        let mut idx = c;
-        while idx < ups.len() {
-            acc += f(ups[idx], idx);
-            idx += d;
-        }
-        if first {
-            *o = acc;
-        } else {
-            *o += acc;
-        }
-    }
-}
-
-/// Matmul-shaped accumulation: a first write runs the kernel directly into
-/// the gradient buffer (the kernels write every element once, matching the
-/// interpreted move of a freshly computed delta); a merge computes the
-/// delta into recycled scratch and adds it with the same axpy the
-/// interpreted engine uses.
-fn acc_matmul(
-    dst: &mut Tensor,
-    first: bool,
-    scratch: &mut BufferPool,
-    kernel: impl Fn(&mut [f64]),
-) {
-    if first {
-        kernel(dst.as_mut_slice());
-    } else {
-        let (r, c) = dst.shape();
-        let mut buf = Tensor::from_vec(r, c, scratch.take(r * c));
-        kernel(buf.as_mut_slice());
-        dst.axpy(1.0, &buf);
-        scratch.put(buf.into_vec());
+        self.tape.param_grads()
     }
 }

@@ -43,6 +43,7 @@
 pub mod check;
 mod compile;
 mod graph;
+mod ops;
 mod pool;
 mod store;
 mod tensor;

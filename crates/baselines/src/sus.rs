@@ -60,17 +60,6 @@ impl SusEstimator {
         }
     }
 
-    /// Sets the Metropolis proposal spread (default 0.8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spread` is not positive.
-    pub fn with_spread(mut self, spread: f64) -> Self {
-        assert!(spread > 0.0, "spread must be positive");
-        self.spread = spread;
-        self
-    }
-
     /// Simulator calls this configuration consumes in the worst case.
     pub fn max_budget(&self) -> u64 {
         (self.n_per_level * self.max_levels) as u64

@@ -17,7 +17,7 @@
 //! disabled instrumentation adds under 1% to the step time.
 //!
 //! `--assert-compile-overhead` times the one-off `CompiledStep::compile`
-//! lowering against the per-step savings of replaying instead of
+//! (tape copy and backward plan) against the per-step savings of replaying instead of
 //! re-tracing, and asserts the compile cost amortizes in under 50 steps
 //! (plus that steady-state replays are allocation-free).
 //!
@@ -445,7 +445,7 @@ fn assert_checkpoint_overhead(smoke: bool) {
 /// The *extra* work the compiling step performs, on top of the
 /// interpreted trace + backward it runs anyway (`nofis_core`'s train loop
 /// compiles right after a normal interpreted step), is the
-/// `CompiledStep::compile` lowering itself — so that is what is timed,
+/// `CompiledStep::compile` call itself — so that is what is timed,
 /// against the per-step savings of replaying instead of re-tracing. Also
 /// asserts steady-state replays are allocation-free (the preplanned
 /// buffer contract).

@@ -108,11 +108,6 @@ impl OpampBench {
         }
     }
 
-    /// Creates the bench with an explicit design.
-    pub fn with_design(design: OpampDesign) -> Self {
-        OpampBench { design }
-    }
-
     /// Borrows the design constants.
     pub fn design(&self) -> &OpampDesign {
         &self.design

@@ -78,9 +78,10 @@ pub struct NofisConfig {
     /// exhaustive backward pass.
     pub prune_frozen: bool,
     /// Trace-once/replay execution (DESIGN.md §13): build the training tape
-    /// once per (minibatch shape, stage depth, frozen mask), lower it to a
-    /// flat `CompiledStep` instruction stream with preplanned buffers, and
-    /// replay that for subsequent steps — no per-step tape construction.
+    /// once per (minibatch shape, stage depth, frozen mask), compile it to
+    /// a `CompiledStep` with preplanned buffers and a planned backward
+    /// pass, and replay that for subsequent steps — no per-step tape
+    /// construction.
     /// Replays are bitwise identical to the interpreted engine (enforced by
     /// `tests/compiled_equivalence.rs`), so this is purely a speed knob.
     pub compile_tape: bool,

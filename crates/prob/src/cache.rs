@@ -33,7 +33,6 @@
 //! hit/miss/insert counters flow to telemetry under the workspace's
 //! "observe but never influence" rule (DESIGN.md §10).
 
-use crate::LimitState;
 use nofis_telemetry as tele;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -331,177 +330,10 @@ impl OracleCache {
     }
 }
 
-/// A [`LimitState`] wrapper that consults an [`OracleCache`] before
-/// falling through to its inner oracle.
-///
-/// The inner oracle is the *miss path* — typically a
-/// [`BudgetedOracle`](crate::BudgetedOracle), so cache hits are answered
-/// **in front of** the budget meter and never charge it. (Putting the
-/// cache inside the budget would charge hits: `BudgetedOracle` counts a
-/// call before evaluating.)
-///
-/// # Example
-///
-/// ```
-/// use nofis_prob::{BudgetedOracle, CachedOracle, LimitState, OracleCache};
-/// use std::sync::Arc;
-///
-/// struct Sphere;
-/// impl LimitState for Sphere {
-///     fn dim(&self) -> usize { 2 }
-///     fn value(&self, x: &[f64]) -> f64 { x[0] * x[0] + x[1] * x[1] - 1.0 }
-/// }
-///
-/// let cache = Arc::new(OracleCache::new());
-/// let budgeted = BudgetedOracle::new(&Sphere, 1);
-/// let cached = CachedOracle::new(&budgeted, Arc::clone(&cache), 42);
-/// let v1 = cached.value(&[0.5, 0.5]); // miss: charges the budget
-/// let v2 = cached.value(&[0.5, 0.5]); // hit: free
-/// assert_eq!(v1.to_bits(), v2.to_bits());
-/// assert_eq!(budgeted.used(), 1);
-/// assert_eq!(cache.stats().hits, 1);
-/// ```
-#[derive(Debug)]
-pub struct CachedOracle<T: LimitState> {
-    inner: T,
-    cache: std::sync::Arc<OracleCache>,
-    oracle_id: u64,
-}
-
-impl<T: LimitState> CachedOracle<T> {
-    /// Wraps `inner` (the miss path) with a shared cache under
-    /// `oracle_id`. Callers must ensure the id uniquely identifies the
-    /// *function being cached* — two oracles sharing an id must be the
-    /// same function, or hits will serve one oracle the other's values.
-    pub fn new(inner: T, cache: std::sync::Arc<OracleCache>, oracle_id: u64) -> Self {
-        CachedOracle {
-            inner,
-            cache,
-            oracle_id,
-        }
-    }
-
-    /// The shared cache.
-    #[must_use]
-    pub fn cache(&self) -> &std::sync::Arc<OracleCache> {
-        &self.cache
-    }
-
-    /// The oracle id this wrapper keys its traffic under.
-    #[must_use]
-    pub fn oracle_id(&self) -> u64 {
-        self.oracle_id
-    }
-
-    /// Borrows the miss-path oracle.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: LimitState> LimitState for CachedOracle<T> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn value(&self, x: &[f64]) -> f64 {
-        if let Some(v) = self.cache.get_value(self.oracle_id, x) {
-            return v;
-        }
-        let v = self.inner.value(x);
-        self.cache.insert_value(self.oracle_id, x, v);
-        v
-    }
-
-    fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        if let Some(vg) = self.cache.get_value_grad(self.oracle_id, x) {
-            return vg;
-        }
-        let (v, g) = self.inner.value_grad(x);
-        self.cache.insert_value_grad(self.oracle_id, x, v, &g);
-        (v, g)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BudgetedOracle, CountingOracle};
     use std::sync::Arc;
-
-    struct Paraboloid;
-    impl LimitState for Paraboloid {
-        fn dim(&self) -> usize {
-            2
-        }
-        fn value(&self, x: &[f64]) -> f64 {
-            x[0] * x[0] + 0.5 * x[1] - 1.0
-        }
-        fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-            (self.value(x), vec![2.0 * x[0], 0.5])
-        }
-        fn name(&self) -> &str {
-            "paraboloid"
-        }
-    }
-
-    #[test]
-    fn hit_returns_first_evaluation_bitwise() {
-        let cache = Arc::new(OracleCache::new());
-        let counting = CountingOracle::new(&Paraboloid);
-        let cached = CachedOracle::new(&counting, Arc::clone(&cache), 1);
-        let x = [0.123_456_789, -2.5];
-        let v1 = cached.value(&x);
-        let v2 = cached.value(&x);
-        assert_eq!(v1.to_bits(), v2.to_bits());
-        assert_eq!(counting.calls(), 1);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hits_never_charge_the_budget() {
-        let cache = Arc::new(OracleCache::new());
-        let budgeted = BudgetedOracle::new(&Paraboloid, 2);
-        let cached = CachedOracle::new(&budgeted, Arc::clone(&cache), 9);
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        let _ = cached.value(&a); // miss -> charges
-        for _ in 0..10 {
-            let _ = cached.value(&a); // hits -> free
-        }
-        let _ = cached.value(&b); // miss -> charges
-        assert_eq!(budgeted.used(), 2);
-        assert!(budgeted.is_exhausted());
-        // Exhausted budget, but cached points still answer.
-        assert!(cached.value(&a).is_finite());
-        assert_eq!(budgeted.overruns(), 0);
-    }
-
-    #[test]
-    fn value_only_entry_does_not_serve_value_grad() {
-        let cache = Arc::new(OracleCache::new());
-        let counting = CountingOracle::new(&Paraboloid);
-        let cached = CachedOracle::new(&counting, Arc::clone(&cache), 3);
-        let x = [0.5, 0.5];
-        let v = cached.value(&x);
-        // Gradient request misses (value-only entry), re-evaluates, and
-        // upgrades the entry in place.
-        let (vg, g) = cached.value_grad(&x);
-        assert_eq!(counting.calls(), 2);
-        assert_eq!(v.to_bits(), vg.to_bits());
-        assert_eq!(g, vec![1.0, 0.5]);
-        // Upgraded entry now serves both shapes for free.
-        let _ = cached.value(&x);
-        let _ = cached.value_grad(&x);
-        assert_eq!(counting.calls(), 2);
-        assert_eq!(cache.len(), 1, "upgrade must not duplicate the entry");
-    }
 
     #[test]
     fn oracle_ids_partition_the_namespace() {

@@ -50,7 +50,7 @@ mod limit_state;
 
 pub use batch::{batch_values_budgeted, batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
-pub use cache::{cache_key, CacheStats, CachedOracle, OracleCache};
+pub use cache::{cache_key, CacheStats, OracleCache};
 pub use defensive::DefensiveMixture;
 pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};

@@ -787,6 +787,71 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// One corner of `raw(x) = x0² + 0.5·x1 − 1` with its exact gradient.
+    struct Paraboloid;
+    impl CornerFamily for Paraboloid {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn name(&self) -> &str {
+            "paraboloid"
+        }
+        fn oracle_id(&self) -> u64 {
+            0xC0FFEE
+        }
+        fn corners(&self) -> usize {
+            1
+        }
+        fn corner_params(&self, _corner: usize) -> Vec<f64> {
+            vec![0.0]
+        }
+        fn corner_label(&self, corner: usize) -> String {
+            format!("p{corner}")
+        }
+        fn raw(&self, x: &[f64]) -> f64 {
+            x[0] * x[0] + 0.5 * x[1] - 1.0
+        }
+        fn raw_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            (self.raw(x), vec![2.0 * x[0], 0.5])
+        }
+        fn threshold(&self, _corner: usize) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn corner_oracle_hit_returns_first_evaluation_bitwise() {
+        let cache = Arc::new(OracleCache::new());
+        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(Arc::clone(&cache)));
+        let x = [0.123_456_789, -2.5];
+        let v1 = o.value(&x);
+        let v2 = o.value(&x);
+        assert_eq!(v1.to_bits(), v2.to_bits());
+        assert_eq!((o.evals(), o.real_calls(), o.cache_hits()), (2, 1, 1));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
+        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn corner_oracle_value_only_entry_does_not_serve_value_grad() {
+        let cache = Arc::new(OracleCache::new());
+        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(Arc::clone(&cache)));
+        let x = [0.5, 0.5];
+        let v = o.value(&x);
+        // The gradient request misses (value-only entry), simulates again,
+        // and upgrades the entry in place.
+        let (vg, g) = o.value_grad(&x);
+        assert_eq!(o.real_calls(), 2);
+        assert_eq!(v.to_bits(), vg.to_bits());
+        assert_eq!(g, vec![1.0, 0.5]);
+        // The upgraded entry now serves both shapes without simulating.
+        let _ = o.value(&x);
+        let _ = o.value_grad(&x);
+        assert_eq!(o.real_calls(), 2);
+        assert_eq!(cache.len(), 1, "upgrade must not duplicate the entry");
+    }
+
     #[test]
     fn corner_oracle_without_cache_always_simulates() {
         let family = Arc::new(Line { n: 1 });

@@ -110,15 +110,6 @@ pub enum Level {
 }
 
 impl Level {
-    /// All levels an event can carry (excludes [`Level::Off`]).
-    pub const EVENT_LEVELS: [Level; 5] = [
-        Level::Error,
-        Level::Warn,
-        Level::Info,
-        Level::Debug,
-        Level::Trace,
-    ];
-
     /// Canonical lowercase name (`"off"`, `"error"`, … `"trace"`).
     pub fn as_str(self) -> &'static str {
         match self {

@@ -181,14 +181,6 @@ impl PvtGrid {
         self
     }
 
-    /// Replaces the per-axis spec derating slopes (dB per unit deviation).
-    #[must_use]
-    pub fn with_slopes(mut self, slope_v_db: f64, slope_t_db: f64) -> Self {
-        self.slope_v_db = slope_v_db;
-        self.slope_t_db = slope_t_db;
-        self
-    }
-
     /// The nominal gain spec in dB (threshold at the grid center).
     #[must_use]
     pub fn base_spec_db(&self) -> f64 {
