@@ -190,7 +190,7 @@ pub struct Checkpoint {
     /// The RNG stream state at the snapshot point.
     pub rng_state: [u64; 4],
     /// Simulator calls spent so far
-    /// ([`BudgetedOracle::spent`](nofis_prob::BudgetedOracle::spent)).
+    /// ([`BudgetedOracle::used`](nofis_prob::BudgetedOracle::used)).
     pub oracle_spent: u64,
     /// Whether training had fully completed when this was written (resume
     /// then skips straight to estimation).
@@ -612,9 +612,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// and trajectory of a training run. Two configs with equal fingerprints
 /// produce interchangeable checkpoints; resume refuses a mismatch rather
 /// than restoring parameters into a differently-shaped flow or silently
-/// changing the schedule mid-run. Observability knobs (telemetry, threads,
-/// the checkpoint settings themselves) are deliberately excluded — they
-/// never affect results (see the determinism contract, DESIGN.md §8).
+/// changing the schedule mid-run. Observability knobs (telemetry, the
+/// checkpoint settings themselves) are deliberately excluded — they never
+/// affect results (see the determinism contract, DESIGN.md §8).
 pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     let mut e = Enc::default();
     encode_shape(&mut e, cfg, dim);
@@ -1103,7 +1103,6 @@ mod tests {
         widened.hidden += 1;
         assert_ne!(fp, config_fingerprint(&widened, 6));
         let mut observed = base.clone();
-        observed.threads = Some(3);
         observed.checkpoint = Some(CheckpointConfig::new("/tmp/x"));
         observed.compile_tape = !base.compile_tape;
         assert_eq!(

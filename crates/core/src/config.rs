@@ -103,15 +103,6 @@ pub struct NofisConfig {
     /// halved learning rate) after a divergent epoch before training fails
     /// with [`NofisError::TrainingDiverged`](crate::NofisError::TrainingDiverged).
     pub stage_retries: usize,
-    /// Worker threads for the parallel matmul and oracle-batch hot paths.
-    /// `None` (the default) uses the process default — the `NOFIS_THREADS`
-    /// environment variable when set, else
-    /// `std::thread::available_parallelism()`. The thread count never
-    /// affects results: see the determinism contract in `nofis_parallel`
-    /// and DESIGN.md §8. Note the process-wide pool is sized once, on first
-    /// use; [`Nofis::new`](crate::Nofis::new) records this preference, so
-    /// construct the estimator before anything else touches the pool.
-    pub threads: Option<usize>,
     /// Telemetry sink selection, applied (idempotently, process-wide) by
     /// [`Nofis::new`](crate::Nofis::new). The `NOFIS_LOG`,
     /// `NOFIS_TRACE_FILE` and `NOFIS_FLIGHT_DIR` environment variables
@@ -157,7 +148,6 @@ impl Default for NofisConfig {
             max_calls: None,
             max_grad_norm: Some(100.0),
             stage_retries: 2,
-            threads: None,
             telemetry: nofis_telemetry::Settings::default(),
             checkpoint: None,
         }
@@ -245,9 +235,6 @@ impl NofisConfig {
                     "max_grad_norm must be positive and finite when set",
                 ));
             }
-        }
-        if self.threads == Some(0) {
-            return Err(ConfigError::new("threads must be positive when set"));
         }
         if let Some(ckpt) = &self.checkpoint {
             if ckpt.dir.as_os_str().is_empty() {
@@ -423,10 +410,6 @@ mod tests {
             },
             NofisConfig {
                 max_grad_norm: Some(f64::NAN),
-                ..base.clone()
-            },
-            NofisConfig {
-                threads: Some(0),
                 ..base.clone()
             },
             NofisConfig {

@@ -104,12 +104,11 @@ pub struct Nofis {
 impl Nofis {
     /// Creates an estimator from a validated configuration.
     ///
-    /// When [`NofisConfig::threads`] is set, the preference is recorded for
-    /// the process-wide `nofis_parallel` pool. The pool is sized on first
-    /// use, so construct the estimator before other parallel work runs; a
-    /// `NOFIS_THREADS` environment variable still takes precedence and is
-    /// validated here — a malformed value (e.g. `NOFIS_THREADS=fourx`) is a
-    /// configuration error, never a silent fallback.
+    /// The process-wide `nofis_parallel` pool is sized once, on first use,
+    /// from the `NOFIS_THREADS` environment variable (else the machine's
+    /// available parallelism). The variable is validated here — a
+    /// malformed value (e.g. `NOFIS_THREADS=fourx`) is a configuration
+    /// error, never a silent fallback.
     ///
     /// Telemetry sinks from [`NofisConfig::telemetry`] (overridable via
     /// `NOFIS_LOG` / `NOFIS_TRACE_FILE` / `NOFIS_FLIGHT_DIR`) are installed
@@ -139,9 +138,6 @@ impl Nofis {
         nofis_parallel::env_threads_checked().map_err(|e| ConfigError::new(e.to_string()))?;
         tele::init(&config.telemetry).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_faults::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
-        if let Some(threads) = config.threads {
-            nofis_parallel::set_thread_override(threads);
-        }
         Ok(Nofis { config })
     }
 
@@ -1058,7 +1054,7 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
             if cp.due(run.global_step) {
                 let ckpt = run.snapshot(
                     self.rng.save_state(),
-                    self.oracle.spent(),
+                    self.oracle.used(),
                     false,
                     Some(st.partial()),
                     None,
@@ -1138,7 +1134,7 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
         if let Some(cp) = &mut self.checkpointer {
             let ckpt = run.snapshot(
                 self.rng.save_state(),
-                self.oracle.spent(),
+                self.oracle.used(),
                 done,
                 None,
                 Some(st.opt.export_state()),

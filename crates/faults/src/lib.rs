@@ -56,8 +56,7 @@ pub enum Site {
     /// One simulator evaluation (`value` / `value_grad`) through the
     /// budgeted oracle wrapper.
     OracleCall,
-    /// One budget planning call (`grant` / `reserve`) on the budgeted
-    /// oracle.
+    /// One budget planning call, `BudgetedOracle::grant`.
     BudgetGrant,
     /// One chunk claimed by a *helper* thread inside the parallel pool
     /// (the caller's lane is never targeted, so the panic always crosses
@@ -108,7 +107,7 @@ pub enum FaultKind {
     OracleInf,
     /// The simulator panics mid-call.
     OraclePanic,
-    /// The call budget is forced to exhaustion at a `grant`/`reserve`.
+    /// The call budget is forced to exhaustion at a `grant`.
     BudgetExhaust,
     /// A pool helper thread panics while holding a claimed chunk.
     WorkerPanic,

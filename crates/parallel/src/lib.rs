@@ -20,10 +20,9 @@
 //!   `nofis_autograd::Tensor::matmul` (forward *and* backward).
 //! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
 //!   shared by the interpreted graph and the compiled-tape replay engine.
-//! * [`global`] / [`default_threads`] — a process-wide pool sized from (in
-//!   precedence order) the `NOFIS_THREADS` environment variable, an
-//!   explicit [`set_thread_override`] (wired to `NofisConfig::threads`),
-//!   or `std::thread::available_parallelism()`.
+//! * [`global`] / [`default_threads`] — a process-wide pool sized from the
+//!   `NOFIS_THREADS` environment variable when set, else
+//!   `std::thread::available_parallelism()`.
 //!
 //! # Determinism contract
 //!
@@ -52,7 +51,6 @@ mod pool;
 
 pub use pool::{LaneGuard, PoolUsage, ThreadPool};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// `NOFIS_THREADS` was set to something other than a positive integer.
@@ -78,35 +76,8 @@ impl std::fmt::Display for ThreadsEnvError {
 
 impl std::error::Error for ThreadsEnvError {}
 
-/// Unset sentinel for the explicit thread-count override.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// The lazily built process-wide pool.
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
-
-/// Records an explicit thread-count preference (e.g. from
-/// `NofisConfig::threads`).
-///
-/// Returns `true` if the preference can still influence the global pool
-/// (i.e. [`global`] has not been called yet); once the global pool exists
-/// its size is fixed for the lifetime of the process and this call only
-/// updates the recorded preference. The `NOFIS_THREADS` environment
-/// variable, when set and valid, takes precedence over this override so
-/// operators and CI can pin the thread count from outside.
-///
-/// A zero `threads` clears the override.
-pub fn set_thread_override(threads: usize) -> bool {
-    THREAD_OVERRIDE.store(threads, Ordering::SeqCst);
-    GLOBAL_POOL.get().is_none()
-}
-
-/// The currently recorded explicit override, if any.
-pub fn thread_override() -> Option<usize> {
-    match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => None,
-        n => Some(n),
-    }
-}
 
 /// Parses `NOFIS_THREADS` from the environment with typed rejection.
 ///
@@ -141,8 +112,6 @@ fn parse_threads(raw: &str) -> Result<Option<usize>, ThreadsEnvError> {
 pub enum ThreadSource {
     /// The `NOFIS_THREADS` environment variable.
     Env,
-    /// An explicit [`set_thread_override`] (e.g. `NofisConfig::threads`).
-    Override,
     /// `std::thread::available_parallelism()` (or 1 when unknown).
     Available,
 }
@@ -152,15 +121,13 @@ impl ThreadSource {
     pub fn as_str(self) -> &'static str {
         match self {
             ThreadSource::Env => "env",
-            ThreadSource::Override => "override",
             ThreadSource::Available => "available_parallelism",
         }
     }
 }
 
 /// Resolves the default worker count and where it came from:
-/// `NOFIS_THREADS` env var, else the explicit [`set_thread_override`],
-/// else `available_parallelism()`.
+/// `NOFIS_THREADS` env var, else `available_parallelism()`.
 ///
 /// # Panics
 ///
@@ -172,9 +139,6 @@ pub fn resolve_default_threads() -> (usize, ThreadSource) {
     let env = env_threads_checked().unwrap_or_else(|e| panic!("{e}"));
     if let Some(n) = env {
         return (n.max(1), ThreadSource::Env);
-    }
-    if let Some(n) = thread_override() {
-        return (n.max(1), ThreadSource::Override);
     }
     let n = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -212,7 +176,7 @@ pub fn init_global(threads: usize) -> bool {
 ///
 /// Pool construction emits a one-shot `parallel.pool.init` telemetry
 /// startup event recording the resolved thread count and where it came
-/// from (`NOFIS_THREADS`, an explicit override, or the machine default).
+/// from (`NOFIS_THREADS` or the machine default).
 pub fn global() -> &'static ThreadPool {
     GLOBAL_POOL.get_or_init(|| {
         let (threads, source) = resolve_default_threads();
@@ -234,16 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn override_round_trip() {
-        // Note: global-pool interaction is covered by integration tests;
-        // here we only exercise the recorded preference.
-        set_thread_override(3);
-        assert_eq!(thread_override(), Some(3));
-        set_thread_override(0);
-        assert_eq!(thread_override(), None);
-    }
-
-    #[test]
     fn threads_env_parsing_is_typed() {
         assert_eq!(parse_threads("4"), Ok(Some(4)));
         assert_eq!(parse_threads("  2 "), Ok(Some(2)));
@@ -260,7 +214,6 @@ mod tests {
     #[test]
     fn thread_source_labels() {
         assert_eq!(ThreadSource::Env.as_str(), "env");
-        assert_eq!(ThreadSource::Override.as_str(), "override");
         assert_eq!(ThreadSource::Available.as_str(), "available_parallelism");
     }
 

@@ -8,14 +8,12 @@
 //! chunk order — so the output `Vec` is bitwise identical to a serial
 //! sample-by-sample loop for any thread count.
 //!
-//! For budget-metered oracles, [`batch_values_budgeted`] reserves each
-//! chunk's calls up front on the calling thread (in chunk order, via
-//! [`BudgetedOracle::reserve`]) before any worker runs, so the set of
-//! evaluated samples is a deterministic prefix of the batch and the call
-//! count is exact: never an overrun, even when `max_calls` is not divisible
-//! by the chunk size.
+//! For budget-metered oracles, the caller sizes the batch with
+//! [`BudgetedOracle::grant`](crate::BudgetedOracle::grant) on its own
+//! thread before evaluating it, so the evaluated samples and the call count
+//! are fixed before any worker runs.
 
-use crate::{BudgetedOracle, LimitState};
+use crate::LimitState;
 use nofis_parallel::chunks::{chunk_count, chunk_range};
 use nofis_parallel::ThreadPool;
 
@@ -40,40 +38,6 @@ pub fn batch_values_with(
         xs[start..end]
             .iter()
             .map(|x| limit_state.value(x))
-            .collect()
-    });
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// Budget-exact parallel batch evaluation.
-///
-/// Reserves each chunk's calls up front — in chunk order, on the calling
-/// thread — so the evaluated samples are always the longest affordable
-/// *prefix* of `xs`, regardless of scheduling. Returns that prefix's values
-/// (`result.len() <= xs.len()`, shorter exactly when the budget ran out).
-/// The oracle's `used` count increases by exactly `result.len()` and never
-/// exceeds the budget.
-pub fn batch_values_budgeted<T: LimitState + ?Sized + Sync>(
-    budgeted: &BudgetedOracle<'_, T>,
-    xs: &[Vec<f64>],
-    pool: &ThreadPool,
-) -> Vec<f64> {
-    let n = xs.len();
-    let n_chunks = chunk_count(n, ORACLE_CHUNK);
-    // Serial, chunk-ordered reservation: under a tight budget the granted
-    // counts form a deterministic prefix (full chunks, then one partial,
-    // then zeros) no matter how many threads later run the evaluation.
-    let granted: Vec<usize> = (0..n_chunks)
-        .map(|ci| {
-            let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-            budgeted.reserve(end - start)
-        })
-        .collect();
-    let per_chunk: Vec<Vec<f64>> = pool.map_chunks(n_chunks, |ci| {
-        let (start, _) = chunk_range(n, ORACLE_CHUNK, ci);
-        xs[start..start + granted[ci]]
-            .iter()
-            .map(|x| budgeted.value_prepaid(x))
             .collect()
     });
     per_chunk.into_iter().flatten().collect()
@@ -122,42 +86,5 @@ mod tests {
         let vals = batch_values_with(&counting, &xs, &pool);
         assert_eq!(vals.len(), 77);
         assert_eq!(counting.calls(), 77);
-    }
-
-    #[test]
-    fn budgeted_batch_evaluates_exact_prefix() {
-        let xs = samples(100);
-        let counting = CountingOracle::new(&Norm2);
-        let budgeted = BudgetedOracle::new(&counting, 45); // not divisible by 32
-        let pool = ThreadPool::new(4);
-        let vals = batch_values_budgeted(&budgeted, &xs, &pool);
-        assert_eq!(vals.len(), 45);
-        assert_eq!(budgeted.used(), 45);
-        assert_eq!(budgeted.overruns(), 0);
-        assert_eq!(counting.calls(), 45);
-        // The prefix is the same one a serial loop would evaluate.
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(v.to_bits(), Norm2.value(&xs[i]).to_bits());
-        }
-        // A second batch finds the budget exhausted.
-        assert!(batch_values_budgeted(&budgeted, &xs, &pool).is_empty());
-    }
-
-    #[test]
-    fn budgeted_batch_with_ample_budget_covers_all() {
-        let xs = samples(64);
-        let budgeted = BudgetedOracle::new(&Norm2, 1000);
-        let pool = ThreadPool::new(2);
-        let vals = batch_values_budgeted(&budgeted, &xs, &pool);
-        assert_eq!(vals.len(), 64);
-        assert_eq!(budgeted.remaining(), 1000 - 64);
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let budgeted = BudgetedOracle::new(&Norm2, 10);
-        let pool = ThreadPool::new(2);
-        assert!(batch_values_budgeted(&budgeted, &[], &pool).is_empty());
-        assert_eq!(budgeted.used(), 0);
     }
 }

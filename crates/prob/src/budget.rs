@@ -41,28 +41,28 @@ fn budget_fault(used: &AtomicU64, budget: u64) {
     }
 }
 
-/// Emits budget-spend telemetry for a planned/reserved chunk: a
-/// per-grant trace record, plus a debug-level truncation event whenever
+/// Emits budget-spend telemetry for a planned chunk: a per-grant trace
+/// record, plus a debug-level truncation event whenever
 /// the affordable count fell short of the request (the moment a run
 /// starts degrading). Purely observational — never affects the grant.
-fn record_grant(op: &'static str, want: usize, granted: usize, used: u64, budget: u64) {
+fn record_grant(want: usize, granted: usize, used: u64, budget: u64) {
     let remaining = budget.saturating_sub(used);
     if tele::enabled(tele::Level::Trace) {
         tele::event(tele::Level::Trace, "budget.grant")
-            .field("op", op)
+            .field("op", "grant")
             .field("want", want)
             .field("granted", granted)
             .field("used", used)
             .field("budget", budget)
             .emit();
-        // Headroom gauge at every grant/reserve site: dashboards and the
+        // Headroom gauge at every grant site: dashboards and the
         // sweep report watch this to see a run approach its budget wall
         // without re-deriving it from grant arithmetic.
         tele::gauge(tele::Level::Trace, "budget.remaining", remaining as f64).emit();
     }
     if granted < want && tele::enabled(tele::Level::Debug) {
         tele::event(tele::Level::Debug, "budget.truncated")
-            .field("op", op)
+            .field("op", "grant")
             .field("want", want)
             .field("granted", granted)
             .field("remaining", remaining)
@@ -74,7 +74,7 @@ fn record_grant(op: &'static str, want: usize, granted: usize, used: u64, budget
 /// A [`LimitState`] wrapper enforcing a hard simulator-call budget.
 ///
 /// The oracle counts every `value`/`value_grad` invocation. Consumers are
-/// expected to reserve work via [`BudgetedOracle::grant`] *before* spending
+/// expected to plan work via [`BudgetedOracle::grant`] *before* spending
 /// calls; any call made beyond the budget is recorded in
 /// [`BudgetedOracle::overruns`] so tests can assert the cooperative
 /// protocol was honored (the call still delegates to the wrapped limit
@@ -141,21 +141,8 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
         self.remaining() == 0
     }
 
-    /// Synonym for [`BudgetedOracle::used`] named for the checkpoint
-    /// payload: the spent-call count a durable checkpoint must persist so a
-    /// resumed run keeps honoring the same budget.
-    ///
-    /// Guaranteed to be a *pure read*: it never takes a reservation, never
-    /// mutates the meter, and never passes through the
-    /// [`faults::Site::BudgetGrant`] injection seam — so report generators
-    /// (e.g. the corner-sweep report) can poll it freely without perturbing
-    /// either the budget or a fault plan's visit indices.
-    pub fn spent(&self) -> u64 {
-        self.used()
-    }
-
     /// Restores a spent-call count saved by a previous process (via
-    /// [`BudgetedOracle::spent`]) into this — freshly constructed — oracle,
+    /// [`BudgetedOracle::used`]) into this — freshly constructed — oracle,
     /// so the crash boundary cannot reset the meter: across the original
     /// and resumed runs together, at most `budget` calls are ever made.
     ///
@@ -170,40 +157,8 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     pub fn grant(&self, want: usize) -> usize {
         budget_fault(&self.used, self.budget);
         let granted = (want as u64).min(self.remaining()) as usize;
-        record_grant("grant", want, granted, self.used(), self.budget);
+        record_grant(want, granted, self.used(), self.budget);
         granted
-    }
-
-    /// Atomically reserves up to `want` calls, *consuming* them from the
-    /// budget immediately, and returns how many were actually granted.
-    ///
-    /// Unlike [`BudgetedOracle::grant`] — which only inspects the remaining
-    /// budget and relies on a single consumer spending it afterwards —
-    /// `reserve` pre-charges `used`, so concurrent reservations can never
-    /// jointly exceed the budget. Parallel batch evaluation (see
-    /// [`batch_values_budgeted`](crate::batch_values_budgeted)) reserves
-    /// each chunk up front and then spends the reserved calls with
-    /// `BudgetedOracle::value_prepaid`.
-    pub fn reserve(&self, want: usize) -> usize {
-        budget_fault(&self.used, self.budget);
-        let afford = |used: u64| (want as u64).min(self.budget.saturating_sub(used));
-        let charged = self
-            .used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                (afford(used) > 0).then(|| used + afford(used))
-            });
-        let (granted, used_after) = match charged {
-            Ok(before) => (afford(before), before + afford(before)),
-            Err(used) => (0, used),
-        };
-        record_grant("reserve", want, granted as usize, used_after, self.budget);
-        granted as usize
-    }
-
-    /// Evaluates the wrapped limit state without charging the budget; the
-    /// call must have been paid for via [`BudgetedOracle::reserve`].
-    pub(crate) fn value_prepaid(&self, x: &[f64]) -> f64 {
-        self.eval_value(x)
     }
 
     /// Decides the injected fault (if any) for one oracle evaluation and
@@ -378,7 +333,7 @@ mod tests {
         for _ in 0..first.grant(7) {
             let _ = first.value(&[0.0, 0.0]);
         }
-        let spent = first.spent();
+        let spent = first.used();
         assert_eq!(spent, 7);
 
         let resumed = BudgetedOracle::new(&Linear, 10);
@@ -419,19 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn spent_is_a_pure_read() {
-        // `spent()` must never take a reservation or trip the BudgetGrant
-        // fault seam: sweep reporting polls it mid-run. Polling it many
-        // times leaves the meter and every grant outcome untouched.
+    fn used_is_a_pure_read() {
+        // `used()` must never charge the meter or trip the BudgetGrant
+        // fault seam: checkpoints and reports poll it mid-run. Polling it
+        // many times leaves the meter and every grant outcome untouched.
         let b = BudgetedOracle::new(&Linear, 5);
         let _ = b.value(&[0.0, 0.0]);
         for _ in 0..100 {
-            assert_eq!(b.spent(), 1);
+            assert_eq!(b.used(), 1);
         }
-        assert_eq!(b.used(), 1);
         assert_eq!(b.remaining(), 4);
         assert_eq!(b.grant(10), 4);
-        assert_eq!(b.spent(), 1, "grant plans; spent reads");
+        assert_eq!(b.used(), 1, "grant plans; used reads");
     }
 
     #[test]

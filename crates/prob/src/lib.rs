@@ -40,7 +40,6 @@
 
 mod batch;
 mod budget;
-mod cache;
 mod defensive;
 mod diagnostics;
 mod estimate;
@@ -48,9 +47,8 @@ mod gaussian;
 mod importance;
 mod limit_state;
 
-pub use batch::{batch_values_budgeted, batch_values_with, ORACLE_CHUNK};
+pub use batch::{batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
-pub use cache::{cache_key, CacheStats, OracleCache};
 pub use defensive::DefensiveMixture;
 pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};

@@ -2,20 +2,21 @@
 //!
 //! `BudgetedOracle` promises exact call accounting: a budget of `B` calls
 //! means at most `B` simulator invocations, ever, no matter how many
-//! threads are spending them. These tests drive the parallel batch
-//! evaluator with budgets that are deliberately not multiples of the
-//! 32-sample chunk size, across several pool widths, and assert the counts
-//! are exact — against both the budget meter and an independent
-//! `CountingOracle` underneath it.
+//! threads are spending them. Every batch is planned with
+//! `BudgetedOracle::grant` on the calling thread and then evaluated on the
+//! pool, each call charged as it is made — the protocol the pilot and the
+//! estimator follow. These tests use budgets that are deliberately not
+//! multiples of the 32-sample chunk size, across several pool widths, and
+//! assert the counts are exact — against both the budget meter and an
+//! independent `CountingOracle` underneath it.
 
 use nofis_parallel::ThreadPool;
 use nofis_prob::{
-    batch_values_budgeted, importance_sampling_detailed_with_pool, BudgetedOracle, CountingOracle,
+    batch_values_with, importance_sampling_detailed_with_pool, BudgetedOracle, CountingOracle,
     LimitState, StandardGaussian, ORACLE_CHUNK,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Sphere;
 impl LimitState for Sphere {
@@ -33,6 +34,17 @@ fn samples(n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Plans `xs` against the budget, then scores the granted prefix on
+/// `pool`.
+fn granted_batch<T: LimitState + ?Sized + Sync>(
+    budgeted: &BudgetedOracle<'_, T>,
+    xs: &[Vec<f64>],
+    pool: &ThreadPool,
+) -> Vec<f64> {
+    let n = budgeted.grant(xs.len());
+    batch_values_with(budgeted, &xs[..n], pool)
+}
+
 #[test]
 fn indivisible_budget_never_overruns_under_parallel_eval() {
     // 103 = 3 full chunks of 32 + a ragged 7; batch of 256 wants more.
@@ -43,7 +55,7 @@ fn indivisible_budget_never_overruns_under_parallel_eval() {
         let budgeted = BudgetedOracle::new(&counting, 103);
         let pool = ThreadPool::new(threads);
 
-        let vals = batch_values_budgeted(&budgeted, &xs, &pool);
+        let vals = granted_batch(&budgeted, &xs, &pool);
         assert_eq!(vals.len(), 103, "threads={threads}");
         assert_eq!(budgeted.used(), 103, "threads={threads}");
         assert_eq!(budgeted.overruns(), 0, "threads={threads}");
@@ -62,35 +74,11 @@ fn budget_spans_multiple_batches_exactly() {
     let budgeted = BudgetedOracle::new(&counting, 150);
     let pool = ThreadPool::new(4);
     // 100 + 50(truncated from 100) + 0: the budget is consumed exactly.
-    assert_eq!(
-        batch_values_budgeted(&budgeted, &samples(100), &pool).len(),
-        100
-    );
-    assert_eq!(
-        batch_values_budgeted(&budgeted, &samples(100), &pool).len(),
-        50
-    );
-    assert!(batch_values_budgeted(&budgeted, &samples(100), &pool).is_empty());
+    assert_eq!(granted_batch(&budgeted, &samples(100), &pool).len(), 100);
+    assert_eq!(granted_batch(&budgeted, &samples(100), &pool).len(), 50);
+    assert!(granted_batch(&budgeted, &samples(100), &pool).is_empty());
     assert_eq!(counting.calls(), 150);
     assert_eq!(budgeted.overruns(), 0);
-}
-
-#[test]
-fn concurrent_reservations_cannot_jointly_exceed_the_budget() {
-    // Hammer reserve() from many threads at once; the grants must sum to
-    // exactly the budget no matter how the race interleaves.
-    let budgeted = BudgetedOracle::new(&Sphere, 1000);
-    let pool = ThreadPool::new(8);
-    let granted_total = AtomicUsize::new(0);
-    pool.run_chunks(64, |_| {
-        let got = budgeted.reserve(37);
-        granted_total.fetch_add(got, Ordering::Relaxed);
-    });
-    // 64 * 37 = 2368 wanted, but only 1000 affordable.
-    assert_eq!(granted_total.load(Ordering::Relaxed), 1000);
-    assert_eq!(budgeted.used(), 1000);
-    assert_eq!(budgeted.overruns(), 0);
-    assert_eq!(budgeted.reserve(1), 0, "budget is fully reserved");
 }
 
 #[test]

@@ -18,22 +18,25 @@
 //!    pinned by `nofis_core::checkpoint::warm_fingerprint`) and trains a
 //!    shortened refine schedule ([`SweepConfig::warm_epochs`]), spending
 //!    strictly fewer oracle evaluations than a cold corner.
-//! 3. **Content-addressed oracle caching** (`nofis_prob::OracleCache`):
-//!    all corners share one raw metric, so co-tenant corners evaluating
-//!    the same input vector — routine under the sweep's common-random-
-//!    number seeding — reuse each other's simulations. Hits are answered
-//!    from the cache and never reach the simulator.
+//! 3. **A shared raw-metric memo** ([`OracleMemo`]): all corners share one
+//!    raw metric, so corners evaluating the same input vector — routine
+//!    under the sweep's common-random-number seeding — reuse each other's
+//!    simulations. Each distinct point is simulated once per request kind;
+//!    a corner that asks for a point another corner is simulating waits
+//!    for those bits instead of simulating it again.
 //!
 //! # Determinism
 //!
 //! Every corner re-run cold (same seed, same config) reproduces its
-//! estimate bitwise. The cache changes *call counts*, never values: the
+//! estimate bitwise. The memo changes *call counts*, never values: the
 //! raw metric is a pure function, so a hit returns exactly the bits a
 //! fresh evaluation would produce. Per-corner [`CornerReport::evals`]
-//! (evaluations the corner *requested*) is deterministic;
-//! [`CornerReport::real_calls`] (evaluations that reached the simulator)
-//! legitimately varies with co-tenant timing when the cache is shared —
-//! two corners racing on the same point may both miss.
+//! (evaluations the corner *requested*) is deterministic, and so is the
+//! sweep's [`SweepReport::total_real_calls`]: the number of distinct
+//! (request kind, point) pairs its corners request. Only the per-corner
+//! split between [`CornerReport::real_calls`] and
+//! [`CornerReport::cache_hits`] moves with co-tenant timing — which
+//! corner reaches a shared point first.
 //!
 //! # Example
 //!
@@ -55,32 +58,110 @@
 use nofis_core::checkpoint::{load_warm_start, WarmStart};
 use nofis_core::{CheckpointConfig, NofisConfig, NofisError};
 use nofis_jobs::{JobRunner, JobSpec, RunnerConfig, ShutdownMode};
-use nofis_prob::{LimitState, OracleCache};
+use nofis_prob::LimitState;
 use nofis_telemetry as tele;
 use nofis_testcases::CornerFamily;
 use serde::Serialize;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+// ---------------------------------------------------------------------------
+// Shared raw-metric memo
+// ---------------------------------------------------------------------------
+
+/// One memo entry's identity: the family's oracle id and the exact
+/// IEEE-754 bits of the input, so `-0.0` and `+0.0`, or two NaN payloads,
+/// are distinct points.
+type Key = (u64, Box<[u64]>);
+
+/// Results of one request kind, each computed at most once per key. The
+/// map lock is held only to find or insert a key's cell; the simulation
+/// runs outside it, inside the cell's [`OnceLock`], so requests for the
+/// same point in flight wait for it while other points proceed.
+struct Memo<T>(Mutex<HashMap<Key, Arc<OnceLock<T>>>>);
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo(Mutex::default())
+    }
+}
+
+impl<T: Clone> Memo<T> {
+    /// The result for `(oracle_id, x)`, running `eval` only if no earlier
+    /// request stored one, and whether this call ran it. If `eval`
+    /// panics nothing is stored: the next request for the point runs it.
+    fn get_or_eval(&self, oracle_id: u64, x: &[f64], eval: impl FnOnce() -> T) -> (T, bool) {
+        let key = (oracle_id, x.iter().map(|v| v.to_bits()).collect());
+        let cell = {
+            let mut map = self.0.lock().expect("memo poisoned");
+            Arc::clone(map.entry(key).or_default())
+        };
+        let mut ran = false;
+        let result = cell.get_or_init(|| {
+            ran = true;
+            eval()
+        });
+        (result.clone(), ran)
+    }
+
+    /// Keys holding a result; a key whose only simulation panicked has
+    /// none.
+    fn len(&self) -> usize {
+        let map = self.0.lock().expect("memo poisoned");
+        map.values().filter(|cell| cell.get().is_some()).count()
+    }
+}
+
+/// Raw-metric results shared by every corner of a sweep: one memo for
+/// `value` requests and one for `value_grad` requests, keyed on the
+/// family's [`CornerFamily::oracle_id`] and the input's exact bits.
+///
+/// The two kinds never serve each other — a family's `raw` and
+/// `raw_grad` may round differently — so each distinct (kind, point)
+/// pair reaches the simulator exactly once, however the corners asking
+/// for it interleave.
+#[derive(Default)]
+pub struct OracleMemo {
+    values: Memo<f64>,
+    grads: Memo<(f64, Vec<f64>)>,
+}
+
+impl OracleMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stored entries, both kinds together.
+    pub fn len(&self) -> usize {
+        self.values.len() + self.grads.len()
+    }
+
+    /// Whether nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Corner oracle: one corner's limit state over the shared raw metric
 // ---------------------------------------------------------------------------
 
 /// One corner's limit state `g_i(x) = raw(x) − a_i`, backed by the
-/// family's shared raw metric and (optionally) a shared
-/// [`OracleCache`].
+/// family's shared raw metric and (optionally) a shared [`OracleMemo`].
 ///
-/// The cache sits *in front of* the simulator: a hit never evaluates the
+/// The memo sits *in front of* the simulator: a hit never evaluates the
 /// family's raw metric. Per-corner traffic counters (total evaluations,
-/// simulator calls, cache hits) are plain observability reads — they are
+/// simulator calls, memo hits) are plain observability reads — they are
 /// never fed back into any computation.
 pub struct CornerOracle<F: CornerFamily> {
     family: Arc<F>,
     threshold: f64,
     name: String,
-    cache: Option<Arc<OracleCache>>,
+    memo: Option<Arc<OracleMemo>>,
     oracle_id: u64,
     evals: AtomicU64,
     real: AtomicU64,
@@ -88,13 +169,13 @@ pub struct CornerOracle<F: CornerFamily> {
 }
 
 impl<F: CornerFamily> CornerOracle<F> {
-    /// The corner's limit state, caching raw-metric evaluations in
-    /// `cache` (shared across sibling corners) when one is given.
+    /// The corner's limit state, sharing raw-metric evaluations through
+    /// `memo` (shared across sibling corners) when one is given.
     ///
     /// # Panics
     ///
     /// Panics if `corner` is out of range for the family.
-    pub fn new(family: Arc<F>, corner: usize, cache: Option<Arc<OracleCache>>) -> Self {
+    pub fn new(family: Arc<F>, corner: usize, memo: Option<Arc<OracleMemo>>) -> Self {
         assert!(corner < family.corners(), "corner {corner} out of range");
         let threshold = family.threshold(corner);
         let name = format!("{}/{}", family.name(), family.corner_label(corner));
@@ -103,7 +184,7 @@ impl<F: CornerFamily> CornerOracle<F> {
             family,
             threshold,
             name,
-            cache,
+            memo,
             oracle_id,
             evals: AtomicU64::new(0),
             real: AtomicU64::new(0),
@@ -117,13 +198,14 @@ impl<F: CornerFamily> CornerOracle<F> {
         self.evals.load(Ordering::Relaxed)
     }
 
-    /// Evaluations that actually ran the simulator (cache misses, or all
-    /// of them when no cache is attached).
+    /// Evaluations that actually ran the simulator (memo misses, or all
+    /// of them when no memo is attached).
     pub fn real_calls(&self) -> u64 {
         self.real.load(Ordering::Relaxed)
     }
 
-    /// Evaluations answered from the shared cache.
+    /// Evaluations answered from the shared memo, including requests that
+    /// waited for a sibling corner's simulation of the same point.
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -131,6 +213,30 @@ impl<F: CornerFamily> CornerOracle<F> {
     /// The corner's failure threshold `a_i` on the raw metric.
     pub fn threshold(&self) -> f64 {
         self.threshold
+    }
+
+    /// Answers one request of one kind, from `memo` when attached, and
+    /// counts it. A simulation counts as a real call as it starts, so one
+    /// that panics is counted too.
+    fn request<T: Clone>(
+        &self,
+        memo: impl FnOnce(&OracleMemo) -> &Memo<T>,
+        x: &[f64],
+        eval: impl FnOnce() -> T,
+    ) -> T {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        let simulate = || {
+            self.real.fetch_add(1, Ordering::Relaxed);
+            eval()
+        };
+        let Some(m) = &self.memo else {
+            return simulate();
+        };
+        let (result, ran) = memo(m).get_or_eval(self.oracle_id, x, simulate);
+        if !ran {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        result
     }
 }
 
@@ -140,48 +246,11 @@ impl<F: CornerFamily> LimitState for CornerOracle<F> {
     }
 
     fn value(&self, x: &[f64]) -> f64 {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let raw = match &self.cache {
-            None => {
-                self.real.fetch_add(1, Ordering::Relaxed);
-                self.family.raw(x)
-            }
-            Some(cache) => match cache.get_value(self.oracle_id, x) {
-                Some(raw) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    raw
-                }
-                None => {
-                    self.real.fetch_add(1, Ordering::Relaxed);
-                    let raw = self.family.raw(x);
-                    cache.insert_value(self.oracle_id, x, raw);
-                    raw
-                }
-            },
-        };
-        raw - self.threshold
+        self.request(|m| &m.values, x, || self.family.raw(x)) - self.threshold
     }
 
     fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let (raw, grad) = match &self.cache {
-            None => {
-                self.real.fetch_add(1, Ordering::Relaxed);
-                self.family.raw_grad(x)
-            }
-            Some(cache) => match cache.get_value_grad(self.oracle_id, x) {
-                Some(pair) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    pair
-                }
-                None => {
-                    self.real.fetch_add(1, Ordering::Relaxed);
-                    let (raw, grad) = self.family.raw_grad(x);
-                    cache.insert_value_grad(self.oracle_id, x, raw, &grad);
-                    (raw, grad)
-                }
-            },
-        };
+        let (raw, grad) = self.request(|m| &m.grads, x, || self.family.raw_grad(x));
         // The threshold is a constant shift: the gradient passes through.
         (raw - self.threshold, grad)
     }
@@ -282,7 +351,7 @@ pub struct SweepConfig {
     /// for warm-start donors.
     pub checkpoint_dir: PathBuf,
     /// Common-random-number seed shared by every corner: identical
-    /// early-training sample streams are what make cross-corner cache
+    /// early-training sample streams are what make cross-corner memo
     /// hits routine.
     pub seed: u64,
     /// Concurrent corner jobs (runner workers).
@@ -295,7 +364,7 @@ pub struct SweepConfig {
     /// refine schedule is what guarantees warm corners spend strictly
     /// fewer oracle evaluations.
     pub warm_epochs: usize,
-    /// Whether corners share a content-addressed raw-metric cache.
+    /// Whether corners share a raw-metric [`OracleMemo`].
     pub cache: bool,
 }
 
@@ -351,24 +420,23 @@ pub struct CornerReport {
     pub error: Option<String>,
     /// Total `g` evaluations the corner requested (deterministic).
     pub evals: u64,
-    /// Evaluations that reached the simulator (cache misses).
+    /// Evaluations that reached the simulator (memo misses).
     pub real_calls: u64,
-    /// Evaluations answered by the shared cache.
+    /// Evaluations answered by the shared memo.
     pub cache_hits: u64,
     /// `cache_hits / evals` in `[0, 1]`.
     pub hit_rate: f64,
 }
 
-/// Shared-cache traffic totals for the whole sweep.
+/// Shared-memo traffic totals for the whole sweep, summed from the
+/// per-corner counters.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct CacheTotals {
-    /// Lookups answered from the cache.
+    /// Requests answered from the memo (Σ [`CornerReport::cache_hits`]).
     pub hits: u64,
-    /// Lookups that fell through to the simulator.
+    /// Requests that ran the simulator (Σ [`CornerReport::real_calls`]).
     pub misses: u64,
-    /// Entries written.
-    pub inserts: u64,
-    /// Distinct entries resident at sweep end.
+    /// Distinct entries resident at sweep end, both request kinds.
     pub entries: usize,
     /// `hits / (hits + misses)`.
     pub hit_rate: f64,
@@ -390,9 +458,9 @@ pub struct SweepReport {
     pub seed: u64,
     /// Whether warm starts were enabled.
     pub warm_enabled: bool,
-    /// Whether the shared cache was enabled.
+    /// Whether the shared memo was enabled.
     pub cache_enabled: bool,
-    /// Cache totals when the cache was enabled.
+    /// Memo totals when the memo was enabled.
     pub cache: Option<CacheTotals>,
     /// Sum of per-corner requested evaluations.
     pub total_evals: u64,
@@ -420,7 +488,7 @@ impl SweepReport {
 /// for a wave to finish before submitting the next, because warm starts
 /// read *finished* donor checkpoints. Within a wave, corners run
 /// concurrently on [`SweepConfig::workers`] runner workers, sharing the
-/// raw-metric cache when [`SweepConfig::cache`] is on, and start in
+/// raw-metric memo when [`SweepConfig::cache`] is on, and start in
 /// submission order.
 ///
 /// A failed corner is recorded in its [`CornerReport::error`] and does
@@ -452,7 +520,7 @@ pub fn run_sweep<F: CornerFamily + 'static>(
     }
 
     let waves = plan_waves(family.as_ref());
-    let cache = cfg.cache.then(|| Arc::new(OracleCache::new()));
+    let memo = cfg.cache.then(|| Arc::new(OracleMemo::new()));
     let runner = JobRunner::new(RunnerConfig {
         workers: cfg.workers.max(1),
         queue_capacity: n.max(1),
@@ -513,11 +581,7 @@ pub fn run_sweep<F: CornerFamily + 'static>(
             }
             let epochs = corner_cfg.epochs;
 
-            let oracle = Arc::new(CornerOracle::new(
-                Arc::clone(&family),
-                corner,
-                cache.clone(),
-            ));
+            let oracle = Arc::new(CornerOracle::new(Arc::clone(&family), corner, memo.clone()));
             let mut spec = JobSpec::new(
                 label.clone(),
                 corner_cfg,
@@ -589,16 +653,19 @@ pub fn run_sweep<F: CornerFamily + 'static>(
         .into_iter()
         .map(|r| r.expect("every corner is assigned to exactly one wave"))
         .collect();
-    let total_evals = corners.iter().map(|c| c.evals).sum();
-    let total_real_calls = corners.iter().map(|c| c.real_calls).sum();
-    let cache_totals = cache.as_ref().map(|c| {
-        let s = c.stats();
+    let total_evals: u64 = corners.iter().map(|c| c.evals).sum();
+    let total_real_calls: u64 = corners.iter().map(|c| c.real_calls).sum();
+    let cache_totals = memo.as_ref().map(|m| {
+        let hits: u64 = corners.iter().map(|c| c.cache_hits).sum();
         CacheTotals {
-            hits: s.hits,
-            misses: s.misses,
-            inserts: s.inserts,
-            entries: c.len(),
-            hit_rate: s.hit_rate(),
+            hits,
+            misses: total_real_calls,
+            entries: m.len(),
+            hit_rate: if hits == 0 {
+                0.0
+            } else {
+                hits as f64 / (hits + total_real_calls) as f64
+            },
         }
     });
 
@@ -766,9 +833,9 @@ mod tests {
     #[test]
     fn corner_oracle_shares_raw_evaluations_through_the_cache() {
         let family = Arc::new(Line { n: 3 });
-        let cache = Arc::new(OracleCache::new());
-        let a = CornerOracle::new(Arc::clone(&family), 0, Some(Arc::clone(&cache)));
-        let b = CornerOracle::new(Arc::clone(&family), 2, Some(Arc::clone(&cache)));
+        let memo = Arc::new(OracleMemo::new());
+        let a = CornerOracle::new(Arc::clone(&family), 0, Some(Arc::clone(&memo)));
+        let b = CornerOracle::new(Arc::clone(&family), 2, Some(Arc::clone(&memo)));
         let x = [0.5, -1.0];
         let va = a.value(&x); // miss: simulates
         let vb = b.value(&x); // hit: reuses corner 0's simulation
@@ -780,11 +847,12 @@ mod tests {
             (va + family.threshold(0)).to_bits(),
             (vb + family.threshold(2)).to_bits()
         );
-        // Gradient requests upgrade rather than duplicate.
+        // Gradient requests get their own entry, shared the same way.
         let (_, ga) = a.value_grad(&x);
         let (_, gb) = b.value_grad(&x);
         assert_eq!(ga, gb, "threshold shift leaves the gradient untouched");
-        assert_eq!(cache.len(), 1);
+        assert_eq!((a.real_calls(), b.real_calls()), (2, 0));
+        assert_eq!(memo.len(), 2, "one entry per request kind");
     }
 
     /// One corner of `raw(x) = x0² + 0.5·x1 − 1` with its exact gradient.
@@ -821,35 +889,32 @@ mod tests {
 
     #[test]
     fn corner_oracle_hit_returns_first_evaluation_bitwise() {
-        let cache = Arc::new(OracleCache::new());
-        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(Arc::clone(&cache)));
+        let memo = Arc::new(OracleMemo::new());
+        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(memo));
         let x = [0.123_456_789, -2.5];
         let v1 = o.value(&x);
         let v2 = o.value(&x);
         assert_eq!(v1.to_bits(), v2.to_bits());
         assert_eq!((o.evals(), o.real_calls(), o.cache_hits()), (2, 1, 1));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn corner_oracle_value_only_entry_does_not_serve_value_grad() {
-        let cache = Arc::new(OracleCache::new());
-        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(Arc::clone(&cache)));
+        let memo = Arc::new(OracleMemo::new());
+        let o = CornerOracle::new(Arc::new(Paraboloid), 0, Some(Arc::clone(&memo)));
         let x = [0.5, 0.5];
         let v = o.value(&x);
-        // The gradient request misses (value-only entry), simulates again,
-        // and upgrades the entry in place.
+        // The gradient request misses (value entries never serve it) and
+        // simulates again into its own entry.
         let (vg, g) = o.value_grad(&x);
         assert_eq!(o.real_calls(), 2);
         assert_eq!(v.to_bits(), vg.to_bits());
         assert_eq!(g, vec![1.0, 0.5]);
-        // The upgraded entry now serves both shapes without simulating.
+        // Each entry now serves its own kind without simulating.
         let _ = o.value(&x);
         let _ = o.value_grad(&x);
         assert_eq!(o.real_calls(), 2);
-        assert_eq!(cache.len(), 1, "upgrade must not duplicate the entry");
+        assert_eq!(memo.len(), 2, "one entry per request kind");
     }
 
     #[test]

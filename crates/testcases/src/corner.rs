@@ -12,9 +12,9 @@
 //! * a cheap per-corner **threshold** `a_i`, so corner `i`'s limit state
 //!   is `g_i(x) = m(x) − a_i`.
 //!
-//! Because every corner shares `m`, a content-addressed cache keyed on
-//! the family's [`CornerFamily::oracle_id`] (see
-//! `nofis_prob::OracleCache`) can serve corner B the simulation corner A
+//! Because every corner shares `m`, a memo keyed on the family's
+//! [`CornerFamily::oracle_id`] and the input's bits (see
+//! `nofis_sweep::OracleMemo`) can serve corner B the simulation corner A
 //! already paid for — bit-for-bit, since `m` is a pure function of `x`.
 //! The [`CornerFamily::distance`] metric over corner parameters drives
 //! nearest-first scheduling and warm-start donor selection in
@@ -43,8 +43,8 @@ pub trait CornerFamily: Send + Sync {
     /// Short family name for reports and telemetry.
     fn name(&self) -> &str;
 
-    /// Stable identifier of the **raw metric** for content-addressed
-    /// caching. Two families may share an id if and only if their
+    /// Stable identifier of the **raw metric** in the sweep's shared
+    /// memo. Two families may share an id if and only if their
     /// [`CornerFamily::raw`] is the same function — thresholds are
     /// per-corner and deliberately excluded.
     fn oracle_id(&self) -> u64;

@@ -5,7 +5,7 @@
 //! The engine runs the grid as one scheduled workload: the center corner
 //! trains cold, every other corner warm-starts from its nearest finished
 //! neighbor on a shortened refine schedule, and all corners share one
-//! content-addressed cache over the op-amp's gain simulation. The final
+//! memo of the op-amp's gain simulation. The final
 //! lines print machine-checkable invariants (CI greps for them):
 //!
 //! * `warm-evals-ok` — every warm corner requested strictly fewer oracle

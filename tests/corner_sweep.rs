@@ -110,6 +110,7 @@ fn estimates_are_bitwise_identical_across_cache_and_worker_settings() {
         uncached.total_real_calls
     );
     assert_eq!(cached_seq.total_evals, uncached.total_evals);
+    assert_eq!(cached_par.total_real_calls, cached_seq.total_real_calls);
 }
 
 #[test]

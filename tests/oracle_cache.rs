@@ -1,14 +1,159 @@
-//! Property tests for the content-addressed oracle cache (DESIGN.md §14).
+//! The corner sweep's shared raw-metric memo (DESIGN.md §14), driven
+//! through `CornerOracle`, the only way a sweep reaches it.
 //!
-//! The cache keys entries on the **raw IEEE-754 bits** of the input
-//! vector plus the oracle id, and stores the full key alongside the
-//! 64-bit FNV-1a digest, so digest collisions can only downgrade a hit
-//! to a miss — two distinct bit patterns must never read each other's
-//! values. These properties hammer that with the nastiest f64s: NaN
-//! payloads, ±0.0, ±∞, and subnormals.
+//! * Corners that ask for the same point at the same time share one
+//!   simulation: the second waits for the first's bits.
+//! * A simulation that panics stores nothing, so the next request for
+//!   the point simulates it.
+//! * Entries are keyed on the oracle id and the input's **raw IEEE-754
+//!   bits**: distinct bit patterns never alias — not ±0.0, which `==`
+//!   calls equal, nor two NaN payloads — and distinct oracle ids never
+//!   read each other's results.
 
-use nofis::prob::{cache_key, OracleCache};
+use nofis::prob::LimitState;
+use nofis::sweep::{CornerOracle, OracleMemo};
+use nofis::testcases::CornerFamily;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
+
+/// A one-corner family whose raw metric answers the `n`-th simulation
+/// with `n` (from 0), so a memo hit is told apart from a fresh
+/// simulation by its value. `value` and `value_grad` count separately.
+/// Optionally every simulation sleeps first, and the first few panic.
+#[derive(Default)]
+struct Tagged {
+    id: u64,
+    delay: Duration,
+    panics: AtomicU64,
+    values: AtomicU64,
+    grads: AtomicU64,
+}
+
+impl Tagged {
+    fn with_id(id: u64) -> Self {
+        Tagged {
+            id,
+            ..Default::default()
+        }
+    }
+
+    fn simulate(&self, counter: &AtomicU64) -> f64 {
+        std::thread::sleep(self.delay);
+        if self
+            .panics
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            panic!("simulator crashed");
+        }
+        counter.fetch_add(1, Ordering::Relaxed) as f64
+    }
+}
+
+impl CornerFamily for Tagged {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn name(&self) -> &str {
+        "tagged"
+    }
+    fn oracle_id(&self) -> u64 {
+        self.id
+    }
+    fn corners(&self) -> usize {
+        2
+    }
+    fn corner_params(&self, corner: usize) -> Vec<f64> {
+        vec![corner as f64]
+    }
+    fn corner_label(&self, corner: usize) -> String {
+        format!("t{corner}")
+    }
+    fn raw(&self, _x: &[f64]) -> f64 {
+        self.simulate(&self.values)
+    }
+    fn raw_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        (self.simulate(&self.grads), vec![1.0; x.len()])
+    }
+    fn threshold(&self, _corner: usize) -> f64 {
+        0.0
+    }
+}
+
+#[test]
+fn concurrent_requests_for_one_point_share_one_simulation() {
+    let family = Arc::new(Tagged {
+        delay: Duration::from_millis(50),
+        ..Default::default()
+    });
+    let memo = Arc::new(OracleMemo::new());
+    let corners: Vec<_> = (0..2)
+        .map(|c| {
+            Arc::new(CornerOracle::new(
+                Arc::clone(&family),
+                c,
+                Some(Arc::clone(&memo)),
+            ))
+        })
+        .collect();
+    let barrier = Arc::new(Barrier::new(2));
+    let x = [0.25, -1.5];
+    let answers: Vec<(u64, (u64, Vec<f64>))> = corners
+        .iter()
+        .map(|o| {
+            let (o, barrier) = (Arc::clone(o), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let v = o.value(&x).to_bits();
+                barrier.wait();
+                let (vg, g) = o.value_grad(&x);
+                (v, (vg.to_bits(), g))
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
+
+    assert_eq!(family.values.load(Ordering::Relaxed), 1, "one value sim");
+    assert_eq!(family.grads.load(Ordering::Relaxed), 1, "one gradient sim");
+    assert_eq!(answers[0], answers[1], "both corners see the same bits");
+    for o in &corners {
+        assert_eq!(o.evals(), 2);
+        assert_eq!(o.real_calls() + o.cache_hits(), o.evals());
+    }
+    let real: u64 = corners.iter().map(|o| o.real_calls()).sum();
+    let hits: u64 = corners.iter().map(|o| o.cache_hits()).sum();
+    assert_eq!((real, hits), (2, 2), "a wait counts as a hit");
+    assert_eq!(memo.len(), 2);
+}
+
+#[test]
+fn a_panicking_simulation_leaves_the_point_unsimulated() {
+    let family = Arc::new(Tagged {
+        panics: AtomicU64::new(1),
+        ..Default::default()
+    });
+    let memo = Arc::new(OracleMemo::new());
+    let o = CornerOracle::new(Arc::clone(&family), 0, Some(Arc::clone(&memo)));
+    let x = [1.0, 2.0];
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.value(&x)));
+    assert!(crashed.is_err());
+    assert!(memo.is_empty(), "a panic stores nothing");
+    assert_eq!(
+        (o.real_calls(), o.cache_hits()),
+        (1, 0),
+        "it ran, it crashed"
+    );
+
+    assert_eq!(o.value(&x), 0.0, "the next request simulates the point");
+    assert_eq!(o.value(&x), 0.0, "and later ones hit");
+    assert_eq!(family.values.load(Ordering::Relaxed), 1);
+    assert_eq!((o.evals(), o.real_calls(), o.cache_hits()), (3, 2, 1));
+    assert_eq!(memo.len(), 1);
+}
 
 /// The pathological corners of the f64 format.
 const SPECIALS: [u64; 9] = [
@@ -44,11 +189,8 @@ fn to_f64s(bits: &[u64]) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Two inputs with distinct bit patterns never alias: both entries
-    /// survive side by side and each reads back its own value, even when
-    /// the vectors contain NaNs (which would alias under `==`-based
-    /// keying, since NaN != NaN) or ±0.0 (which would alias, since
-    /// -0.0 == +0.0).
+    /// Two inputs with distinct bit patterns never alias: each gets its
+    /// own simulation and reads back its own result.
     #[test]
     fn distinct_bit_patterns_never_alias(
         a_raw in prop::collection::vec(0u64..u64::MAX, 1..8),
@@ -60,16 +202,18 @@ proptest! {
             return Ok(()); // drew the same pattern twice: nothing to test
         }
         let (xa, xb) = (to_f64s(&a), to_f64s(&b));
-        let cache = OracleCache::new();
-        cache.insert_value(id, &xa, 1.0);
-        cache.insert_value(id, &xb, 2.0);
-        prop_assert_eq!(cache.len(), 2);
-        prop_assert_eq!(cache.get_value(id, &xa), Some(1.0));
-        prop_assert_eq!(cache.get_value(id, &xb), Some(2.0));
+        let memo = Arc::new(OracleMemo::new());
+        let o = CornerOracle::new(Arc::new(Tagged::with_id(id)), 0, Some(Arc::clone(&memo)));
+        prop_assert_eq!(o.value(&xa), 0.0);
+        prop_assert_eq!(o.value(&xb), 1.0);
+        prop_assert_eq!(o.value(&xa), 0.0);
+        prop_assert_eq!(o.value(&xb), 1.0);
+        prop_assert_eq!(memo.len(), 2);
+        prop_assert_eq!(o.real_calls(), 2);
     }
 
-    /// Distinct oracle ids partition the cache even for identical inputs:
-    /// corner families with different raw metrics can share one cache
+    /// Distinct oracle ids partition the memo even for identical inputs:
+    /// corner families with different raw metrics can share one memo
     /// without reading each other's simulations.
     #[test]
     fn oracle_ids_partition_the_cache(
@@ -81,37 +225,19 @@ proptest! {
             return Ok(());
         }
         let x = to_f64s(&weirden(&x_raw));
-        let cache = OracleCache::new();
-        cache.insert_value(id1, &x, 1.0);
-        prop_assert_eq!(cache.get_value(id2, &x), None);
-        cache.insert_value(id2, &x, 2.0);
-        prop_assert_eq!(cache.len(), 2);
-        prop_assert_eq!(cache.get_value(id1, &x), Some(1.0));
-        prop_assert_eq!(cache.get_value(id2, &x), Some(2.0));
-    }
-
-    /// Flipping any single bit of any coordinate produces a different
-    /// digest — the key reads every input bit. (The digest is only a
-    /// bucket locator; equality is decided on the full bits. But a key
-    /// that ignored bits would turn the cache into a collision farm.)
-    #[test]
-    fn cache_key_reads_every_bit(
-        x_raw in prop::collection::vec(0u64..u64::MAX, 1..8),
-        coord in 0usize..8,
-        bit in 0u32..64,
-    ) {
-        let x = weirden(&x_raw);
-        let mut y = x.clone();
-        let i = coord % y.len();
-        y[i] ^= 1u64 << bit;
-        let id = 0x1234_5678_9abc_def0u64;
-        let (kx, ky) = (cache_key(id, &to_f64s(&x)), cache_key(id, &to_f64s(&y)));
-        prop_assert!(
-            kx != ky,
-            "single-bit flip at coord {} bit {} did not change the digest ({kx:#x})",
-            i,
-            bit
-        );
+        let memo = Arc::new(OracleMemo::new());
+        let one = Arc::new(Tagged::with_id(id1));
+        let two = Arc::new(Tagged::with_id(id2));
+        let o1 = CornerOracle::new(Arc::clone(&one), 0, Some(Arc::clone(&memo)));
+        let o2 = CornerOracle::new(Arc::clone(&two), 0, Some(Arc::clone(&memo)));
+        prop_assert_eq!(o1.value(&x), 0.0);
+        prop_assert_eq!(o2.value(&x), 0.0);
+        prop_assert_eq!(o2.real_calls(), 1);
+        prop_assert_eq!(o1.value(&x), 0.0);
+        prop_assert_eq!(o2.value(&x), 0.0);
+        prop_assert_eq!(memo.len(), 2);
+        prop_assert_eq!(one.values.load(Ordering::Relaxed), 1);
+        prop_assert_eq!(two.values.load(Ordering::Relaxed), 1);
     }
 }
 
@@ -120,18 +246,17 @@ proptest! {
 /// `==`) each get their own entry and read back their own value.
 #[test]
 fn signed_zeros_and_nan_payloads_get_distinct_entries() {
-    let id = 42;
-    let cache = OracleCache::new();
-    cache.insert_value(id, &[0.0, 1.0], 10.0);
-    cache.insert_value(id, &[-0.0, 1.0], 20.0);
+    let memo = Arc::new(OracleMemo::new());
+    let o = CornerOracle::new(Arc::new(Tagged::with_id(42)), 0, Some(Arc::clone(&memo)));
     let nan1 = f64::from_bits(0x7ff8_0000_0000_0001);
     let nan2 = f64::from_bits(0x7ff8_0000_0000_0002);
-    cache.insert_value(id, &[nan1, 1.0], 30.0);
-    cache.insert_value(id, &[nan2, 1.0], 40.0);
-
-    assert_eq!(cache.len(), 4);
-    assert_eq!(cache.get_value(id, &[0.0, 1.0]), Some(10.0));
-    assert_eq!(cache.get_value(id, &[-0.0, 1.0]), Some(20.0));
-    assert_eq!(cache.get_value(id, &[nan1, 1.0]), Some(30.0));
-    assert_eq!(cache.get_value(id, &[nan2, 1.0]), Some(40.0));
+    let points = [[0.0, 1.0], [-0.0, 1.0], [nan1, 1.0], [nan2, 1.0]];
+    for (n, x) in points.iter().enumerate() {
+        assert_eq!(o.value(x), n as f64, "{x:?} aliased an earlier point");
+    }
+    assert_eq!(memo.len(), 4);
+    for (n, x) in points.iter().enumerate() {
+        assert_eq!(o.value(x), n as f64, "{x:?} read another point's entry");
+    }
+    assert_eq!((o.real_calls(), o.cache_hits()), (4, 4));
 }
