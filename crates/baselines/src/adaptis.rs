@@ -1,5 +1,5 @@
 use crate::{sus::rng_shim, RareEventEstimator};
-use nofis_prob::{quantile, LimitState, LN_2PI};
+use nofis_prob::{quantile, LimitState, StandardGaussian, LN_2PI};
 use rand::{Rng, RngCore};
 use rand_distr::StandardNormal;
 
@@ -85,11 +85,6 @@ impl DiagGaussian {
     }
 }
 
-fn base_log_density(x: &[f64]) -> f64 {
-    let sq: f64 = x.iter().map(|v| v * v).sum();
-    -0.5 * x.len() as f64 * LN_2PI - 0.5 * sq
-}
-
 impl RareEventEstimator for AdaptIsEstimator {
     fn method_name(&self) -> &'static str {
         "Adapt-IS"
@@ -98,6 +93,7 @@ impl RareEventEstimator for AdaptIsEstimator {
     fn estimate(&self, limit_state: &(dyn LimitState + Sync), rng: &mut dyn RngCore) -> f64 {
         let dim = limit_state.dim();
         let mut rng = rng_shim(rng);
+        let p = StandardGaussian::new(dim);
         let mut proposal = DiagGaussian::standard(dim);
 
         for _ in 0..self.rounds {
@@ -117,7 +113,7 @@ impl RareEventEstimator for AdaptIsEstimator {
                 .zip(&scores)
                 .filter(|(_, &g)| g <= thr)
                 .map(|(x, _)| {
-                    let lw = base_log_density(x) - proposal.log_density(x);
+                    let lw = p.log_density(x) - proposal.log_density(x);
                     (x, lw)
                 })
                 .collect();
@@ -183,7 +179,7 @@ impl RareEventEstimator for AdaptIsEstimator {
         for _ in 0..self.n_final {
             let x = proposal.sample(&mut rng);
             if limit_state.value(&x) <= 0.0 {
-                acc += (base_log_density(&x) - proposal.log_density(&x)).exp();
+                acc += (p.log_density(&x) - proposal.log_density(&x)).exp();
             }
         }
         acc / self.n_final as f64

@@ -1,10 +1,10 @@
 //! Criterion end-to-end benchmarks of the estimators on a small shared
-//! event (a 3-D half-space with P ≈ 1.3e-3), including an ablation pair
-//! for the masked-coupling design choice called out in DESIGN.md
-//! (whole-tensor mask algebra vs per-row scalar transform).
+//! event (a 3-D half-space with P ≈ 1.3e-3), plus the flow-depth ablation
+//! called out in DESIGN.md (cost of the tape's forward pass per prefix
+//! depth, one row vs a 512-row batch).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nofis_autograd::ParamStore;
+use nofis_autograd::{Graph, ParamStore};
 use nofis_baselines::{
     AdaptIsEstimator, McEstimator, RareEventEstimator, SssEstimator, SusEstimator,
 };
@@ -79,17 +79,25 @@ fn bench_estimators(c: &mut Criterion) {
 }
 
 /// Ablation bench for DESIGN.md: cost of flow depth (stage count) in the
-/// per-sample transform — quantifies the "prefix evaluation" design.
+/// tape's forward pass at batch sizes 1 and 512 — quantifies the "prefix
+/// evaluation" design.
 fn bench_depth_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_depth_scaling");
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(2);
     let flow = RealNvp::new(&mut store, 16, 48, 32, 2.0, &mut rng);
-    let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).cos()).collect();
-    for &depth in &[8usize, 16, 32, 48] {
-        group.bench_function(format!("depth_{depth}"), |b| {
-            b.iter(|| flow.transform(&store, &x, depth))
-        });
+    for &n in &[1usize, 512] {
+        let xs: Vec<f64> = (0..n * 16).map(|i| (i as f64 * 0.3).cos()).collect();
+        for &depth in &[8usize, 16, 32, 48] {
+            group.bench_function(format!("depth_{depth}_n{n}"), |b| {
+                let mut g = Graph::new();
+                b.iter(|| {
+                    g.reset();
+                    let x = g.constant_from_slice(n, 16, &xs);
+                    flow.forward_graph(&store, &mut g, x, depth)
+                })
+            });
+        }
     }
     group.finish();
 }

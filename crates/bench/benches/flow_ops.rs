@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks of the normalizing-flow kernels: coupling
-//! transforms, full-flow sampling/density, and one NOFIS training step.
+//! Criterion micro-benchmarks of the normalizing-flow kernels: the tape's
+//! forward and inverse passes and batched `ln q` at batch sizes 1 and 512,
+//! and one NOFIS training step.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nofis_autograd::{Graph, ParamStore, Tensor};
@@ -25,17 +26,27 @@ fn bench_transform(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_transform");
     for &dim in &[2usize, 16, 62] {
         let (store, flow) = randomized_flow(dim, 8);
-        let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.3).sin()).collect();
-        group.bench_with_input(BenchmarkId::new("forward", dim), &dim, |b, _| {
-            b.iter(|| flow.transform(&store, &x, 8))
-        });
-        group.bench_with_input(BenchmarkId::new("inverse", dim), &dim, |b, _| {
-            let (y, _) = flow.transform(&store, &x, 8);
-            b.iter(|| flow.inverse(&store, &y, 8))
-        });
-        group.bench_with_input(BenchmarkId::new("log_density", dim), &dim, |b, _| {
-            b.iter(|| flow.log_density(&store, &x, 8))
-        });
+        for &n in &[1usize, 512] {
+            let xs: Vec<f64> = (0..n * dim).map(|i| (i as f64 * 0.3).sin()).collect();
+            let id = format!("d{dim}_n{n}");
+            for (pass, inverse) in [("forward", false), ("inverse", true)] {
+                group.bench_with_input(BenchmarkId::new(pass, &id), &n, |b, _| {
+                    let mut g = Graph::new();
+                    b.iter(|| {
+                        g.reset();
+                        let x = g.constant_from_slice(n, dim, &xs);
+                        if inverse {
+                            flow.inverse_graph(&store, &mut g, x, 8)
+                        } else {
+                            flow.forward_graph(&store, &mut g, x, 8)
+                        }
+                    })
+                });
+            }
+            group.bench_with_input(BenchmarkId::new("log_density", &id), &n, |b, _| {
+                b.iter(|| flow.log_density(&store, &xs, 8))
+            });
+        }
     }
     group.finish();
 }

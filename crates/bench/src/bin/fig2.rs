@@ -12,7 +12,7 @@
 //! the two maps (1.0 = perfect shape recovery). JSON heatmaps are dumped
 //! to `results/fig2.json`.
 
-use nofis_bench::heatmap::Heatmap;
+use nofis_bench::heatmap::{density, Heatmap};
 use nofis_core::{Levels, Nofis, NofisConfig};
 use nofis_prob::{LimitState, StandardGaussian};
 use nofis_testcases::{Banana, FourPetal, Leaf, Ring};
@@ -54,7 +54,7 @@ fn panel(
     let trained = nofis.train(&ls, &mut rng).expect("fig2 training failed");
 
     let extent = 6.0;
-    let learned = Heatmap::from_fn(res, extent, |x, y| trained.log_density(&[x, y]).exp());
+    let learned = Heatmap::from_points(res, extent, |points| density(&trained.proposal(), points));
     let p = StandardGaussian::new(2);
     let optimal = Heatmap::from_fn(res, extent, |x, y| {
         if ls.value(&[x, y]) <= 0.0 {

@@ -12,9 +12,8 @@
 //! value. Panel (e): the loss curves are printed as CSV and dumped to
 //! `results/fig3.json`.
 
-use nofis_bench::heatmap::Heatmap;
+use nofis_bench::heatmap::{density, Heatmap};
 use nofis_core::{Levels, Nofis, NofisConfig};
-use nofis_prob::Proposal;
 use nofis_testcases::Leaf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +73,7 @@ fn main() {
     let mut stages = Vec::new();
     for stage in 1..=trained.stages() {
         let proposal = trained.stage_proposal(stage);
-        let map = Heatmap::from_fn(res, 6.0, |x, y| proposal.log_density(&[x, y]).exp());
+        let map = Heatmap::from_points(res, 6.0, |points| density(&proposal, points));
         // Mass-weighted mean distance from the nearest leaf center.
         let c = Leaf::CENTER;
         let mut num = 0.0;

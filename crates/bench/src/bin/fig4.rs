@@ -6,7 +6,7 @@
 //! fig4 [--repeats R] [--seed S]
 //! ```
 
-use nofis_bench::heatmap::Heatmap;
+use nofis_bench::heatmap::{density, Heatmap};
 use nofis_core::{Levels, Nofis, NofisConfig};
 use nofis_prob::{log_error, RunningStats};
 use nofis_testcases::Leaf;
@@ -56,7 +56,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(seed);
     let trained = nofis.train(&Leaf, &mut rng).expect("fig4 training failed");
 
-    let learned = Heatmap::from_fn(97, 6.0, |x, y| trained.log_density(&[x, y]).exp());
+    let learned = Heatmap::from_points(97, 6.0, |points| density(&trained.proposal(), points));
     println!("learned q_MK under the 32K budget:");
     print!("{}", learned.to_ascii(56));
 

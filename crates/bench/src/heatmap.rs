@@ -1,6 +1,16 @@
 //! 2-D density heatmap helpers for the Figure 2/3/4 reproductions.
 
+use nofis_prob::Proposal;
 use serde::Serialize;
+
+/// The density `q(x) = exp(ln q(x))` of `q` at every point, scored in one
+/// batched call — the rasterizer for [`Heatmap::from_points`].
+pub fn density(q: &impl Proposal, points: &[Vec<f64>]) -> Vec<f64> {
+    q.log_density_batch(points)
+        .into_iter()
+        .map(f64::exp)
+        .collect()
+}
 
 /// A rasterized 2-D scalar field over `[-extent, extent]²`.
 #[derive(Debug, Clone, Serialize)]
@@ -20,17 +30,35 @@ impl Heatmap {
     ///
     /// Panics if `resolution < 2` or `extent <= 0`.
     pub fn from_fn(resolution: usize, extent: f64, mut f: impl FnMut(f64, f64) -> f64) -> Self {
+        Heatmap::from_points(resolution, extent, |points| {
+            points.iter().map(|p| f(p[0], p[1])).collect()
+        })
+    }
+
+    /// Rasterizes a batch evaluator: `f` receives every grid point `[x, y]`
+    /// at once, row by row from the smallest `y`, and returns one value per
+    /// point (e.g. a flow proposal's batched `ln q`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resolution < 2`, `extent <= 0`, or `f` returns a value
+    /// count other than `resolution²`.
+    pub fn from_points(
+        resolution: usize,
+        extent: f64,
+        f: impl FnOnce(&[Vec<f64>]) -> Vec<f64>,
+    ) -> Self {
         assert!(resolution >= 2, "need at least a 2x2 grid");
         assert!(extent > 0.0, "extent must be positive");
         let step = 2.0 * extent / (resolution - 1) as f64;
-        let mut values = Vec::with_capacity(resolution * resolution);
-        for iy in 0..resolution {
-            let y = -extent + iy as f64 * step;
-            for ix in 0..resolution {
-                let x = -extent + ix as f64 * step;
-                values.push(f(x, y));
-            }
-        }
+        let points: Vec<Vec<f64>> = (0..resolution * resolution)
+            .map(|i| {
+                let (iy, ix) = (i / resolution, i % resolution);
+                vec![-extent + ix as f64 * step, -extent + iy as f64 * step]
+            })
+            .collect();
+        let values = f(&points);
+        assert_eq!(values.len(), points.len(), "one value per grid point");
         Heatmap {
             resolution,
             extent,

@@ -43,11 +43,22 @@ impl Proposal for FlowProposal<'_> {
     }
 
     fn sample(&self, mut rng: &mut dyn RngCore) -> Vec<f64> {
-        self.flow.sample(self.store, self.depth, &mut rng).0
+        self.flow.sample(self.store, self.depth, 1, &mut rng).0
     }
 
     fn log_density(&self, x: &[f64]) -> f64 {
-        self.flow.log_density(self.store, x, self.depth)
+        self.flow.log_density(self.store, x, self.depth)[0]
+    }
+
+    fn sample_batch(&self, n: usize, mut rng: &mut dyn RngCore) -> Vec<Vec<f64>> {
+        let (xs, _) = self.flow.sample(self.store, self.depth, n, &mut rng);
+        xs.chunks_exact(self.flow.dim())
+            .map(<[f64]>::to_vec)
+            .collect()
+    }
+
+    fn log_density_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+        self.flow.log_density(self.store, &xs.concat(), self.depth)
     }
 }
 

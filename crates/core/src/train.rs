@@ -776,18 +776,15 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
             ));
         }
         let depth = stage * self.cfg.layers_per_stage;
-        // Draw serially (the rng is sequential), then score the pilot batch
-        // across the pool — the granted calls were planned above, and the
-        // batch values come back in sample order.
-        let xs: Vec<Vec<f64>> = (0..granted)
-            .map(|_| {
-                if depth == 0 {
-                    self.base.sample(self.rng)
-                } else {
-                    run.flow.sample(&run.store, depth, self.rng).0
-                }
-            })
-            .collect();
+        // Draw one batch on this thread (the rng is sequential), then score
+        // it across the pool — the granted calls were planned above, and
+        // the batch values come back in sample order.
+        let rng = &mut *self.rng;
+        let xs = if depth == 0 {
+            self.base.sample_batch(granted, rng)
+        } else {
+            FlowProposal::new(&run.flow, &run.store, depth).sample_batch(granted, rng)
+        };
         let gvals = batch_values_with(oracle, &xs, nofis_parallel::global());
         // `quantile` skips NaN scores; if the proposal only produces NaN
         // there is nothing to schedule against.
@@ -1444,12 +1441,6 @@ impl TrainedNofis {
         Ok(out)
     }
 
-    /// Exact log-density of the final proposal at `x` (used by the
-    /// visualization harnesses).
-    pub fn log_density(&self, x: &[f64]) -> f64 {
-        self.flow.log_density(&self.store, x, self.depth())
-    }
-
     /// Borrows the underlying flow and parameters (read-only diagnostics).
     pub fn flow(&self) -> (&RealNvp, &ParamStore) {
         (&self.flow, &self.store)
@@ -1523,7 +1514,7 @@ fn run_rung<L: LimitState + ?Sized + Sync>(
     } else {
         Some(WeightDiagnostics::from_log_weights(&finite))
     };
-    let out = (result.with_rung(rung), diag);
+    let out = (IsResult { rung, ..result }, diag);
     if tele::enabled(tele::Level::Debug) {
         emit_rung(&out, n, rung_is_healthy(&out));
     }

@@ -1,5 +1,5 @@
 use crate::Mask;
-use nofis_autograd::{Graph, ParamId, ParamStore, Tensor, Var};
+use nofis_autograd::{Graph, ParamId, ParamStore, Var};
 use nofis_nn::{Activation, Mlp};
 use rand::Rng;
 
@@ -12,6 +12,17 @@ use rand::Rng;
 /// ln|det J| = Σ (1 − m) ⊙ s(m ⊙ x)
 /// ```
 ///
+/// The conditioning coordinates pass through unchanged (`m ⊙ y = m ⊙ x`),
+/// so the inverse runs the same conditioner nets on `m ⊙ y`:
+///
+/// ```text
+/// x = m ⊙ y + (1 − m) ⊙ ( (y − t(m ⊙ y)) ⊙ exp(−s(m ⊙ y)) )
+/// ln|det J⁻¹| = Σ (1 − m) ⊙ (−s(m ⊙ y))
+/// ```
+///
+/// Both directions exist only as tape passes, so training, sampling and
+/// density evaluation share one implementation.
+///
 /// The raw scale-net output passes through `s_max · tanh(·)` so the
 /// log-scales stay in `[-s_max, s_max]`; without this clamp the early NOFIS
 /// stages diverge at large temperatures. Both nets are zero-initialized at
@@ -20,16 +31,18 @@ use rand::Rng;
 /// # Example
 ///
 /// ```
-/// use nofis_autograd::ParamStore;
+/// use nofis_autograd::{Graph, ParamStore};
 /// use nofis_flows::{AffineCoupling, Mask};
 /// use rand::SeedableRng;
 ///
 /// let mut store = ParamStore::new();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let layer = AffineCoupling::new(&mut store, Mask::alternating(2, true), 16, 2.0, &mut rng);
-/// let (y, logdet) = layer.transform(&store, &[0.3, -0.7]);
-/// assert_eq!(y, vec![0.3, -0.7]); // identity at initialization
-/// assert_eq!(logdet, 0.0);
+/// let mut g = Graph::new();
+/// let x = g.constant_from_slice(1, 2, &[0.3, -0.7]);
+/// let (y, logdet) = layer.forward_graph(&store, &mut g, x);
+/// assert_eq!(g.value(y).as_slice(), &[0.3, -0.7]); // identity at initialization
+/// assert_eq!(g.value(logdet).item(), 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AffineCoupling {
@@ -94,21 +107,7 @@ impl AffineCoupling {
     /// Returns `(y, logdet)` where `y` is `[N, D]` and `logdet` is `[N, 1]`
     /// holding each sample's `ln|det J|`.
     pub fn forward_graph(&self, store: &ParamStore, g: &mut Graph, x: Var) -> (Var, Var) {
-        let d = self.dim();
-        assert_eq!(
-            g.value(x).cols(),
-            d,
-            "input has {} columns but the layer has dim {d}",
-            g.value(x).cols()
-        );
-        let mask = g.constant_from_slice(1, d, self.mask.as_slice());
-        let inv_mask = g.constant_from_slice(1, d, self.inv_mask.as_slice());
-
-        let xm = g.mul_row(x, mask);
-        let s_raw = self.scale_net.forward(store, g, xm);
-        let s = g.tanh_scale(s_raw, self.s_max);
-        let t = self.translate_net.forward(store, g, xm);
-
+        let (xm, s, t, inv_mask) = self.scale_shift(store, g, x);
         let es = g.exp(s);
         let scaled = g.mul(x, es);
         let affine = g.add(scaled, t);
@@ -120,70 +119,43 @@ impl AffineCoupling {
         (y, logdet)
     }
 
-    fn conditioner(&self, store: &ParamStore, masked: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let xm = Tensor::from_row(masked);
-        let s_raw = self.scale_net.predict(store, &xm);
-        let t = self.translate_net.predict(store, &xm);
-        let s: Vec<f64> = s_raw
-            .as_slice()
-            .iter()
-            .map(|&v| self.s_max * nofis_parallel::math::tanh(v))
-            .collect();
-        (s, t.as_slice().to_vec())
-    }
+    /// Differentiable inverse transform on a batch.
+    ///
+    /// Returns `(x, logdet_inv)` where `x` is `[N, D]` and `logdet_inv` is
+    /// `[N, 1]` holding each sample's `ln|det J⁻¹|`, the negation of the
+    /// forward log-determinant at the corresponding point.
+    pub fn inverse_graph(&self, store: &ParamStore, g: &mut Graph, y: Var) -> (Var, Var) {
+        let (ym, s, t, inv_mask) = self.scale_shift(store, g, y);
+        let neg_s = g.neg(s);
+        let shifted = g.sub(y, t);
+        let e = g.exp(neg_s);
+        let unscaled = g.mul(shifted, e);
+        let free = g.mul_row(unscaled, inv_mask);
+        let x = g.add(free, ym);
 
-    /// Plain (gradient-free) forward transform of one point.
-    ///
-    /// Returns `(y, ln|det J|)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn transform(&self, store: &ParamStore, x: &[f64]) -> (Vec<f64>, f64) {
-        assert_eq!(x.len(), self.dim(), "dimension mismatch in transform");
-        let m = self.mask.as_slice();
-        let masked: Vec<f64> = x.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let (s, t) = self.conditioner(store, &masked);
-        let mut y = vec![0.0; x.len()];
-        let mut logdet = 0.0;
-        for i in 0..x.len() {
-            if m[i] == 1.0 {
-                y[i] = x[i];
-            } else {
-                y[i] = x[i] * s[i].exp() + t[i];
-                logdet += s[i];
-            }
-        }
-        (y, logdet)
-    }
-
-    /// Inverse transform of one point.
-    ///
-    /// Returns `(x, ln|det J_inverse|)`; the returned log-determinant is
-    /// that of the *inverse* map, i.e. the negation of the forward one at
-    /// the corresponding point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.dim()`.
-    pub fn inverse(&self, store: &ParamStore, y: &[f64]) -> (Vec<f64>, f64) {
-        assert_eq!(y.len(), self.dim(), "dimension mismatch in inverse");
-        let m = self.mask.as_slice();
-        // The conditioning coordinates pass through unchanged, so the masked
-        // input equals the masked output.
-        let masked: Vec<f64> = y.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let (s, t) = self.conditioner(store, &masked);
-        let mut x = vec![0.0; y.len()];
-        let mut logdet_inv = 0.0;
-        for i in 0..y.len() {
-            if m[i] == 1.0 {
-                x[i] = y[i];
-            } else {
-                x[i] = (y[i] - t[i]) * (-s[i]).exp();
-                logdet_inv -= s[i];
-            }
-        }
+        let s_free = g.mul_row(neg_s, inv_mask);
+        let logdet_inv = g.sum_cols(s_free);
         (x, logdet_inv)
+    }
+
+    /// The pass-through part `m ⊙ v` of the batch `v`, the clamped
+    /// log-scales `s(m ⊙ v)`, the shifts `t(m ⊙ v)` and the `1 − m` row.
+    fn scale_shift(&self, store: &ParamStore, g: &mut Graph, v: Var) -> (Var, Var, Var, Var) {
+        let d = self.dim();
+        assert_eq!(
+            g.value(v).cols(),
+            d,
+            "input has {} columns but the layer has dim {d}",
+            g.value(v).cols()
+        );
+        let mask = g.constant_from_slice(1, d, self.mask.as_slice());
+        let inv_mask = g.constant_from_slice(1, d, self.inv_mask.as_slice());
+
+        let vm = g.mul_row(v, mask);
+        let s_raw = self.scale_net.forward(store, g, vm);
+        let s = g.tanh_scale(s_raw, self.s_max);
+        let t = self.translate_net.forward(store, g, vm);
+        (vm, s, t, inv_mask)
     }
 }
 
@@ -191,6 +163,7 @@ impl AffineCoupling {
 mod tests {
     use super::*;
     use nofis_autograd::check::{max_rel_error, numeric_param_grads};
+    use nofis_autograd::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,54 +182,79 @@ mod tests {
         (store, layer)
     }
 
+    /// One direction of `layer` on the rows of the flat batch `x`:
+    /// `(outputs, per-row log-determinants)`.
+    fn run(
+        layer: &AffineCoupling,
+        store: &ParamStore,
+        x: &[f64],
+        inverse: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut g = Graph::new();
+        let d = layer.dim();
+        let v = g.constant_from_slice(x.len() / d, d, x);
+        let (y, ld) = if inverse {
+            layer.inverse_graph(store, &mut g, v)
+        } else {
+            layer.forward_graph(store, &mut g, v)
+        };
+        (
+            g.value(y).as_slice().to_vec(),
+            g.value(ld).as_slice().to_vec(),
+        )
+    }
+
     #[test]
     fn identity_at_initialization() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let layer = AffineCoupling::new(&mut store, Mask::alternating(3, false), 8, 2.0, &mut rng);
         let x = [0.5, -1.0, 2.0];
-        let (y, ld) = layer.transform(&store, &x);
-        assert_eq!(y, x.to_vec());
-        assert_eq!(ld, 0.0);
+        for inverse in [false, true] {
+            let (y, ld) = run(&layer, &store, &x, inverse);
+            assert_eq!(y, x.to_vec());
+            assert_eq!(ld, vec![0.0]);
+        }
     }
 
     #[test]
     fn inverse_round_trip() {
         let (store, layer) = randomized_layer(3);
         let x = [0.7, -0.3, 1.2, 0.1];
-        let (y, ld_fwd) = layer.transform(&store, &x);
-        let (x_back, ld_inv) = layer.inverse(&store, &y);
+        let (y, ld_fwd) = run(&layer, &store, &x, false);
+        let (x_back, ld_inv) = run(&layer, &store, &y, true);
         for (a, b) in x.iter().zip(&x_back) {
             assert!((a - b).abs() < 1e-12, "round trip failed: {x_back:?}");
         }
-        assert!((ld_fwd + ld_inv).abs() < 1e-12);
+        assert!((ld_fwd[0] + ld_inv[0]).abs() < 1e-12);
     }
 
     #[test]
     fn masked_coordinates_pass_through() {
         let (store, layer) = randomized_layer(9);
         let x = [1.0, 2.0, 3.0, 4.0];
-        let (y, _) = layer.transform(&store, &x);
-        // mask = [1,0,1,0]: coordinates 0 and 2 unchanged
-        assert_eq!(y[0], 1.0);
-        assert_eq!(y[2], 3.0);
-        assert_ne!(y[1], 2.0);
+        for inverse in [false, true] {
+            let (y, _) = run(&layer, &store, &x, inverse);
+            // mask = [1,0,1,0]: coordinates 0 and 2 unchanged
+            assert_eq!(y[0], 1.0);
+            assert_eq!(y[2], 3.0);
+            assert_ne!(y[1], 2.0);
+        }
     }
 
     #[test]
-    fn graph_forward_matches_plain() {
+    fn batch_rows_match_single_rows_bitwise() {
         let (store, layer) = randomized_layer(11);
         let rows = [[0.3, -0.9, 0.1, 0.8], [1.5, 0.2, -0.4, -1.1]];
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let mut g = Graph::new();
-        let x = g.constant(Tensor::from_vec(2, 4, flat));
-        let (y, ld) = layer.forward_graph(&store, &mut g, x);
-        for (r, row) in rows.iter().enumerate() {
-            let (py, pld) = layer.transform(&store, row);
-            for (c, pyc) in py.iter().enumerate() {
-                assert!((g.value(y)[(r, c)] - pyc).abs() < 1e-12);
+        for inverse in [false, true] {
+            let (y, ld) = run(&layer, &store, &flat, inverse);
+            for (r, row) in rows.iter().enumerate() {
+                let (py, pld) = run(&layer, &store, row, inverse);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y[4 * r..4 * r + 4]), bits(&py));
+                assert_eq!(ld[r].to_bits(), pld[0].to_bits());
             }
-            assert!((g.value(ld)[(r, 0)] - pld).abs() < 1e-12);
         }
     }
 
@@ -264,29 +262,32 @@ mod tests {
     fn logdet_matches_numeric_jacobian() {
         let (store, layer) = randomized_layer(17);
         let x = [0.4, -0.6, 1.3, 0.9];
-        let (_, ld) = layer.transform(&store, &x);
-        // Numeric Jacobian determinant via finite differences.
-        let d = 4;
-        let eps = 1e-6;
-        let mut jac = vec![vec![0.0; d]; d];
-        for j in 0..d {
-            let mut xp = x.to_vec();
-            xp[j] += eps;
-            let (yp, _) = layer.transform(&store, &xp);
-            xp[j] -= 2.0 * eps;
-            let (ym, _) = layer.transform(&store, &xp);
-            for i in 0..d {
-                jac[i][j] = (yp[i] - ym[i]) / (2.0 * eps);
+        for inverse in [false, true] {
+            let (_, ld) = run(&layer, &store, &x, inverse);
+            // Numeric Jacobian determinant via finite differences.
+            let d = 4;
+            let eps = 1e-6;
+            let mut jac = vec![vec![0.0; d]; d];
+            for j in 0..d {
+                let mut xp = x.to_vec();
+                xp[j] += eps;
+                let (yp, _) = run(&layer, &store, &xp, inverse);
+                xp[j] -= 2.0 * eps;
+                let (ym, _) = run(&layer, &store, &xp, inverse);
+                for i in 0..d {
+                    jac[i][j] = (yp[i] - ym[i]) / (2.0 * eps);
+                }
             }
+            // Coupling Jacobian is triangular with unit diagonal on the
+            // mask: determinant = product of diagonal entries.
+            let det: f64 = (0..d).map(|i| jac[i][i]).product();
+            assert!(
+                (det.ln() - ld[0]).abs() < 1e-6,
+                "logdet {} vs numeric {}",
+                ld[0],
+                det.ln()
+            );
         }
-        // Coupling Jacobian is triangular with unit diagonal on the mask:
-        // determinant = product of diagonal entries.
-        let det: f64 = (0..d).map(|i| jac[i][i]).product();
-        assert!(
-            (det.ln() - ld).abs() < 1e-6,
-            "logdet {ld} vs numeric {}",
-            det.ln()
-        );
     }
 
     #[test]
@@ -300,36 +301,37 @@ mod tests {
             ],
         );
 
-        // loss = mean( sum_cols(y^2) ) + mean(logdet)
-        let loss_of = |s: &ParamStore| {
-            let mut g = Graph::new();
-            let x = g.constant(x_data.clone());
-            let (y, ld) = layer.forward_graph(s, &mut g, x);
-            let y2 = g.square(y);
-            let y2s = g.sum_cols(y2);
-            let a = g.mean_all(y2s);
-            let b = g.mean_all(ld);
-            let loss = g.add(a, b);
-            g.value(loss).item()
-        };
-
-        let analytic = {
-            let mut g = Graph::new();
-            let x = g.constant(x_data.clone());
-            let (y, ld) = layer.forward_graph(&store, &mut g, x);
-            let y2 = g.square(y);
-            let y2s = g.sum_cols(y2);
-            let a = g.mean_all(y2s);
-            let b = g.mean_all(ld);
-            let loss = g.add(a, b);
-            g.backward(loss);
-            g.param_grads()
-        };
-
-        let numeric = numeric_param_grads(&mut store, loss_of, 1e-6);
-        for (id, grad) in &analytic {
-            let err = max_rel_error(grad.as_slice(), numeric[id.index()].as_slice());
-            assert!(err < 1e-5, "param {} gradient mismatch: {err}", id.index());
+        for inverse in [false, true] {
+            // loss = mean( sum_cols(y^2) ) + mean(logdet)
+            let loss = |s: &ParamStore, g: &mut Graph| {
+                let x = g.constant(x_data.clone());
+                let (y, ld) = if inverse {
+                    layer.inverse_graph(s, g, x)
+                } else {
+                    layer.forward_graph(s, g, x)
+                };
+                let y2 = g.square(y);
+                let y2s = g.sum_cols(y2);
+                let a = g.mean_all(y2s);
+                let b = g.mean_all(ld);
+                g.add(a, b)
+            };
+            let analytic = {
+                let mut g = Graph::new();
+                let l = loss(&store, &mut g);
+                g.backward(l);
+                g.param_grads()
+            };
+            let loss_of = |s: &ParamStore| {
+                let mut g = Graph::new();
+                let l = loss(s, &mut g);
+                g.value(l).item()
+            };
+            let numeric = numeric_param_grads(&mut store, loss_of, 1e-6);
+            for (id, grad) in &analytic {
+                let err = max_rel_error(grad.as_slice(), numeric[id.index()].as_slice());
+                assert!(err < 1e-5, "param {} gradient mismatch: {err}", id.index());
+            }
         }
     }
 }

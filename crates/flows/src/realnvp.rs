@@ -1,12 +1,12 @@
 use crate::{AffineCoupling, Mask};
 use nofis_autograd::{Graph, ParamId, ParamStore, Var};
+use nofis_prob::StandardGaussian;
 use rand::Rng;
-use rand_distr::StandardNormal;
 use std::ops::Range;
 
-/// Natural logarithm of `2π` (kept private to avoid a dependency cycle with
-/// `nofis-prob`).
-const LN_2PI: f64 = 1.837_877_066_409_345_5;
+/// Rows per tape pass in [`RealNvp::sample`] / [`RealNvp::log_density`],
+/// bounding the tape's memory; rows never interact, so bits don't depend on it.
+const ROW_CHUNK: usize = 256;
 
 /// A RealNVP normalizing flow: a stack of [`AffineCoupling`] layers with
 /// alternating masks over a standard Gaussian base distribution.
@@ -26,9 +26,10 @@ const LN_2PI: f64 = 1.837_877_066_409_345_5;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let flow = RealNvp::new(&mut store, 2, 8, 16, 2.0, &mut rng);
 /// // Freshly initialized flows are the identity: q == base distribution.
-/// let (x, log_q) = flow.sample(&store, flow.n_layers(), &mut rng);
-/// let direct = flow.log_density(&store, &x, flow.n_layers());
-/// assert!((log_q - direct).abs() < 1e-10);
+/// let (xs, log_q) = flow.sample(&store, flow.n_layers(), 3, &mut rng);
+/// let direct = flow.log_density(&store, &xs, flow.n_layers());
+/// assert_eq!(xs.len(), 3 * 2);
+/// assert!(log_q.iter().zip(&direct).all(|(a, b)| (a - b).abs() < 1e-10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RealNvp {
@@ -124,12 +125,10 @@ impl RealNvp {
         x: Var,
         depth: usize,
     ) -> (Var, Var) {
-        assert!(
-            depth >= 1 && depth <= self.layers.len(),
-            "invalid depth {depth}"
-        );
-        let (mut z, mut logdet) = self.layers[0].forward_graph(store, g, x);
-        for layer in &self.layers[1..depth] {
+        let mut layers = self.prefix(depth).iter();
+        let first = layers.next().expect("a prefix has at least one layer");
+        let (mut z, mut logdet) = first.forward_graph(store, g, x);
+        for layer in layers {
             let (z2, ld) = layer.forward_graph(store, g, z);
             z = z2;
             logdet = g.add(logdet, ld);
@@ -137,81 +136,111 @@ impl RealNvp {
         (z, logdet)
     }
 
-    /// Plain forward transform of one point through the first `depth`
-    /// layers; returns `(z_depth, Σ ln|det J|)`.
+    /// Differentiable inverse pass back through the first `depth` layers
+    /// (applied last-to-first).
     ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero, exceeds the layer count, or
-    /// `x.len() != self.dim()`.
-    pub fn transform(&self, store: &ParamStore, x: &[f64], depth: usize) -> (Vec<f64>, f64) {
-        assert!(
-            depth >= 1 && depth <= self.layers.len(),
-            "invalid depth {depth}"
-        );
-        let mut z = x.to_vec();
-        let mut logdet = 0.0;
-        for layer in &self.layers[..depth] {
-            let (z2, ld) = layer.transform(store, &z);
-            z = z2;
-            logdet += ld;
-        }
-        (z, logdet)
-    }
-
-    /// Inverse transform of one point back through the first `depth` layers
-    /// (applied last-to-first); returns `(z_0, Σ ln|det J_inverse|)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero, exceeds the layer count, or
-    /// `y.len() != self.dim()`.
-    pub fn inverse(&self, store: &ParamStore, y: &[f64], depth: usize) -> (Vec<f64>, f64) {
-        assert!(
-            depth >= 1 && depth <= self.layers.len(),
-            "invalid depth {depth}"
-        );
-        let mut z = y.to_vec();
-        let mut logdet_inv = 0.0;
-        for layer in self.layers[..depth].iter().rev() {
-            let (z2, ld) = layer.inverse(store, &z);
-            z = z2;
-            logdet_inv += ld;
-        }
-        (z, logdet_inv)
-    }
-
-    /// Draws one sample from the depth-`depth` flow distribution `q`.
-    ///
-    /// Returns `(x, ln q(x))`; the log-density comes for free from the
-    /// change-of-variables identity `ln q(x) = ln p(z₀) − Σ ln|det J|`.
+    /// Returns `(z_0, logdet_inv)` with `logdet_inv` of shape `[N, 1]`
+    /// holding the accumulated `Σ ln|det J⁻¹|` per sample, so
+    /// `ln q(y) = ln p(z_0) + logdet_inv`.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero or exceeds the layer count.
-    pub fn sample(&self, store: &ParamStore, depth: usize, rng: &mut impl Rng) -> (Vec<f64>, f64) {
-        let z0: Vec<f64> = (0..self.dim).map(|_| rng.sample(StandardNormal)).collect();
-        let base = base_log_density(&z0);
-        let (x, logdet) = self.transform(store, &z0, depth);
-        (x, base - logdet)
+    pub fn inverse_graph(
+        &self,
+        store: &ParamStore,
+        g: &mut Graph,
+        y: Var,
+        depth: usize,
+    ) -> (Var, Var) {
+        let mut layers = self.prefix(depth).iter().rev();
+        let last = layers.next().expect("a prefix has at least one layer");
+        let (mut z, mut logdet) = last.inverse_graph(store, g, y);
+        for layer in layers {
+            let (z2, ld) = layer.inverse_graph(store, g, z);
+            z = z2;
+            logdet = g.add(logdet, ld);
+        }
+        (z, logdet)
     }
 
-    /// Exact log-density `ln q(x)` of the depth-`depth` flow distribution,
-    /// evaluated by inverting the flow.
+    /// Draws `n` samples from the depth-`depth` flow distribution `q`.
+    ///
+    /// Returns the samples as one flat row-major `n × dim` buffer plus
+    /// `ln q` of each; the log-density comes for free from the
+    /// change-of-variables identity `ln q(x) = ln p(z₀) − Σ ln|det J|`.
+    /// The base draws consume `rng` row by row, as `n` one-row calls would.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero, exceeds the layer count, or
-    /// `x.len() != self.dim()`.
-    pub fn log_density(&self, store: &ParamStore, x: &[f64], depth: usize) -> f64 {
-        let (z0, logdet_inv) = self.inverse(store, x, depth);
-        base_log_density(&z0) + logdet_inv
+    /// Panics if `depth` is zero or exceeds the layer count.
+    pub fn sample(
+        &self,
+        store: &ParamStore,
+        depth: usize,
+        n: usize,
+        rng: &mut impl Rng,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let base = StandardGaussian::new(self.dim);
+        let z0 = base.sample_flat(n, rng);
+        let (xs, logdet) = self.chunked(&z0, |g, z| self.forward_graph(store, g, z, depth));
+        let log_q = z0
+            .chunks_exact(self.dim)
+            .zip(logdet)
+            .map(|(z, ld)| base.log_density(z) - ld)
+            .collect();
+        (xs, log_q)
     }
-}
 
-fn base_log_density(z: &[f64]) -> f64 {
-    let sq: f64 = z.iter().map(|v| v * v).sum();
-    -0.5 * (z.len() as f64) * LN_2PI - 0.5 * sq
+    /// Exact log-density `ln q(x)` of the depth-`depth` flow distribution
+    /// at every row of the flat row-major buffer `xs`, evaluated by
+    /// inverting the flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero, exceeds the layer count, or `xs.len()` is
+    /// not a multiple of `self.dim()`.
+    pub fn log_density(&self, store: &ParamStore, xs: &[f64], depth: usize) -> Vec<f64> {
+        let base = StandardGaussian::new(self.dim);
+        let (z0, logdet_inv) = self.chunked(xs, |g, y| self.inverse_graph(store, g, y, depth));
+        z0.chunks_exact(self.dim)
+            .zip(logdet_inv)
+            .map(|(z, ld)| base.log_density(z) + ld)
+            .collect()
+    }
+
+    /// The first `depth` layers.
+    fn prefix(&self, depth: usize) -> &[AffineCoupling] {
+        assert!(
+            (1..=self.layers.len()).contains(&depth),
+            "invalid depth {depth}"
+        );
+        &self.layers[..depth]
+    }
+
+    /// Runs `pass` over the rows of the flat buffer `xs` in [`ROW_CHUNK`]
+    /// chunks on one recycled tape, returning the flat outputs and the
+    /// per-row log-determinants.
+    fn chunked(
+        &self,
+        xs: &[f64],
+        pass: impl Fn(&mut Graph, Var) -> (Var, Var),
+    ) -> (Vec<f64>, Vec<f64>) {
+        let d = self.dim;
+        let n = xs.len();
+        assert!(n.is_multiple_of(d), "{n} values do not form {d}-wide rows");
+        let mut g = Graph::new();
+        let mut out = Vec::with_capacity(n);
+        let mut logdet = Vec::with_capacity(n / d);
+        for rows in xs.chunks(ROW_CHUNK * d) {
+            g.reset();
+            let x = g.constant_from_slice(rows.len() / d, d, rows);
+            let (y, ld) = pass(&mut g, x);
+            out.extend_from_slice(g.value(y).as_slice());
+            logdet.extend_from_slice(g.value(ld).as_slice());
+        }
+        (out, logdet)
+    }
 }
 
 #[cfg(test)]
@@ -234,41 +263,79 @@ mod tests {
         (store, flow)
     }
 
+    /// One direction of the depth-`depth` flow on the rows of `x`.
+    fn run(
+        flow: &RealNvp,
+        store: &ParamStore,
+        x: &[f64],
+        depth: usize,
+        inverse: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        flow.chunked(x, |g, v| {
+            if inverse {
+                flow.inverse_graph(store, g, v, depth)
+            } else {
+                flow.forward_graph(store, g, v, depth)
+            }
+        })
+    }
+
     #[test]
     fn multi_layer_round_trip() {
         let (store, flow) = randomized_flow(4, 6, 1);
         let x = [0.2, -1.4, 0.9, 0.5];
-        let (y, ld) = flow.transform(&store, &x, 6);
-        let (back, ld_inv) = flow.inverse(&store, &y, 6);
+        let (y, ld) = run(&flow, &store, &x, 6, false);
+        let (back, ld_inv) = run(&flow, &store, &y, 6, true);
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-10);
         }
-        assert!((ld + ld_inv).abs() < 1e-10);
+        assert!((ld[0] + ld_inv[0]).abs() < 1e-10);
     }
 
     #[test]
     fn prefix_depths_compose() {
+        use nofis_autograd::Graph;
         let (store, flow) = randomized_flow(2, 4, 2);
         let x = [0.3, 0.7];
-        let (z2, ld2) = flow.transform(&store, &x, 2);
-        // Applying layers 2..4 manually should give the same as depth 4.
-        let (z3, ld3) = flow.layer(2).transform(&store, &z2);
-        let (z4, ld4) = flow.layer(3).transform(&store, &z3);
-        let (direct, ld_direct) = flow.transform(&store, &x, 4);
-        for (a, b) in z4.iter().zip(&direct) {
+        let (direct, ld_direct) = run(&flow, &store, &x, 4, false);
+        // Applying layers 2..4 to the depth-2 output gives depth 4.
+        let mut g = Graph::new();
+        let xv = g.constant_from_slice(1, 2, &x);
+        let (z2, ld2) = flow.forward_graph(&store, &mut g, xv, 2);
+        let (z3, ld3) = flow.layer(2).forward_graph(&store, &mut g, z2);
+        let (z4, ld4) = flow.layer(3).forward_graph(&store, &mut g, z3);
+        for (a, b) in g.value(z4).as_slice().iter().zip(&direct) {
             assert!((a - b).abs() < 1e-12);
         }
-        assert!((ld2 + ld3 + ld4 - ld_direct).abs() < 1e-12);
+        let ld = g.value(ld2).item() + g.value(ld3).item() + g.value(ld4).item();
+        assert!((ld - ld_direct[0]).abs() < 1e-12);
     }
 
     #[test]
     fn sample_log_density_consistency() {
         let (store, flow) = randomized_flow(3, 4, 3);
         let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let (x, log_q) = flow.sample(&store, 4, &mut rng);
-            let direct = flow.log_density(&store, &x, 4);
-            assert!((log_q - direct).abs() < 1e-9, "{log_q} vs {direct}");
+        let (xs, log_q) = flow.sample(&store, 4, 10, &mut rng);
+        let direct = flow.log_density(&store, &xs, 4);
+        for (a, b) in log_q.iter().zip(&direct) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn chunked_batches_match_single_rows_bitwise() {
+        let (store, flow) = randomized_flow(3, 4, 4);
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = ROW_CHUNK + 7; // spans a chunk boundary
+        let (xs, log_q) = flow.sample(&store, 4, n, &mut rng);
+        let batch = flow.log_density(&store, &xs, 4);
+        let mut rng = StdRng::seed_from_u64(6);
+        for (r, x) in xs.chunks_exact(3).enumerate() {
+            let (one, one_q) = flow.sample(&store, 4, 1, &mut rng);
+            assert_eq!(one, x.to_vec(), "row {r}");
+            assert_eq!(one_q[0].to_bits(), log_q[r].to_bits(), "row {r}");
+            let single = flow.log_density(&store, x, 4)[0];
+            assert_eq!(single.to_bits(), batch[r].to_bits(), "row {r}");
         }
     }
 
@@ -278,25 +345,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let flow = RealNvp::new(&mut store, 2, 4, 8, 2.0, &mut rng);
         let x = [0.5, -0.25];
-        let expected = base_log_density(&x);
-        assert!((flow.log_density(&store, &x, 4) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn graph_forward_matches_plain_for_depth() {
-        use nofis_autograd::{Graph, Tensor};
-        let (store, flow) = randomized_flow(4, 5, 7);
-        let x = [0.1, -0.2, 0.3, -0.4];
-        for depth in [1, 3, 5] {
-            let mut g = Graph::new();
-            let xv = g.constant(Tensor::from_row(&x));
-            let (z, ld) = flow.forward_graph(&store, &mut g, xv, depth);
-            let (pz, pld) = flow.transform(&store, &x, depth);
-            for (c, pzc) in pz.iter().enumerate() {
-                assert!((g.value(z)[(0, c)] - pzc).abs() < 1e-12);
-            }
-            assert!((g.value(ld)[(0, 0)] - pld).abs() < 1e-12);
-        }
+        let expected = StandardGaussian::new(2).log_density(&x);
+        assert!((flow.log_density(&store, &x, 4)[0] - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -321,6 +371,13 @@ mod tests {
     #[should_panic(expected = "invalid depth")]
     fn rejects_zero_depth() {
         let (store, flow) = randomized_flow(2, 2, 0);
-        let _ = flow.transform(&store, &[0.0, 0.0], 0);
+        let _ = flow.log_density(&store, &[0.0, 0.0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not form")]
+    fn rejects_ragged_rows() {
+        let (store, flow) = randomized_flow(2, 2, 0);
+        let _ = flow.log_density(&store, &[0.0, 0.0, 1.0], 2);
     }
 }

@@ -62,6 +62,23 @@ impl<'a, Q: Proposal + ?Sized> DefensiveMixture<'a, Q> {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
+
+    /// `ln q_α(x)` from `lq_raw = ln q(x)`: log-sum-exp of `ln α + ln p(x)`
+    /// and `ln(1−α) + ln q(x)`, a NaN `q` term (broken flow) counting as
+    /// zero mass so the mixture stays a valid density.
+    fn mix(&self, x: &[f64], lq_raw: f64) -> f64 {
+        let lp = self.alpha.ln() + self.base.log_density(x);
+        let lq = if lq_raw.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            (1.0 - self.alpha).ln() + lq_raw
+        };
+        let max = lp.max(lq);
+        if max == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        max + ((lp - max).exp() + (lq - max).exp()).ln()
+    }
 }
 
 impl<Q: Proposal + ?Sized> Proposal for DefensiveMixture<'_, Q> {
@@ -79,21 +96,12 @@ impl<Q: Proposal + ?Sized> Proposal for DefensiveMixture<'_, Q> {
     }
 
     fn log_density(&self, x: &[f64]) -> f64 {
-        // log-sum-exp of ln α + ln p(x) and ln(1−α) + ln q(x); the q term
-        // may be -inf (or NaN from a broken flow) — treat non-finite q
-        // densities as zero mass so the mixture stays a valid density.
-        let lp = self.alpha.ln() + self.base.log_density(x);
-        let lq_raw = self.q.log_density(x);
-        let lq = if lq_raw.is_nan() {
-            f64::NEG_INFINITY
-        } else {
-            (1.0 - self.alpha).ln() + lq_raw
-        };
-        let max = lp.max(lq);
-        if max == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        max + ((lp - max).exp() + (lq - max).exp()).ln()
+        self.mix(x, self.q.log_density(x))
+    }
+
+    fn log_density_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+        let lq = self.q.log_density_batch(xs);
+        xs.iter().zip(lq).map(|(x, lq)| self.mix(x, lq)).collect()
     }
 }
 

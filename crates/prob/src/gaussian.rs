@@ -72,23 +72,6 @@ impl StandardGaussian {
         let sq: f64 = x.iter().map(|v| v * v).sum();
         -0.5 * (self.dim as f64) * LN_2PI - 0.5 * sq
     }
-
-    /// Log density of a scaled Gaussian `N(0, s² I)` at `x` — used by
-    /// scaled-sigma sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()` or `s <= 0`.
-    pub fn log_density_scaled(&self, x: &[f64], s: f64) -> f64 {
-        assert_eq!(
-            x.len(),
-            self.dim,
-            "dimension mismatch in log_density_scaled"
-        );
-        assert!(s > 0.0, "scale must be positive");
-        let sq: f64 = x.iter().map(|v| v * v).sum();
-        -0.5 * (self.dim as f64) * (LN_2PI + 2.0 * s.ln()) - 0.5 * sq / (s * s)
-    }
 }
 
 /// Standard normal cumulative distribution function `Φ(x)`.
@@ -231,16 +214,6 @@ mod tests {
         let p = StandardGaussian::new(2);
         let expected = -LN_2PI; // -(D/2) ln 2π with D = 2
         assert!((p.log_density(&[0.0, 0.0]) - expected).abs() < 1e-14);
-    }
-
-    #[test]
-    fn scaled_density_reduces_to_standard() {
-        let p = StandardGaussian::new(3);
-        let x = [0.4, -1.0, 2.0];
-        assert!((p.log_density_scaled(&x, 1.0) - p.log_density(&x)).abs() < 1e-14);
-        // Larger sigma flattens tails: density at a far point increases.
-        let far = [4.0, 4.0, 4.0];
-        assert!(p.log_density_scaled(&far, 2.0) > p.log_density(&far));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 use crate::batch::ORACLE_CHUNK;
-use crate::{LimitState, StandardGaussian};
-use nofis_parallel::chunks::{chunk_count, chunk_range};
+use crate::{batch_values_with, LimitState, StandardGaussian};
 use nofis_parallel::ThreadPool;
 use rand::RngCore;
 
 /// A proposal distribution `q` that supports exact sampling and exact
 /// log-density evaluation — the two properties importance sampling needs
 /// and the reason normalizing flows compose the proposal family in NOFIS.
+///
+/// The batch methods (per-row loops by default) must return the per-row
+/// methods' bits, and [`Proposal::sample_batch`] must consume the random
+/// stream exactly as `n` calls to [`Proposal::sample`] would.
 pub trait Proposal {
     /// Dimensionality of the sample space.
     fn dim(&self) -> usize;
@@ -16,6 +19,16 @@ pub trait Proposal {
 
     /// Evaluates `ln q(x)`.
     fn log_density(&self, x: &[f64]) -> f64;
+
+    /// Draws `n` samples.
+    fn sample_batch(&self, n: usize, rng: &mut dyn RngCore) -> Vec<Vec<f64>> {
+        (0..n).map(|_| self.sample(rng)).collect()
+    }
+
+    /// Evaluates `ln q(x)` at every row of `xs`.
+    fn log_density_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+        xs.iter().map(|x| self.log_density(x)).collect()
+    }
 }
 
 impl Proposal for StandardGaussian {
@@ -108,13 +121,6 @@ pub struct IsResult {
     pub rung: FallbackRung,
 }
 
-impl IsResult {
-    /// Returns the same result tagged with the given ladder rung.
-    pub fn with_rung(self, rung: FallbackRung) -> Self {
-        IsResult { rung, ..self }
-    }
-}
-
 /// Importance-sampling estimate of `P[g(x) ≤ threshold]` under the standard
 /// Gaussian `p`, drawing `n` samples from `proposal`.
 ///
@@ -169,12 +175,15 @@ pub fn importance_sampling(
 /// callers can run
 /// [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
 ///
-/// Samples are drawn serially from `rng` (sampling is cheap next to oracle
-/// calls, and this keeps the random stream identical to a serial run), then
-/// evaluated in fixed [`ORACLE_CHUNK`]-sized chunks across `pool`. The
-/// per-chunk partial sums `(Σw, Σw²)` are reduced in chunk order, so the
-/// estimate, hit count, ESS, and log-weight list are all bitwise identical
-/// for any thread count.
+/// The `n` samples are drawn in one [`Proposal::sample_batch`] call on the
+/// caller thread (the random stream is identical to a serial run), then
+/// the oracle evaluates them in fixed [`ORACLE_CHUNK`]-sized chunks across
+/// `pool`. The failure-region samples are scored with one
+/// [`Proposal::log_density_batch`] call, again on the caller thread: a
+/// batched proposal may run its own pooled kernels, and the pool must not
+/// be called from inside one of its chunks. The per-chunk partial sums
+/// `(Σw, Σw²)` are reduced in chunk order, so the estimate, hit count, ESS,
+/// and log-weight list are all bitwise identical for any thread count.
 ///
 /// # Panics
 ///
@@ -194,32 +203,36 @@ pub fn importance_sampling_detailed_with_pool(
         limit_state.dim(),
         "proposal and limit state dimensions differ"
     );
-    let xs: Vec<Vec<f64>> = (0..n).map(|_| proposal.sample(rng)).collect();
-    // One parallel pass per chunk: oracle call + log-weight for failures.
-    let partials: Vec<(f64, f64, Vec<f64>)> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
-        let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-        let mut sum_w = 0.0;
-        let mut sum_w2 = 0.0;
-        let mut lws = Vec::new();
-        for x in &xs[start..end] {
-            if limit_state.value(x) <= threshold {
-                let lw = p.log_density(x) - proposal.log_density(x);
-                lws.push(lw);
-                let w = lw.exp();
-                sum_w += w;
-                sum_w2 += w * w;
-            }
-        }
-        (sum_w, sum_w2, lws)
-    });
-    // Chunk-ordered reduction: fixed addition order for any thread count.
-    let mut log_weights = Vec::new();
+    let xs = proposal.sample_batch(n, rng);
+    let gvals = batch_values_with(limit_state, &xs, pool);
+    let hits: Vec<Vec<f64>> = xs
+        .into_iter()
+        .zip(&gvals)
+        .filter(|(_, &g)| g <= threshold)
+        .map(|(x, _)| x)
+        .collect();
+    let log_q = proposal.log_density_batch(&hits);
+    let log_weights: Vec<f64> = hits
+        .iter()
+        .zip(log_q)
+        .map(|(x, lq)| p.log_density(x) - lq)
+        .collect();
+    // Σw and Σw² are summed per ORACLE_CHUNK, then across chunks in chunk
+    // order: the pinned estimate bits (tests/golden_estimates.rs) depend
+    // on this addition order.
+    let mut weights = log_weights.iter().map(|lw| lw.exp());
     let mut sum_w = 0.0;
     let mut sum_w2 = 0.0;
-    for (w, w2, lws) in partials {
-        sum_w += w;
-        sum_w2 += w2;
-        log_weights.extend(lws);
+    for chunk in gvals.chunks(ORACLE_CHUNK) {
+        let chunk_hits = chunk.iter().filter(|&&g| g <= threshold).count();
+        let mut w_sum = 0.0;
+        let mut w2_sum = 0.0;
+        for w in weights.by_ref().take(chunk_hits) {
+            w_sum += w;
+            w2_sum += w * w;
+        }
+        sum_w += w_sum;
+        sum_w2 += w2_sum;
     }
     let estimate = sum_w / n as f64;
     let ess = if sum_w2 > 0.0 {
@@ -271,8 +284,8 @@ pub fn monte_carlo(
 
 /// [`monte_carlo`] on an explicit pool. Samples are drawn serially from
 /// `rng` (identical stream to a serial run); oracle calls run chunked
-/// across the pool and the hit count is reduced in chunk order — the same
-/// bitwise-identity argument as [`importance_sampling_detailed_with_pool`].
+/// across the pool via [`batch_values_with`], so the hit count is the same
+/// for any thread count.
 ///
 /// # Panics
 ///
@@ -285,23 +298,13 @@ pub fn monte_carlo_with_pool(
     pool: &ThreadPool,
 ) -> McResult {
     assert!(n > 0, "Monte Carlo needs at least one sample");
-    let dim = limit_state.dim();
-    let xs: Vec<Vec<f64>> = (0..n)
-        .map(|_| {
-            (0..dim)
-                .map(|_| rand_distr::Distribution::sample(&rand_distr::StandardNormal, rng))
-                .collect()
-        })
-        .collect();
-    let chunk_hits: Vec<u64> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
-        let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-        xs[start..end]
-            .iter()
-            .filter(|x| limit_state.value(x) <= threshold)
-            .count() as u64
-    });
+    let xs = StandardGaussian::new(limit_state.dim()).sample_batch(n, rng);
+    let hits = batch_values_with(limit_state, &xs, pool)
+        .iter()
+        .filter(|&&g| g <= threshold)
+        .count() as u64;
     McResult {
-        hits: chunk_hits.iter().sum(),
+        hits,
         samples: n as u64,
     }
 }

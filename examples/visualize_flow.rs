@@ -10,7 +10,7 @@
 //! Figure 2.
 
 use nofis_core::{Levels, Nofis, NofisConfig};
-use nofis_prob::{LimitState, StandardGaussian};
+use nofis_prob::{LimitState, Proposal, StandardGaussian};
 use nofis_testcases::{Banana, FourPetal, Leaf, Ring};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,15 +19,19 @@ const RES: usize = 41;
 const EXTENT: f64 = 6.0;
 const RAMP: &[u8] = b" .:-=+*#%@";
 
-fn raster(mut f: impl FnMut(f64, f64) -> f64) -> Vec<f64> {
+/// The grid points `[x, y]`, row by row from the smallest `y`.
+fn grid() -> Vec<Vec<f64>> {
     let step = 2.0 * EXTENT / (RES - 1) as f64;
-    let mut v = Vec::with_capacity(RES * RES);
-    for iy in 0..RES {
-        for ix in 0..RES {
-            v.push(f(-EXTENT + ix as f64 * step, -EXTENT + iy as f64 * step));
-        }
-    }
-    v
+    (0..RES * RES)
+        .map(|i| {
+            let (iy, ix) = (i / RES, i % RES);
+            vec![-EXTENT + ix as f64 * step, -EXTENT + iy as f64 * step]
+        })
+        .collect()
+}
+
+fn raster(mut f: impl FnMut(f64, f64) -> f64) -> Vec<f64> {
+    grid().iter().map(|p| f(p[0], p[1])).collect()
 }
 
 fn rows(values: &[f64]) -> Vec<String> {
@@ -64,7 +68,12 @@ fn run(ls: &(impl LimitState + ?Sized + Sync), levels: Vec<f64>) {
 
     let p = StandardGaussian::new(2);
     let base = raster(|x, y| p.log_density(&[x, y]).exp());
-    let learned = raster(|x, y| trained.log_density(&[x, y]).exp());
+    let learned: Vec<f64> = trained
+        .proposal()
+        .log_density_batch(&grid())
+        .into_iter()
+        .map(f64::exp)
+        .collect();
     let optimal = raster(|x, y| {
         if ls.value(&[x, y]) <= 0.0 {
             p.log_density(&[x, y]).exp()

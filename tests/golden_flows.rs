@@ -36,6 +36,25 @@ fn golden_flow() -> (ParamStore, RealNvp) {
 const X: [f64; 4] = [0.3, -1.2, 0.7, 0.05];
 const X2: [f64; 4] = [-2.1, 0.4, 1.3, -0.8];
 
+/// One point through the first `depth` layers of the tape's forward
+/// (`inverse == false`) or inverse pass: `(output, log-determinant)`.
+fn push(
+    store: &ParamStore,
+    flow: &RealNvp,
+    x: &[f64],
+    depth: usize,
+    inverse: bool,
+) -> (Vec<f64>, f64) {
+    let mut g = Graph::new();
+    let v = g.constant_from_slice(1, x.len(), x);
+    let (z, logdet) = if inverse {
+        flow.inverse_graph(store, &mut g, v, depth)
+    } else {
+        flow.forward_graph(store, &mut g, v, depth)
+    };
+    (g.value(z).as_slice().to_vec(), g.value(logdet).item())
+}
+
 fn assert_close(actual: f64, golden: f64, what: &str) {
     let tol = 1e-12 * golden.abs().max(1.0);
     assert!(
@@ -84,7 +103,7 @@ fn forward_transform_matches_goldens() {
         (&X, &GOLDEN_Z_X, GOLDEN_LOGDET_X),
         (&X2, &GOLDEN_Z_X2, GOLDEN_LOGDET_X2),
     ] {
-        let (z, logdet) = flow.transform(&store, x, 6);
+        let (z, logdet) = push(&store, &flow, x, 6, false);
         for (i, (&zi, &gi)) in z.iter().zip(gz.iter()).enumerate() {
             assert_close(zi, gi, &format!("z[{i}] of {x:?}"));
         }
@@ -99,7 +118,7 @@ fn partial_depth_transform_matches_goldens() {
         (&X, &GOLDEN_Z3_X, GOLDEN_LOGDET3_X),
         (&X2, &GOLDEN_Z3_X2, GOLDEN_LOGDET3_X2),
     ] {
-        let (z, logdet) = flow.transform(&store, x, 3);
+        let (z, logdet) = push(&store, &flow, x, 3, false);
         for (i, (&zi, &gi)) in z.iter().zip(gz.iter()).enumerate() {
             assert_close(zi, gi, &format!("depth-3 z[{i}] of {x:?}"));
         }
@@ -110,8 +129,12 @@ fn partial_depth_transform_matches_goldens() {
 #[test]
 fn log_density_matches_goldens() {
     let (store, flow) = golden_flow();
-    assert_close(flow.log_density(&store, &X, 6), GOLDEN_LOGQ_X, "ln q(X)");
-    assert_close(flow.log_density(&store, &X2, 6), GOLDEN_LOGQ_X2, "ln q(X2)");
+    assert_close(flow.log_density(&store, &X, 6)[0], GOLDEN_LOGQ_X, "ln q(X)");
+    assert_close(
+        flow.log_density(&store, &X2, 6)[0],
+        GOLDEN_LOGQ_X2,
+        "ln q(X2)",
+    );
 }
 
 #[test]
@@ -121,7 +144,7 @@ fn inverse_round_trip_recovers_input_through_goldens() {
         // Inverting the *golden* forward output must recover the input, so
         // forward and inverse are pinned against each other, not just
         // against their own history.
-        let (back, logdet_inv) = flow.inverse(&store, gz, 6);
+        let (back, logdet_inv) = push(&store, &flow, gz, 6, true);
         for (i, (&bi, &xi)) in back.iter().zip(x.iter()).enumerate() {
             assert!(
                 (bi - xi).abs() < 1e-9,
@@ -129,7 +152,7 @@ fn inverse_round_trip_recovers_input_through_goldens() {
             );
         }
         // The inverse log-det must cancel the forward one.
-        let (_, logdet_fwd) = flow.transform(&store, x, 6);
+        let (_, logdet_fwd) = push(&store, &flow, x, 6, false);
         assert!(
             (logdet_fwd + logdet_inv).abs() < 1e-9,
             "logdet fwd {logdet_fwd} + inv {logdet_inv} != 0"
@@ -143,9 +166,9 @@ fn sample_log_density_consistency_is_pinned() {
     // ln q from inversion at the sampled point.
     let (store, flow) = golden_flow();
     let mut rng = StdRng::seed_from_u64(5);
-    for _ in 0..20 {
-        let (x, logq) = flow.sample(&store, 6, &mut rng);
-        let logq2 = flow.log_density(&store, &x, 6);
+    let (xs, logqs) = flow.sample(&store, 6, 20, &mut rng);
+    let logqs2 = flow.log_density(&store, &xs, 6);
+    for (&logq, &logq2) in logqs.iter().zip(&logqs2) {
         assert!(
             (logq - logq2).abs() < 1e-8,
             "sample logq {logq} vs inverse logq {logq2}"
@@ -156,8 +179,8 @@ fn sample_log_density_consistency_is_pinned() {
 #[test]
 fn fused_tape_reproduces_goldens_bitwise() {
     // The graph path — fused matmul+bias+tanh / tanh-scale tape ops — lands
-    // on the checked-in goldens and agrees with the plain `transform` path
-    // bit for bit.
+    // on the checked-in goldens, and a two-row batch agrees with the
+    // one-row pass bit for bit.
     let (store, flow) = golden_flow();
     let mut g = Graph::new();
     let mut data = X.to_vec();
@@ -173,7 +196,7 @@ fn fused_tape_reproduces_goldens_bitwise() {
         GOLDEN_LOGDET_X,
         "fused graph logdet of X",
     );
-    let (z_plain, ld_plain) = flow.transform(&store, &X, 6);
+    let (z_plain, ld_plain) = push(&store, &flow, &X, 6, false);
     for (i, (a, b)) in z.as_slice()[..4].iter().zip(&z_plain).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "graph vs transform z[{i}]");
     }
