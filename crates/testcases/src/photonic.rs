@@ -87,6 +87,9 @@ impl LimitState for YBranchCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rand_distr::StandardNormal;
 
     #[test]
     fn nominal_is_safe() {
@@ -163,6 +166,109 @@ mod tests {
             assert_eq!(v.to_bits(), *value_bits, "value_grad value at point {k}");
             let bits: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();
             assert_eq!(bits, grad_bits, "gradient at point {k}");
+        }
+    }
+
+    /// Bits of `BpmSolver::run(..).output_magnitude` at [`pinned_point`]
+    /// `k`: the final field, not just its windowed power, so a change to
+    /// the propagation arithmetic shows here even where the transmission
+    /// happens to round the same.
+    #[rustfmt::skip]
+    const PINNED_MAGNITUDE: [[u64; 61]; 3] = [
+        [
+            0x3f879d1c8b3e8088, 0x3f95e935d666c9f3, 0x3f9ca157a12217c7, 0x3fa09137ec7cf94a,
+            0x3fa2054f9b89b442, 0x3fa35effc3713c6c, 0x3fa4a50f69ae6433, 0x3fa4e75feec7d581,
+            0x3fa3f9d2ba54a37c, 0x3fa2a1891aa6794c, 0x3fa4b80255d9d613, 0x3fae1ff88e3e48a2,
+            0x3fb6b77e63805293, 0x3fc035a5b90445a4, 0x3fc5e56aebcb1f32, 0x3fcbd436d9c82d99,
+            0x3fd008bab0b01082, 0x3fd083bcb346d418, 0x3fcfb5a84349bc11, 0x3fcd8f6b77ffcf41,
+            0x3fcae9de52ad4551, 0x3fc6cdd1f913e295, 0x3fc07c4fe2b0e333, 0x3fb3649d7ad617da,
+            0x3fa94466a782ed2a, 0x3fade84c35fa086f, 0x3fb2271ff2bdae14, 0x3fb2d570c4b1a2f7,
+            0x3fb1420edb5dd7fb, 0x3fae51924cd8778d, 0x3fac8a4af456a4c5, 0x3fae51924cd87781,
+            0x3fb1420edb5dd80f, 0x3fb2d570c4b1a2fd, 0x3fb2271ff2bdae21, 0x3fade84c35fa086b,
+            0x3fa94466a782ed4a, 0x3fb3649d7ad617dd, 0x3fc07c4fe2b0e330, 0x3fc6cdd1f913e29b,
+            0x3fcae9de52ad4551, 0x3fcd8f6b77ffcf41, 0x3fcfb5a84349bc0b, 0x3fd083bcb346d411,
+            0x3fd008bab0b0107e, 0x3fcbd436d9c82d9a, 0x3fc5e56aebcb1f3e, 0x3fc035a5b904459e,
+            0x3fb6b77e63805289, 0x3fae1ff88e3e48e0, 0x3fa4b80255d9d641, 0x3fa2a1891aa67969,
+            0x3fa3f9d2ba54a389, 0x3fa4e75feec7d577, 0x3fa4a50f69ae644e, 0x3fa35effc3713c73,
+            0x3fa2054f9b89b443, 0x3fa09137ec7cf941, 0x3f9ca157a12217b8, 0x3f95e935d666ca0f,
+            0x3f879d1c8b3e804b,
+        ],
+        [
+            0x3f910f50c8587870, 0x3fa1e7bb7dd04d23, 0x3faa9ae5df34dfaf, 0x3fafd7d867c15875,
+            0x3fb00c51985a0883, 0x3fb03c1435002943, 0x3faf06a2c0000558, 0x3fa97255cb1571ba,
+            0x3fa3ba7f7bb59dcb, 0x3fa036dff7617b2a, 0x3fa90544e2f9432c, 0x3fb2ccef6ae4b46e,
+            0x3fbac0a9e6f27059, 0x3fc30cb5295ec549, 0x3fc76812c9686e59, 0x3fca5d25bf84b46d,
+            0x3fcd2933c4ad6062, 0x3fcd8e89c59ec5ea, 0x3fccdad620c93611, 0x3fcc9bd4f6fdf171,
+            0x3fc9808ed18a424a, 0x3fc36497a73cadb2, 0x3fba2c627481ba7b, 0x3fae931e3fdded08,
+            0x3facc4bad964d0fd, 0x3fb5fe226591fd82, 0x3fba9feaec6da3df, 0x3fb8f08dcad554cb,
+            0x3fb375d65a2891c2, 0x3fa957e7e4f05386, 0x3fa33822d4f8c33b, 0x3fa957e7e4f0539c,
+            0x3fb375d65a2891cc, 0x3fb8f08dcad554b7, 0x3fba9feaec6da3d6, 0x3fb5fe226591fd79,
+            0x3facc4bad964d116, 0x3fae931e3fdded10, 0x3fba2c627481ba69, 0x3fc36497a73cada3,
+            0x3fc9808ed18a4243, 0x3fcc9bd4f6fdf176, 0x3fccdad620c93619, 0x3fcd8e89c59ec5db,
+            0x3fcd2933c4ad6059, 0x3fca5d25bf84b467, 0x3fc76812c9686e53, 0x3fc30cb5295ec541,
+            0x3fbac0a9e6f2706e, 0x3fb2ccef6ae4b46c, 0x3fa90544e2f942eb, 0x3fa036dff7617aec,
+            0x3fa3ba7f7bb59dbb, 0x3fa97255cb1571b2, 0x3faf06a2c0000560, 0x3fb03c143500294c,
+            0x3fb00c51985a0883, 0x3fafd7d867c1586c, 0x3faa9ae5df34dfb0, 0x3fa1e7bb7dd04d33,
+            0x3f910f50c8587881,
+        ],
+        [
+            0x3f87e5ee9e0fd008, 0x3f9ef59537fb613c, 0x3fa42fe3c57f022a, 0x3fa9e8cd5aaf6f5d,
+            0x3faf98c899951c4b, 0x3fb057913776078b, 0x3fb115540437966e, 0x3fb0aca57994453a,
+            0x3fad6e56ba724759, 0x3fab4179f2d11de5, 0x3fade13c238b8cd8, 0x3fb17928f231deca,
+            0x3fb3c6cd00fb4d5c, 0x3fb3fda9b4cd9d70, 0x3fb6aac8ae494264, 0x3fbda2c14b8b535d,
+            0x3fc38e8fcacd6f67, 0x3fc7969b4f0cc96f, 0x3fcad0bfa2e23247, 0x3fcc4fcf0c0a477f,
+            0x3fcb2ffba15f3574, 0x3fc90cdab4724049, 0x3fc5f69371c59ec2, 0x3fc2b847924373be,
+            0x3fc08423aab66f92, 0x3fbe73f899d9028a, 0x3fbe8d419eb1e192, 0x3fc102c2d0bae1ed,
+            0x3fc3c295f6cf4d39, 0x3fc4f7e74207e4a3, 0x3fc5642209bf21c5, 0x3fc4f7e74207e4a5,
+            0x3fc3c295f6cf4d34, 0x3fc102c2d0bae1e9, 0x3fbe8d419eb1e189, 0x3fbe73f899d90296,
+            0x3fc08423aab66f89, 0x3fc2b847924373b4, 0x3fc5f69371c59ebb, 0x3fc90cdab4724040,
+            0x3fcb2ffba15f3573, 0x3fcc4fcf0c0a477a, 0x3fcad0bfa2e23246, 0x3fc7969b4f0cc972,
+            0x3fc38e8fcacd6f64, 0x3fbda2c14b8b5358, 0x3fb6aac8ae494261, 0x3fb3fda9b4cd9d7f,
+            0x3fb3c6cd00fb4d4a, 0x3fb17928f231dec9, 0x3fade13c238b8cd0, 0x3fab4179f2d11dbf,
+            0x3fad6e56ba72475b, 0x3fb0aca579944535, 0x3fb115540437966d, 0x3fb057913776078b,
+            0x3faf98c899951c5a, 0x3fa9e8cd5aaf6f75, 0x3fa42fe3c57f0230, 0x3f9ef59537fb6139,
+            0x3f87e5ee9e0fd005,
+        ],
+    ];
+
+    #[test]
+    fn output_magnitude_bits_are_pinned() {
+        let yb = YBranchCase::default();
+        for (k, expected) in PINNED_MAGNITUDE.iter().enumerate() {
+            let run = yb.solver().run(&pinned_point(k)).unwrap();
+            let bits: Vec<u64> = run.output_magnitude.iter().map(|m| m.to_bits()).collect();
+            assert_eq!(bits, expected, "output magnitude at point {k}");
+        }
+    }
+
+    /// 200 fixed-seed points: standard-normal rows, rows with every
+    /// coordinate near ±4, and rows whose first mode pinches the guide past
+    /// the half-width clamp.
+    fn random_points() -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(26);
+        (0..200)
+            .map(|k| {
+                let mut x: Vec<f64> = (0..26).map(|_| rng.sample(StandardNormal)).collect();
+                match k % 4 {
+                    1 => {
+                        for v in &mut x {
+                            *v = 4.0f64.copysign(*v) + 0.05 * *v;
+                        }
+                    }
+                    2 => x[0] = -4.0 - x[0].abs(),
+                    _ => {}
+                }
+                x
+            })
+            .collect()
+    }
+
+    #[test]
+    fn value_and_value_grad_bits_agree() {
+        let yb = YBranchCase::default();
+        for (k, x) in random_points().iter().enumerate() {
+            let v = yb.value(x);
+            assert_eq!(v.to_bits(), yb.value_grad(x).0.to_bits(), "point {k}: {v}");
         }
     }
 
