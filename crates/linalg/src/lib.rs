@@ -8,8 +8,9 @@
 //!   small-signal circuit analysis and the photonic beam-propagation method.
 //! * [`lu::LuDecomposition`] / [`lu::CluDecomposition`] — LU with partial
 //!   pivoting (real and complex), used by the MNA circuit solver.
-//! * [`tridiag::solve_complex_tridiagonal`] — Thomas algorithm, used by the
-//!   Crank–Nicolson BPM stepper.
+//! * [`tridiag::ThomasFactors`] — Thomas algorithm, factored once and
+//!   solved (or conjugate-solved) many times, used by the Crank–Nicolson
+//!   BPM stepper and its adjoint.
 //! * [`lstsq::lstsq`] — linear least squares, used by scaled-sigma sampling's
 //!   model regression.
 //! * [`ode::rk4_integrate`] — classic Runge–Kutta, used by the oscillator

@@ -7,15 +7,19 @@
 //! per step) and second-order central differences in `x`. An imaginary
 //! absorber near the lateral boundaries swallows radiated power.
 //!
-//! The adjoint pass propagates a terminal seed backwards through the
-//! conjugate-transposed step operators and accumulates `dT/dx_j` for all
-//! deformation modes in one sweep — so a transmission *and its full
-//! 26-dimensional gradient* cost two BPM runs, which is what makes the
-//! differentiable NOFIS loss affordable on the Y-branch test case.
+//! A run first assembles every step's operators and factors every step's
+//! tridiagonal matrix once ([`ThomasFactors`]); the field sweep then only
+//! substitutes. The adjoint pass propagates a terminal seed backwards
+//! through the conjugate-transposed step operators, solving them from the
+//! forward factorization (so it does no divides), and accumulates
+//! `dT/dx_j` for all deformation modes in one sweep — so a transmission
+//! *and its full 26-dimensional gradient* cost one factorization and two
+//! substitution sweeps, which is what makes the differentiable NOFIS loss
+//! affordable on the Y-branch test case.
 
-use crate::geometry::StepProfile;
 use crate::YBranch;
-use nofis_linalg::{tridiag::solve_complex_tridiagonal, Complex64, LinalgError};
+use nofis_linalg::{tridiag::ThomasFactors, Complex64, LinalgError};
+use std::sync::OnceLock;
 
 /// Discretization and launch settings for the BPM.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +78,7 @@ pub struct BpmRun {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BpmSolver {
     geometry: YBranch,
     config: BpmConfig,
@@ -91,6 +95,26 @@ pub struct BpmSolver {
     index_coeff: f64,
     /// `1 / (2 k₀ n₀)` prefactor of the Laplacian term.
     lap_coeff: f64,
+    /// `sin(π (j+1) z_k / L)` at every step midpoint `z_k`, `nz × n_modes`
+    /// row-major. Independent of the deformation, so it is built once, on
+    /// the first run rather than in [`BpmSolver::new`], which stays cheap.
+    sin_table: OnceLock<Vec<f64>>,
+}
+
+/// Every other field is computed from the geometry and the configuration.
+impl PartialEq for BpmSolver {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry && self.config == other.config
+    }
+}
+
+/// One run's Crank–Nicolson operators `A_k u_{k+1} = B_k u_k`, with
+/// `A_k = I + i(dz/2)H_k` and `B_k = I − i(dz/2)H_k`, for every step `k`.
+struct Steps {
+    /// Every step's `A_k`, factored.
+    factors: ThomasFactors,
+    /// Every step's diagonal of `B_k`, `nz × nx` row-major.
+    b_diag: Vec<Complex64>,
 }
 
 impl BpmSolver {
@@ -155,6 +179,7 @@ impl BpmSolver {
             absorber,
             window,
             launch,
+            sin_table: OnceLock::new(),
         }
     }
 
@@ -173,100 +198,99 @@ impl BpmSolver {
         (step as f64 + 0.5) * self.dz
     }
 
-    /// The constant off-diagonal `i(dz/2)·off` of the CN matrix
-    /// `A = I + i(dz/2)H`, shared by its lower and upper bands.
-    fn a_band(&self) -> Vec<Complex64> {
-        let off = -self.lap_coeff / (self.dx * self.dx);
-        vec![Complex64::new(0.0, 0.5 * self.dz) * off; self.config.nx]
+    /// The mode values of every step, built on first use.
+    fn sin_table(&self) -> &[f64] {
+        self.sin_table.get_or_init(|| {
+            let m = self.geometry.n_modes();
+            let mut table = vec![0.0; self.config.nz * m];
+            for (step, row) in table.chunks_exact_mut(m).enumerate() {
+                self.geometry.mode_sins(self.z_mid(step), row);
+            }
+            table
+        })
     }
 
-    /// Assembles the CN diagonals of one step, `A u_{n+1} = B u_n` with
-    /// `A = I + i(dz/2)H`, `B = I - i(dz/2)H`, from the step's `z`-only
-    /// index profile.
-    ///
-    /// Returns `(a_diag, h_diag)`: A's off-diagonals are [`Self::a_band`]
-    /// and the B-product is applied directly from `h_diag`. When `dn2_dw`
-    /// is given it receives `dn²/dδw` at every grid point.
-    fn operators(
-        &self,
-        profile: &StepProfile,
-        dn2_dw: Option<&mut [f64]>,
-    ) -> (Vec<Complex64>, Vec<Complex64>) {
-        let off = -self.lap_coeff / (self.dx * self.dx);
+    /// `-lap_coeff / dx²`, the Laplacian's off-diagonal in `H`.
+    fn h_off(&self) -> f64 {
+        -self.lap_coeff / (self.dx * self.dx)
+    }
+
+    /// The constant off-diagonal of `B_k`, `−i(dz/2)·off`.
+    fn b_off(&self) -> Complex64 {
+        Complex64::new(0.0, -0.5 * self.dz) * self.h_off()
+    }
+
+    /// Assembles every step's diagonals from its `z`-only index profile,
+    /// then factors every `A_k`, whose off-diagonal `i(dz/2)·off` is
+    /// shared by its lower and upper bands. When `dn2_dw` is given
+    /// (`nz × nx`) it receives `dn²/dδw` at every step and grid point.
+    fn steps(&self, params: &[f64], mut dn2_dw: Option<&mut [f64]>) -> Result<Steps, LinalgError> {
+        let (nx, nz) = (self.config.nx, self.config.nz);
+        let off = self.h_off();
         let n0sq = self.geometry.n_clad() * self.geometry.n_clad();
-        let h_at = |j: usize, n2: f64| {
-            Complex64::new(
-                -2.0 * off - self.index_coeff * (n2 - n0sq),
-                -self.index_coeff * self.absorber[j],
-            )
-        };
-
-        let h_diag: Vec<Complex64> = match dn2_dw {
-            Some(dw_out) => (self.xs.iter().zip(dw_out).enumerate())
-                .map(|(j, (&x, dw))| {
-                    let (n2, d) = self.geometry.profile_n2_dw(profile, x);
-                    *dw = d;
-                    h_at(j, n2)
-                })
-                .collect(),
-            None => (self.xs.iter().enumerate())
-                .map(|(j, &x)| h_at(j, self.geometry.profile_n2(profile, x)))
-                .collect(),
-        };
-
-        let half = Complex64::new(0.0, 0.5 * self.dz);
-        let a_diag = h_diag.iter().map(|&h| Complex64::ONE + half * h).collect();
-        (a_diag, h_diag)
+        let a_half = Complex64::new(0.0, 0.5 * self.dz);
+        let b_half = Complex64::new(0.0, -0.5 * self.dz);
+        let mut a_diag = vec![Complex64::ZERO; nz * nx];
+        let mut b_diag = vec![Complex64::ZERO; nz * nx];
+        let rows = (a_diag.chunks_exact_mut(nx))
+            .zip(b_diag.chunks_exact_mut(nx))
+            .zip(self.sin_table().chunks_exact(self.geometry.n_modes()));
+        for (step, ((a, b), sins)) in rows.enumerate() {
+            let profile = self.geometry.step_profile(self.z_mid(step), params, sins);
+            let mut dw = dn2_dw.as_deref_mut().map(|d| &mut d[step * nx..][..nx]);
+            for j in 0..nx {
+                let n2 = match dw.as_deref_mut() {
+                    Some(dw) => {
+                        let (n2, d) = self.geometry.profile_n2_dw(&profile, self.xs[j]);
+                        dw[j] = d;
+                        n2
+                    }
+                    None => self.geometry.profile_n2(&profile, self.xs[j]),
+                };
+                let h = Complex64::new(
+                    -2.0 * off - self.index_coeff * (n2 - n0sq),
+                    -self.index_coeff * self.absorber[j],
+                );
+                a[j] = Complex64::ONE + a_half * h;
+                b[j] = Complex64::ONE + b_half * h;
+            }
+        }
+        let band = vec![a_half * off; nx];
+        let factors = ThomasFactors::factor(&band, &a_diag, &band)?;
+        Ok(Steps { factors, b_diag })
     }
 
-    fn apply_b(&self, h_diag: &[Complex64], u: &[Complex64]) -> Vec<Complex64> {
-        let nx = u.len();
-        let off = -self.lap_coeff / (self.dx * self.dx);
-        let half = Complex64::new(0.0, -0.5 * self.dz);
-        let b_off = half * off;
-        let mut out = vec![Complex64::ZERO; nx];
-        for j in 0..nx {
-            let mut acc = (Complex64::ONE + half * h_diag[j]) * u[j];
-            if j > 0 {
-                acc += b_off * u[j - 1];
-            }
-            if j + 1 < nx {
-                acc += b_off * u[j + 1];
-            }
-            out[j] = acc;
-        }
-        out
+    /// Power of `u` inside the output window.
+    fn window_power(&self, u: &[Complex64]) -> f64 {
+        u.iter()
+            .zip(&self.window)
+            .map(|(v, &w)| w * v.abs_sq())
+            .sum()
     }
 
     /// Runs the forward BPM and returns the transmission.
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError`] from the tridiagonal solver (should not
-    /// occur for a well-posed CN system).
+    /// Propagates [`LinalgError`] from the tridiagonal factorization
+    /// (should not occur for a well-posed CN system).
     ///
     /// # Panics
     ///
     /// Panics if `params.len() != geometry.n_modes()`.
     pub fn run(&self, params: &[f64]) -> Result<BpmRun, LinalgError> {
-        let band = self.a_band();
-        let mut row = vec![0.0; self.geometry.n_modes()];
+        let nx = self.config.nx;
+        let steps = self.steps(params, None)?;
+        let b_off = self.b_off();
         let mut u = self.launch.clone();
-        for step in 0..self.config.nz {
-            let profile = self
-                .geometry
-                .step_profile(self.z_mid(step), params, &mut row);
-            let (ad, h) = self.operators(&profile, None);
-            let rhs = self.apply_b(&h, &u);
-            u = solve_complex_tridiagonal(&band, &ad, &band, &rhs)?;
+        let mut next = vec![Complex64::ZERO; nx];
+        for (step, b) in steps.b_diag.chunks_exact(nx).enumerate() {
+            apply_tridiag(b, b_off, &u, &mut next, |z| z);
+            steps.factors.solve(step, &mut next);
+            std::mem::swap(&mut u, &mut next);
         }
-        let transmission: f64 = u
-            .iter()
-            .zip(&self.window)
-            .map(|(v, &w)| w * v.abs_sq())
-            .sum();
         Ok(BpmRun {
-            transmission,
+            transmission: self.window_power(&u),
             output_magnitude: u.iter().map(|v| v.abs()).collect(),
         })
     }
@@ -277,7 +301,7 @@ impl BpmSolver {
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError`] from the tridiagonal solver.
+    /// Propagates [`LinalgError`] from the tridiagonal factorization.
     ///
     /// # Panics
     ///
@@ -286,88 +310,90 @@ impl BpmSolver {
         let (nx, nz) = (self.config.nx, self.config.nz);
         let n_modes = self.geometry.n_modes();
 
-        // Forward pass, storing the field history, per-step dn²/dw and
-        // per-step mode rows (nz × nx and nz × n_modes, row-major).
-        let band = self.a_band();
-        let mut fields: Vec<Vec<Complex64>> = Vec::with_capacity(nz + 1);
+        // Forward pass, storing the field history ((nz + 1) × nx) and the
+        // per-step dn²/dw (nz × nx).
         let mut dn2_dw = vec![0.0; nz * nx];
-        let mut rows = vec![0.0; nz * n_modes];
-        let mut h_diags: Vec<Vec<Complex64>> = Vec::with_capacity(nz);
-        fields.push(self.launch.clone());
-        for (step, (dw, row)) in (dn2_dw.chunks_exact_mut(nx))
-            .zip(rows.chunks_exact_mut(n_modes))
-            .enumerate()
-        {
-            let profile = self.geometry.step_profile(self.z_mid(step), params, row);
-            let (ad, h) = self.operators(&profile, Some(dw));
-            let rhs = self.apply_b(&h, fields.last().expect("non-empty"));
-            let next = solve_complex_tridiagonal(&band, &ad, &band, &rhs)?;
-            fields.push(next);
-            h_diags.push(h);
+        let steps = self.steps(params, Some(&mut dn2_dw))?;
+        let b_off = self.b_off();
+        let mut fields = vec![Complex64::ZERO; (nz + 1) * nx];
+        fields[..nx].copy_from_slice(&self.launch);
+        for (step, b) in steps.b_diag.chunks_exact(nx).enumerate() {
+            let (done, rest) = fields.split_at_mut((step + 1) * nx);
+            let next = &mut rest[..nx];
+            apply_tridiag(b, b_off, &done[step * nx..], next, |z| z);
+            steps.factors.solve(step, next);
         }
-        let u_out = fields.last().expect("non-empty");
-        let transmission: f64 = u_out
-            .iter()
-            .zip(&self.window)
-            .map(|(v, &w)| w * v.abs_sq())
-            .sum();
+        let u_out = &fields[nz * nx..];
+        let transmission = self.window_power(u_out);
 
         // Adjoint pass: λ_N = W u_N; λ_k = B_kᴴ A_k⁻ᴴ λ_{k+1}, accumulating
         // 2 Re( μ_kᴴ (δB u_k − δA u_{k+1}) ) per parameter, where both
-        // δA and δB are ∓ i(dz/2) δH with δH diagonal.
+        // δA and δB are ∓ i(dz/2) δH with δH diagonal. A_k is
+        // complex-symmetric, so A_kᴴ is its elementwise conjugate and is
+        // solved from A_k's factor.
         let mut grad = vec![0.0; n_modes];
         let mut lambda: Vec<Complex64> = u_out
             .iter()
             .zip(&self.window)
             .map(|(v, &w)| *v * w)
             .collect();
-
-        let off = -self.lap_coeff / (self.dx * self.dx);
-        let half = Complex64::new(0.0, 0.5 * self.dz);
-        // Solve A^H μ = λ: A^H is tridiagonal with conjugated entries.
-        let band_conj: Vec<Complex64> = band.iter().map(|b| b.conj()).collect();
+        let mut next = vec![Complex64::ZERO; nx];
+        // δB u_k − δA u_{k+1} = -i(dz/2) δH (u_k + u_{k+1}),
+        // δH_j = -index_coeff · dn²_j.
+        let common = Complex64::new(0.0, -0.5 * self.dz) * (-self.index_coeff);
+        let sins = self.sin_table();
 
         for step in (0..nz).rev() {
-            let ad: Vec<Complex64> = h_diags[step]
-                .iter()
-                .map(|&h| (Complex64::ONE + half * h).conj())
-                .collect();
-            let mu = solve_complex_tridiagonal(&band_conj, &ad, &band_conj, &lambda)?;
+            // μ_k = A_k⁻ᴴ λ_{k+1}, in place.
+            steps.factors.solve_conj(step, &mut lambda);
+            let mu = &lambda;
 
-            // Parameter accumulation: δB u_k − δA u_{k+1}
-            //   = -i(dz/2) δH (u_k + u_{k+1}),  δH_j = -index_coeff · dn²_j.
-            // Inner product over x is common to all modes.
+            // Parameter accumulation; the inner product over x is common
+            // to all modes.
             let dw = &dn2_dw[step * nx..(step + 1) * nx];
+            let (u_k, u_next) = (&fields[step * nx..], &fields[(step + 1) * nx..]);
             let mut s = Complex64::ZERO;
             for j in 0..nx {
-                let du = fields[step][j] + fields[step + 1][j];
+                let du = u_k[j] + u_next[j];
                 s += mu[j].conj() * du * dw[j];
             }
-            let common = Complex64::new(0.0, -0.5 * self.dz) * (-self.index_coeff);
             let contrib = common * s;
-            let row = &rows[step * n_modes..(step + 1) * n_modes];
+            let row = &sins[step * n_modes..(step + 1) * n_modes];
             for (g, &sin) in grad.iter_mut().zip(row) {
                 *g += 2.0 * (contrib.re) * self.geometry.basis_from_sin(sin);
             }
 
-            // λ_k = B^H μ.
-            let b_half = Complex64::new(0.0, -0.5 * self.dz);
-            let b_off_conj = (b_half * off).conj();
-            let mut new_lambda = vec![Complex64::ZERO; nx];
-            for j in 0..nx {
-                let mut acc = (Complex64::ONE + b_half * h_diags[step][j]).conj() * mu[j];
-                if j > 0 {
-                    acc += b_off_conj * mu[j - 1];
-                }
-                if j + 1 < nx {
-                    acc += b_off_conj * mu[j + 1];
-                }
-                new_lambda[j] = acc;
-            }
-            lambda = new_lambda;
+            // λ_k = B_kᴴ μ_k.
+            let b = &steps.b_diag[step * nx..(step + 1) * nx];
+            apply_tridiag(b, b_off, mu, &mut next, Complex64::conj);
+            std::mem::swap(&mut lambda, &mut next);
         }
 
         Ok((transmission, grad))
+    }
+}
+
+/// `out = M u` for the tridiagonal `M` with diagonal `diag` and constant
+/// off-diagonal `off`, every entry read through `f` (identity, or
+/// conjugate for the symmetric `Mᴴ`).
+fn apply_tridiag(
+    diag: &[Complex64],
+    off: Complex64,
+    u: &[Complex64],
+    out: &mut [Complex64],
+    f: impl Fn(Complex64) -> Complex64,
+) {
+    let nx = out.len();
+    let off = f(off);
+    for j in 0..nx {
+        let mut acc = f(diag[j]) * u[j];
+        if j > 0 {
+            acc += off * u[j - 1];
+        }
+        if j + 1 < nx {
+            acc += off * u[j + 1];
+        }
+        out[j] = acc;
     }
 }
 

@@ -1,8 +1,13 @@
 //! Y-branch splitter geometry with parameterized sidewall deformation.
 
 /// Smooth logistic step used for soft core boundaries.
+///
+/// From `t = 37` on, `e^{-t} < 2⁻⁵³` vanishes against `1` and the formula
+/// rounds to exactly `1.0`, so that value is returned without the `exp`.
 fn smooth_step(t: f64) -> f64 {
-    if t >= 0.0 {
+    if t >= 37.0 {
+        1.0
+    } else if t >= 0.0 {
         1.0 / (1.0 + (-t).exp())
     } else {
         let e = t.exp();
@@ -131,23 +136,30 @@ impl YBranch {
         (std::f64::consts::PI * (j + 1) as f64 * z / self.length).sin()
     }
 
+    /// Fills `row` with the unscaled mode values `sin(π (j+1) z / L)` at
+    /// `z` (the per-mode basis is `σ · row[j]`).
+    pub(crate) fn mode_sins(&self, z: f64, row: &mut [f64]) {
+        debug_assert_eq!(row.len(), self.n_modes);
+        for (j, s) in row.iter_mut().enumerate() {
+            *s = self.mode_sin(j, z);
+        }
+    }
+
     /// Evaluates the `z`-only part of the profile under deformation
     /// `params`: the width perturbation `δw(z) = σ · Σ_j x_j sin(π j z / L)`
-    /// with its clamp, and the arm centers `±c(z)`. Fills `row` with the
-    /// unscaled mode values `sin(π (j+1) z / L)`, so the adjoint can reuse
-    /// them (the per-mode basis is `σ · row[j]`).
+    /// with its clamp, and the arm centers `±c(z)`. `sins` holds the mode
+    /// values at `z` from [`YBranch::mode_sins`].
     ///
     /// # Panics
     ///
     /// Panics if `params.len() != self.n_modes()`.
-    pub(crate) fn step_profile(&self, z: f64, params: &[f64], row: &mut [f64]) -> StepProfile {
+    pub(crate) fn step_profile(&self, z: f64, params: &[f64], sins: &[f64]) -> StepProfile {
         assert_eq!(params.len(), self.n_modes, "deformation dimension mismatch");
-        debug_assert_eq!(row.len(), self.n_modes);
-        let mut acc = 0.0;
-        for (j, (s, &c)) in row.iter_mut().zip(params).enumerate() {
-            *s = self.mode_sin(j, z);
-            acc += c * *s;
-        }
+        debug_assert_eq!(sins.len(), self.n_modes);
+        let acc = sins
+            .iter()
+            .zip(params)
+            .fold(0.0, |acc, (s, &c)| acc + c * s);
         let raw = self.half_width + self.deform_sigma * acc;
         let arm = if z <= self.split_start {
             None
@@ -216,9 +228,11 @@ impl YBranch {
         (self.n2_of(ind), (nc2 - ncl2) * dind * p.dw_active)
     }
 
-    /// The step profile at `z` without keeping the mode row.
+    /// The step profile at `z`, evaluating its mode values on the spot.
     fn profile_at(&self, z: f64, params: &[f64]) -> StepProfile {
-        self.step_profile(z, params, &mut vec![0.0; self.n_modes])
+        let mut sins = vec![0.0; self.n_modes];
+        self.mode_sins(z, &mut sins);
+        self.step_profile(z, params, &sins)
     }
 
     /// Squared refractive index at `(x, z)` under deformation `params`.
@@ -247,8 +261,8 @@ impl YBranch {
         self.deform_sigma * self.mode_sin(j, z)
     }
 
-    /// Scales an unscaled mode value from [`YBranch::step_profile`]'s row
-    /// to the per-mode basis `σ sin(π j z / L)`.
+    /// Scales an unscaled mode value from [`YBranch::mode_sins`] to the
+    /// per-mode basis `σ sin(π j z / L)`.
     pub(crate) fn basis_from_sin(&self, sin: f64) -> f64 {
         self.deform_sigma * sin
     }
@@ -305,6 +319,35 @@ mod tests {
             assert!(
                 (dw - fd).abs() < 1e-5 * fd.abs().max(1.0),
                 "at ({x},{z}): analytic {dw} vs fd {fd}"
+            );
+        }
+    }
+
+    /// The logistic formula without the `t ≥ 37` shortcut.
+    fn smooth_step_formula(t: f64) -> f64 {
+        if t >= 0.0 {
+            1.0 / (1.0 + (-t).exp())
+        } else {
+            let e = t.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    #[test]
+    fn smooth_step_shortcut_is_the_formula_bit_for_bit() {
+        let grid = (0..=77_000).map(|k| 30.0 + k as f64 * 0.01);
+        let specials = [
+            37.0,
+            37.0 - 32.0 * f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for t in grid.chain(specials) {
+            assert_eq!(
+                smooth_step(t).to_bits(),
+                smooth_step_formula(t).to_bits(),
+                "t = {t}"
             );
         }
     }
