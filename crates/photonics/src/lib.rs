@@ -7,7 +7,9 @@
 //! parameterized [`YBranch`] geometry whose sidewalls are deformed by a
 //! truncated Fourier series, plus an adjoint pass that returns the full
 //! deformation gradient of the power transmission at the cost of one extra
-//! sweep.
+//! sweep. Each step's tridiagonal matrix is factored once per run; the
+//! adjoint solves the conjugate-transposed steps from those same factors,
+//! so it does no divides.
 //!
 //! # Example
 //!

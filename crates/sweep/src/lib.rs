@@ -49,7 +49,7 @@
 //! let cfg = SweepConfig::new(Default::default(), "ckpts/sweep");
 //! let report = run_sweep(family, &cfg).unwrap();
 //! for c in &report.corners {
-//!     println!("{}: {:?} ({} sims)", c.label, c.estimate, c.real_calls);
+//!     println!("{}: {:?} ({} evals)", c.label, c.estimate, c.evals);
 //! }
 //! ```
 
@@ -199,13 +199,18 @@ impl<F: CornerFamily> CornerOracle<F> {
     }
 
     /// Evaluations that actually ran the simulator (memo misses, or all
-    /// of them when no memo is attached).
+    /// of them when no memo is attached). With a shared memo the split
+    /// between this and [`CornerOracle::cache_hits`] depends on which
+    /// corner reaches a shared point first, so it can differ between runs
+    /// of one seed; only [`CornerOracle::evals`] and the sweep's total
+    /// repeat.
     pub fn real_calls(&self) -> u64 {
         self.real.load(Ordering::Relaxed)
     }
 
     /// Evaluations answered from the shared memo, including requests that
-    /// waited for a sibling corner's simulation of the same point.
+    /// waited for a sibling corner's simulation of the same point. Not
+    /// reproducible per corner; see [`CornerOracle::real_calls`].
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -420,11 +425,16 @@ pub struct CornerReport {
     pub error: Option<String>,
     /// Total `g` evaluations the corner requested (deterministic).
     pub evals: u64,
-    /// Evaluations that reached the simulator (memo misses).
+    /// Evaluations that reached the simulator (memo misses). With the
+    /// shared memo, the split between this and `cache_hits` depends on
+    /// which corner reaches a shared point first, so it can differ between
+    /// runs of one seed; only `evals` and
+    /// [`SweepReport::total_real_calls`] repeat.
     pub real_calls: u64,
-    /// Evaluations answered by the shared memo.
+    /// Evaluations answered by the shared memo; not reproducible per
+    /// corner, like `real_calls`.
     pub cache_hits: u64,
-    /// `cache_hits / evals` in `[0, 1]`.
+    /// `cache_hits / evals` in `[0, 1]`; not reproducible per corner.
     pub hit_rate: f64,
 }
 
@@ -464,7 +474,10 @@ pub struct SweepReport {
     pub cache: Option<CacheTotals>,
     /// Sum of per-corner requested evaluations.
     pub total_evals: u64,
-    /// Sum of per-corner simulator calls.
+    /// Sum of per-corner simulator calls. With the memo this is the number
+    /// of distinct (request kind, point) pairs the corners request, and
+    /// without it `total_evals`; either way the same on every run of a
+    /// seed.
     pub total_real_calls: u64,
     /// End-to-end wall-clock milliseconds.
     pub wall_ms: f64,

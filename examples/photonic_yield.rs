@@ -79,6 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "IS hits / ESS  : {} / {:.1}",
         result.hits, result.effective_sample_size
     );
+    // Raw bits and the call count on one line, so a reproducibility check
+    // can diff two runs exactly.
+    println!(
+        "estimate (bits): {:016x}  calls: {}",
+        result.estimate.to_bits(),
+        oracle.calls()
+    );
     match diagnostics {
         Some(d) => {
             println!(
