@@ -11,7 +11,8 @@
 //! `summary` reconstructs the run from the structured records alone: the
 //! `train.stage` spans carry per-stage wall time, step counts, retries,
 //! oracle spend, and buffer-pool traffic (from which allocations per step
-//! are derived); the `estimate` span carries the accepted fallback rung.
+//! are derived); the `estimate` span carries the accepted fallback rung
+//! and whether it passed the weight-health check.
 //! `diff` lines up two traces by stage number to compare timings and
 //! resource spend — e.g. before/after a performance change.
 //!
@@ -267,10 +268,12 @@ fn summary(path: &str) -> ExitCode {
     let attempts = events.iter().filter(|e| e.name == "estimate.rung").count();
     if let Some(est) = estimate_row(&events) {
         println!(
-            "estimate: rung {} (rank {}), estimate {:e}, hits {}, ess {:.1}, \
+            "estimate: rung {} (rank {}, healthy {}), estimate {:e}, hits {}, ess {:.1}, \
              {} oracle calls, {:.3} s, {} rung attempts",
             est.str_field("rung").unwrap_or("?"),
             est.u64_field("rank").unwrap_or(0),
+            est.bool_field("healthy")
+                .map_or("?", |h| if h { "true" } else { "false" }),
             est.f64_field("estimate").unwrap_or(f64::NAN),
             est.u64_field("hits").unwrap_or(0),
             est.f64_field("ess").unwrap_or(f64::NAN),

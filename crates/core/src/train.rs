@@ -4,9 +4,9 @@ use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tenso
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, monte_carlo_with_pool, quantile,
-    BudgetedOracle, DefensiveMixture, FallbackRung, IsResult, LimitState, Proposal,
-    StandardGaussian, WeightDiagnostics, LN_2PI,
+    batch_values_with, importance_sampling_detailed_with_pool, quantile, BudgetedOracle,
+    DefensiveMixture, FallbackRung, IsResult, LimitState, Proposal, StandardGaussian,
+    WeightDiagnostics, LN_2PI,
 };
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
@@ -34,8 +34,8 @@ const LOGDET_DIVERGENCE_LIMIT: f64 = 1e6;
 
 /// Simulator-call budget granted to a standalone
 /// [`TrainedNofis::estimate`] call, as a multiple of `n_is`: one tranche
-/// for each rung of the fallback ladder.
-const ESTIMATE_BUDGET_FACTOR: u64 = 4;
+/// for each of the three rungs of the fallback ladder.
+const ESTIMATE_BUDGET_FACTOR: u64 = 3;
 
 /// Base mixing weight used by the defensive-mixture rung of the fallback
 /// ladder; importance weights on that rung are bounded by `1/α = 2`.
@@ -1271,7 +1271,7 @@ impl TrainedNofis {
 
     /// Final importance-sampling estimate of `P[g(x) ≤ 0]` (Eq. 2), guarded
     /// by the fallback ladder of [`TrainedNofis::estimate_within`]. The
-    /// standalone call is given a hard budget of `4 · n_is` simulator calls
+    /// standalone call is given a hard budget of `3 · n_is` simulator calls
     /// (one `n_is` tranche per ladder rung); the healthy path consumes
     /// exactly `n_is`.
     ///
@@ -1290,8 +1290,9 @@ impl TrainedNofis {
 
     /// Like [`TrainedNofis::estimate`] but also returns
     /// [`WeightDiagnostics`] over the finite importance weights of the
-    /// accepted rung (`None` when that rung observed no failure hits, or
-    /// for the plain-Monte-Carlo rung, which has no weights).
+    /// accepted rung (`None` when that rung observed no failure hits). When
+    /// no rung passed the health check, the returned diagnostics are the
+    /// ones that failed [`WeightDiagnostics::looks_healthy`].
     ///
     /// # Errors
     ///
@@ -1313,16 +1314,15 @@ impl TrainedNofis {
     /// 1. the final proposal `q_{MK}`;
     /// 2. the previous stage's proposal `q_{(M−1)K}` (less concentrated);
     /// 3. the defensive mixture `α·p + (1−α)·q_{MK}` with `α = 1/2`, whose
-    ///    weights are bounded by `1/α`;
-    /// 4. plain Monte Carlo within the remaining budget, accepted
-    ///    unconditionally.
+    ///    weights are bounded by `1/α`.
     ///
     /// A rung is accepted when its estimate is finite, it observed at least
     /// one failure hit, and [`WeightDiagnostics::looks_healthy`] holds over
     /// its finite log-weights; otherwise the ladder descends. The accepted
-    /// rung is recorded in [`IsResult::rung`]. If the budget runs out
-    /// mid-ladder, the last computed (finite, budget-respecting) result is
-    /// returned instead of overrunning.
+    /// rung is recorded in [`IsResult::rung`], and the `estimate` telemetry
+    /// span records whether it passed (`healthy`). When no rung passes, or
+    /// the budget runs out mid-ladder, the last rung with a finite estimate
+    /// is returned together with its failing diagnostics.
     ///
     /// # Errors
     ///
@@ -1330,6 +1330,8 @@ impl TrainedNofis {
     ///   dimension does not match the trained flow.
     /// * [`NofisError::BudgetExhausted`] if not even the first rung could
     ///   draw a single sample.
+    /// * [`NofisError::DegenerateProposal`] if no rung produced a finite
+    ///   estimate.
     pub fn estimate_within<L: LimitState + ?Sized + Sync>(
         &self,
         oracle: &BudgetedOracle<'_, L>,
@@ -1341,9 +1343,11 @@ impl TrainedNofis {
         let result = self.estimate_ladder(oracle, n_is, rng);
         if span.is_enabled() {
             match &result {
-                Ok((r, _)) => {
-                    span.field("rung", rung_label(&r.rung));
+                Ok(out) => {
+                    let r = &out.0;
+                    span.field("rung", r.rung.label());
                     span.field("rank", r.rung.rank());
+                    span.field("healthy", rung_is_healthy(out));
                     span.field("estimate", r.estimate);
                     span.field("hits", r.hits);
                     span.field("ess", r.effective_sample_size);
@@ -1397,14 +1401,11 @@ impl TrainedNofis {
         }
 
         // The best rung so far: the first one always, a later one only when
-        // its estimate is finite.
+        // its estimate is finite. A dry budget ends the descent early.
         let mut last: Option<RungOutcome> = None;
         for (proposal, rung) in rungs {
             let Some(r) = run_rung(oracle, proposal, &p, n_is, rung, rng) else {
-                return match last {
-                    None => Err(budget_error(oracle, "the final-proposal estimate".into())),
-                    Some(last) => accept_last(last),
-                };
+                break;
             };
             if rung_is_healthy(&r) {
                 return Ok(r);
@@ -1413,32 +1414,10 @@ impl TrainedNofis {
                 last = Some(r);
             }
         }
-        let last = last.expect("the final-proposal rung always runs");
-
-        // Rung 4: plain Monte Carlo within the remaining budget, accepted
-        // unconditionally — it cannot produce degenerate weights.
-        let rung = FallbackRung::PlainMonteCarlo;
-        let n = oracle.grant(n_is);
-        if n == 0 {
-            return accept_last(last);
+        match last {
+            None => Err(budget_error(oracle, "the final-proposal estimate".into())),
+            Some(last) => accept_last(last),
         }
-        let Ok(mc) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            monte_carlo_with_pool(oracle, 0.0, n, rng, nofis_parallel::global())
-        })) else {
-            emit_rung_panicked(&rung);
-            return accept_last(last);
-        };
-        let out = (
-            IsResult {
-                estimate: mc.estimate(),
-                hits: mc.hits,
-                effective_sample_size: mc.hits as f64,
-                rung,
-            },
-            None,
-        );
-        emit_rung(&out, n, true);
-        Ok(out)
     }
 
     /// Borrows the underlying flow and parameters (read-only diagnostics).
@@ -1450,10 +1429,10 @@ impl TrainedNofis {
 /// A ladder rung's estimate plus diagnostics over its finite log-weights.
 type RungOutcome = (IsResult, Option<WeightDiagnostics>);
 
-/// Accepts the best rung seen so far when the ladder is forced to stop
-/// early (budget dry or the plain-MC rung lost to a panic) — unless that
-/// best is itself unusable, in which case the caller gets a typed error
-/// rather than an `Ok` carrying a non-finite estimate.
+/// Accepts the best rung seen so far when no rung passed the health check
+/// or the budget ran dry mid-ladder — unless that best is itself unusable,
+/// in which case the caller gets a typed error rather than an `Ok`
+/// carrying a non-finite estimate.
 fn accept_last(last: RungOutcome) -> Result<RungOutcome, NofisError> {
     if last.0.estimate.is_finite() {
         Ok(last)
@@ -1478,7 +1457,7 @@ fn run_rung<L: LimitState + ?Sized + Sync>(
     let n = oracle.grant(n_is);
     if n == 0 {
         tele::event(tele::Level::Debug, "estimate.rung")
-            .field("rung", rung_label(&rung))
+            .field("rung", rung.label())
             .field("rank", rung.rank())
             .field("granted", 0u64)
             .emit();
@@ -1516,21 +1495,22 @@ fn run_rung<L: LimitState + ?Sized + Sync>(
     };
     let out = (IsResult { rung, ..result }, diag);
     if tele::enabled(tele::Level::Debug) {
-        emit_rung(&out, n, rung_is_healthy(&out));
+        emit_rung(&out, n);
     }
     Some(out)
 }
 
 /// The `estimate.rung` event of a rung that drew `granted` samples.
-fn emit_rung((r, diag): &RungOutcome, granted: usize, healthy: bool) {
+fn emit_rung(out: &RungOutcome, granted: usize) {
+    let (r, diag) = out;
     let mut ev = tele::event(tele::Level::Debug, "estimate.rung")
-        .field("rung", rung_label(&r.rung))
+        .field("rung", r.rung.label())
         .field("rank", r.rung.rank())
         .field("granted", granted)
         .field("estimate", r.estimate)
         .field("hits", r.hits)
         .field("ess", r.effective_sample_size)
-        .field("healthy", healthy);
+        .field("healthy", rung_is_healthy(out));
     if let Some(d) = diag {
         ev = ev.field("max_weight_share", d.max_weight_share);
         if let Some(tail) = d.hill_tail_index {
@@ -1543,20 +1523,9 @@ fn emit_rung((r, diag): &RungOutcome, granted: usize, healthy: bool) {
 /// The `estimate.rung_panicked` event: a worker panicked mid-rung.
 fn emit_rung_panicked(rung: &FallbackRung) {
     tele::event(tele::Level::Warn, "estimate.rung_panicked")
-        .field("rung", rung_label(rung))
+        .field("rung", rung.label())
         .field("rank", rung.rank())
         .emit();
-}
-
-/// Stable machine-readable label for a ladder rung in telemetry fields
-/// (`FallbackRung`'s `Display` is for humans and carries parameters).
-fn rung_label(rung: &FallbackRung) -> &'static str {
-    match rung {
-        FallbackRung::FinalProposal => "final_proposal",
-        FallbackRung::StageProposal { .. } => "stage_proposal",
-        FallbackRung::DefensiveMixture { .. } => "defensive_mixture",
-        FallbackRung::PlainMonteCarlo => "plain_monte_carlo",
-    }
 }
 
 /// A rung is accepted when its estimate is finite, it saw at least one

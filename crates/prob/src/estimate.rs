@@ -1,5 +1,3 @@
-use std::fmt;
-
 /// Floor applied to zero/negative probability estimates before taking
 /// logarithms in [`log_error`].
 ///
@@ -8,34 +6,6 @@ use std::fmt;
 /// Table 1 reports large-but-finite errors for those cases, implying a
 /// similar floor.
 pub const ESTIMATE_FLOOR: f64 = 1e-12;
-
-/// Result of a rare-event probability estimation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbabilityEstimate {
-    /// Estimated failure probability (may be zero if nothing was observed).
-    pub value: f64,
-    /// Number of simulator calls consumed, as measured by a
-    /// [`CountingOracle`](crate::CountingOracle).
-    pub calls: u64,
-}
-
-impl ProbabilityEstimate {
-    /// Creates an estimate.
-    pub fn new(value: f64, calls: u64) -> Self {
-        ProbabilityEstimate { value, calls }
-    }
-
-    /// Absolute log error against a golden probability; see [`log_error`].
-    pub fn log_error(&self, golden: f64) -> f64 {
-        log_error(self.value, golden)
-    }
-}
-
-impl fmt::Display for ProbabilityEstimate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3e} ({} calls)", self.value, self.calls)
-    }
-}
 
 /// The paper's evaluation metric: `| ln(estimate) - ln(golden) |`, with the
 /// estimate floored at [`ESTIMATE_FLOOR`] so failed estimators yield a
@@ -267,11 +237,5 @@ mod tests {
         // Infinities are legitimate order statistics and survive total_cmp.
         let w = [f64::INFINITY, 0.0, f64::NEG_INFINITY];
         assert_eq!(quantile(&w, 0.5), 0.0);
-    }
-
-    #[test]
-    fn estimate_display() {
-        let e = ProbabilityEstimate::new(4.7e-6, 32000);
-        assert!(format!("{e}").contains("32000"));
     }
 }

@@ -51,9 +51,8 @@ impl Proposal for StandardGaussian {
 /// A trusted estimator descends this ladder only when
 /// [`WeightDiagnostics`](crate::WeightDiagnostics) flags the previous rung
 /// as degenerate: the learned final proposal first, then an earlier-stage
-/// proposal, then a defensive mixture `α·p + (1−α)·q` whose weights are
-/// bounded by `1/α`, and finally plain Monte Carlo, which is always
-/// unbiased but has no variance reduction.
+/// proposal, and finally a defensive mixture `α·p + (1−α)·q` whose weights
+/// are bounded by `1/α`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FallbackRung {
     /// The primary (final trained) proposal was used directly.
@@ -69,18 +68,26 @@ pub enum FallbackRung {
         /// Base-distribution mixing weight `α` (weights bounded by `1/α`).
         alpha: f64,
     },
-    /// Plain Monte Carlo under the base distribution `p`.
-    PlainMonteCarlo,
 }
 
 impl FallbackRung {
-    /// Position on the ladder (0 = primary proposal, 3 = plain MC).
+    /// Position on the ladder (0 = primary proposal, 2 = defensive
+    /// mixture).
     pub fn rank(&self) -> usize {
         match self {
             FallbackRung::FinalProposal => 0,
             FallbackRung::StageProposal { .. } => 1,
             FallbackRung::DefensiveMixture { .. } => 2,
-            FallbackRung::PlainMonteCarlo => 3,
+        }
+    }
+
+    /// Stable machine-readable label for telemetry fields (`Display` is
+    /// for humans and carries parameters).
+    pub fn label(&self) -> &'static str {
+        match self {
+            FallbackRung::FinalProposal => "final_proposal",
+            FallbackRung::StageProposal { .. } => "stage_proposal",
+            FallbackRung::DefensiveMixture { .. } => "defensive_mixture",
         }
     }
 
@@ -98,7 +105,6 @@ impl std::fmt::Display for FallbackRung {
             FallbackRung::DefensiveMixture { alpha } => {
                 write!(f, "defensive mixture (alpha = {alpha})")
             }
-            FallbackRung::PlainMonteCarlo => write!(f, "plain Monte Carlo"),
         }
     }
 }

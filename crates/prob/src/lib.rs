@@ -51,7 +51,7 @@ pub use batch::{batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
 pub use defensive::DefensiveMixture;
 pub use diagnostics::WeightDiagnostics;
-pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};
+pub use estimate::{log_error, quantile, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};
 pub use importance::{
     importance_sampling, importance_sampling_detailed_with_pool, monte_carlo,

@@ -288,7 +288,7 @@ fn degenerate_proposal_engages_the_fallback_ladder() {
     assert!(result.estimate > 0.0, "defensive rungs must recover hits");
     // The ladder respects its hard budget of one tranche per rung.
     assert!(
-        oracle.calls() <= 4 * n_is as u64,
+        oracle.calls() <= 3 * n_is as u64,
         "ladder overran its budget: {} calls",
         oracle.calls()
     );

@@ -1,4 +1,4 @@
-//! Pins the exact result of three small fixed-seed NOFIS runs.
+//! Pins the exact result of four small fixed-seed NOFIS runs.
 //!
 //! Each run goes through the whole pipeline (pilot or fixed schedule,
 //! staged training, estimation ladder) and its estimate, hit count,
@@ -8,7 +8,7 @@
 //! the random stream is consumed fails here.
 
 use nofis::core::{Levels, Nofis, NofisConfig};
-use nofis::prob::{FallbackRung, IsResult, LimitState};
+use nofis::prob::{CountingOracle, FallbackRung, IsResult, LimitState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -124,4 +124,41 @@ fn fallback_ladder_estimate_is_pinned() {
         0x4023ffffffbf0d1e,
         FallbackRung::DefensiveMixture { alpha: 0.5 },
     );
+}
+
+/// No rung passes the weight-health check here, so the ladder ends on its
+/// last finite rung, the defensive mixture, and reports that rung's failing
+/// diagnostics.
+#[test]
+fn unhealthy_ladder_ends_on_the_defensive_mixture() {
+    let n_is = 500;
+    let cfg = NofisConfig {
+        levels: Levels::Fixed(vec![2.0, 1.0, 0.0]),
+        layers_per_stage: 4,
+        hidden: 16,
+        epochs: 8,
+        batch_size: 64,
+        n_is,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(1);
+    let trained = Nofis::new(cfg)
+        .expect("valid config")
+        .train(&RightTail, &mut rng)
+        .expect("training succeeds");
+    let oracle = CountingOracle::new(&RightTail);
+    let (r, diag) = trained
+        .estimate_with_diagnostics(&oracle, n_is, &mut rng)
+        .expect("the ladder returns its last finite rung");
+    assert_pinned(
+        &r,
+        0x3f4c61c06bc89acf,
+        31,
+        0x401432dfcee00f66,
+        FallbackRung::DefensiveMixture { alpha: 0.5 },
+    );
+    let diag = diag.expect("the defensive rung saw hits");
+    assert!(!diag.looks_healthy(), "{diag:?}");
+    // All three rungs ran, one `n_is` tranche each.
+    assert_eq!(oracle.calls(), 3 * n_is as u64);
 }

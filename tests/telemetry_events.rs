@@ -7,7 +7,7 @@
 //! lock and detaches its sink before releasing it.
 
 use nofis_core::{Levels, Nofis, NofisConfig};
-use nofis_prob::{CountingOracle, FallbackRung, LimitState};
+use nofis_prob::{CountingOracle, LimitState};
 use nofis_telemetry::{self as tele, Event, FlightRecorder, Level, MemorySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +38,17 @@ impl LimitState for LeftTail {
     }
     fn value(&self, x: &[f64]) -> f64 {
         x[0] + 1.5
+    }
+}
+
+/// Never fails, so no ladder rung sees a hit and none passes.
+struct NeverFails;
+impl LimitState for NeverFails {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn value(&self, _: &[f64]) -> f64 {
+        1.0
     }
 }
 
@@ -136,6 +147,7 @@ fn two_stage_run_emits_expected_event_sequence() {
     let est = &events[estimate];
     assert_eq!(est.str_field("rung"), Some("final_proposal"));
     assert_eq!(est.u64_field("rank"), Some(result.rung.rank() as u64));
+    assert_eq!(est.bool_field("healthy"), Some(true));
     assert_eq!(est.u64_field("oracle_calls"), Some(n_is as u64));
     assert_eq!(
         est.f64_field("estimate").map(f64::to_bits),
@@ -242,17 +254,33 @@ fn fallback_ladder_emits_rung_events() {
     let ranks: Vec<u64> = rungs.iter().filter_map(|e| e.u64_field("rank")).collect();
     assert!(ranks.windows(2).all(|w| w[0] < w[1]), "ranks {ranks:?}");
 
-    let accepted = match result.rung {
-        FallbackRung::FinalProposal => "final_proposal",
-        FallbackRung::StageProposal { .. } => "stage_proposal",
-        FallbackRung::DefensiveMixture { .. } => "defensive_mixture",
-        FallbackRung::PlainMonteCarlo => "plain_monte_carlo",
-    };
+    // The span names the accepted rung and carries that rung's verdict.
+    let accepted = result.rung.label();
+    let accepted_attempt = rungs
+        .iter()
+        .rev()
+        .find(|e| e.str_field("rung") == Some(accepted))
+        .expect("the accepted rung was attempted");
     let est = events
         .iter()
         .find(|e| e.name == "estimate" && e.kind == tele::Kind::Span)
         .expect("estimate span recorded");
     assert_eq!(est.str_field("rung"), Some(accepted));
+    let verdict = accepted_attempt.bool_field("healthy");
+    assert!(verdict.is_some(), "attempts record the verdict");
+    assert_eq!(est.bool_field("healthy"), verdict);
+
+    // With no rung passing, the ladder ends on the defensive mixture and
+    // the span says the verdict failed.
+    let (events, result) = capture(Level::Info, || trained.estimate(&NeverFails, 400, &mut rng));
+    let result = result.expect("the last finite rung is returned");
+    assert_eq!(result.rung.label(), "defensive_mixture");
+    let est = events
+        .iter()
+        .find(|e| e.name == "estimate" && e.kind == tele::Kind::Span)
+        .expect("estimate span recorded");
+    assert_eq!(est.str_field("rung"), Some("defensive_mixture"));
+    assert_eq!(est.bool_field("healthy"), Some(false));
 }
 
 #[test]
