@@ -4,11 +4,15 @@
 ///
 /// From `t = 37` on, `e^{-t} < 2⁻⁵³` vanishes against `1` and the formula
 /// rounds to exactly `1.0`, so that value is returned without the `exp`.
+/// Likewise, up to `t = −37`, `e = e^t` vanishes against `1`, so
+/// `e / (1 + e)` is exactly `e` and the divide is skipped.
 fn smooth_step(t: f64) -> f64 {
     if t >= 37.0 {
         1.0
     } else if t >= 0.0 {
         1.0 / (1.0 + (-t).exp())
+    } else if t <= -37.0 {
+        t.exp()
     } else {
         let e = t.exp();
         e / (1.0 + e)
@@ -323,7 +327,7 @@ mod tests {
         }
     }
 
-    /// The logistic formula without the `t ≥ 37` shortcut.
+    /// The logistic formula without the `|t| ≥ 37` shortcuts.
     fn smooth_step_formula(t: f64) -> f64 {
         if t >= 0.0 {
             1.0 / (1.0 + (-t).exp())
@@ -335,21 +339,73 @@ mod tests {
 
     #[test]
     fn smooth_step_shortcut_is_the_formula_bit_for_bit() {
-        let grid = (0..=77_000).map(|k| 30.0 + k as f64 * 0.01);
+        let tails = (0..=77_000).flat_map(|k| {
+            let t = 30.0 + k as f64 * 0.01;
+            [t, -t]
+        });
+        let minus_37 = (-37.0f64).to_bits();
         let specials = [
             37.0,
             37.0 - 32.0 * f64::EPSILON,
+            // −37 and its neighbouring doubles, toward and away from zero.
+            -37.0,
+            f64::from_bits(minus_37 - 1),
+            f64::from_bits(minus_37 + 1),
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
         ];
-        for t in grid.chain(specials) {
+        for t in tails.chain(specials) {
             assert_eq!(
                 smooth_step(t).to_bits(),
                 smooth_step_formula(t).to_bits(),
                 "t = {t}"
             );
         }
+    }
+
+    /// The BPM's mirror fold needs `n²` and `dn²/dδw` even in `x`, with
+    /// the half-width clamp active or not.
+    #[test]
+    fn index_profile_is_even_in_x() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let yb = YBranch::new(26);
+        let mut rng = StdRng::seed_from_u64(12);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-15 * a.abs().max(b.abs());
+        let mut clamped = 0;
+        for k in 0..60 {
+            // Standard-normal coefficients; every third row's first mode
+            // pinches the guide past the half-width clamp.
+            let mut params: Vec<f64> = (0..26)
+                .map(|_| rng.sample(rand_distr::StandardNormal))
+                .collect();
+            if k % 3 == 2 {
+                params[0] = -4.0 - params[0].abs();
+            }
+            for _ in 0..40 {
+                let z = rng.gen_range(0.0..yb.length());
+                let x = rng.gen_range(0.0..8.0);
+                let mut sins = vec![0.0; 26];
+                yb.mode_sins(z, &mut sins);
+                if yb.step_profile(z, &params, &sins).dw_active == 0.0 {
+                    clamped += 1;
+                }
+                let (n2, n2m) = (
+                    yb.index_squared(x, z, &params),
+                    yb.index_squared(-x, z, &params),
+                );
+                assert!(close(n2, n2m), "n² at ±{x}, z = {z}: {n2} vs {n2m}");
+                let ((v, d), (vm, dm)) = (
+                    yb.index_squared_dw(x, z, &params),
+                    yb.index_squared_dw(-x, z, &params),
+                );
+                assert!(
+                    close(v, vm) && close(d, dm),
+                    "dn²/dw at ±{x}, z = {z}: {d} vs {dm}"
+                );
+            }
+        }
+        assert!(clamped > 0, "no sample had the half-width clamp active");
     }
 
     #[test]

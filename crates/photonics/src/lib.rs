@@ -11,6 +11,16 @@
 //! adjoint solves the conjugate-transposed steps from those same factors,
 //! so it does no divides.
 //!
+//! The device and its deformation are mirror-symmetric, so the field is
+//! even in `x` and the solver propagates only the `x ≥ 0` half of the grid
+//! (`nx` must be odd): row 0 of each step couples to its mirror image with
+//! a doubled off-diagonal, and sums over the field count every point off
+//! the axis twice. The conjugate solve of the folded step is still the
+//! adjoint's, because the full step matrix is complex-symmetric and
+//! commutes with the reflection, so on even vectors its conjugate
+//! transpose is the conjugate of the folded matrix. Grids and output
+//! fields are reported full-width.
+//!
 //! # Example
 //!
 //! ```

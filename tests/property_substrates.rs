@@ -4,7 +4,7 @@
 use nofis_circuit::{Circuit, MosParams, Node};
 use nofis_photonics::{BpmConfig, BpmSolver, YBranch};
 use nofis_prob::LimitState;
-use nofis_testcases::{ChargePump, Leaf, Opamp, Oscillator};
+use nofis_testcases::{ChargePump, Leaf, Opamp, Oscillator, YBranchCase};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,7 +87,8 @@ proptest! {
     }
 
     /// Every registered limit-state gradient matches finite differences at
-    /// random points (spot check on the four heterogeneous cases).
+    /// random points (spot check on the four heterogeneous cases and the
+    /// Y-branch on its Table-1 grid).
     #[test]
     fn case_gradients_are_consistent(seed in 0u64..200) {
         use rand::{Rng, SeedableRng};
@@ -97,6 +98,7 @@ proptest! {
             Box::new(Opamp::default()),
             Box::new(ChargePump::default()),
             Box::new(Oscillator),
+            Box::new(YBranchCase::default()),
         ];
         for ls in &cases {
             let x: Vec<f64> = (0..ls.dim()).map(|_| rng.gen_range(-1.5..1.5)).collect();
