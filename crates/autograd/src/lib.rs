@@ -5,7 +5,8 @@
 //! a normalizing-flow implementation, so this crate provides the minimal
 //! engine the NOFIS reproduction needs:
 //!
-//! * [`Tensor`] — dense `N x D` batches of `f64`.
+//! * [`Tensor`] — dense `N x D` batches of `f64` (`nofis_linalg`'s matrix
+//!   type, re-exported).
 //! * [`Graph`] / [`Var`] — a dynamically built computation tape with the op
 //!   set required by RealNVP coupling layers and the tempered KL loss
 //!   (matmul, broadcast add/mul, `tanh`/`sigmoid`/`softplus`/`relu`,
@@ -46,10 +47,9 @@ mod graph;
 mod ops;
 mod pool;
 mod store;
-mod tensor;
 
 pub use compile::{CompiledStep, GradSource};
 pub use graph::{Graph, GraphStats, ParamId, Var};
+pub use nofis_linalg::Tensor;
 pub use pool::{BufferPool, PoolStats};
 pub use store::ParamStore;
-pub use tensor::Tensor;

@@ -1,5 +1,5 @@
 use crate::{sus::rng_shim, RareEventEstimator};
-use nofis_linalg::{lstsq::lstsq, Matrix};
+use nofis_linalg::{lstsq::lstsq, Tensor};
 use nofis_prob::LimitState;
 use rand::{Rng, RngCore};
 use rand_distr::StandardNormal;
@@ -96,7 +96,7 @@ impl RareEventEstimator for SssEstimator {
 
         // Fit ln P(s) = α + β ln s − γ / s².
         let rows = points.len();
-        let mut design = Matrix::zeros(rows, 3);
+        let mut design = Tensor::zeros(rows, 3);
         let mut y = Vec::with_capacity(rows);
         for (i, &(s, lnp)) in points.iter().enumerate() {
             design[(i, 0)] = 1.0;

@@ -2,7 +2,7 @@
 //! damped Newton–Raphson for circuits containing MOSFETs.
 
 use crate::{Circuit, CircuitError, Element, Node};
-use nofis_linalg::{lu::LuDecomposition, Matrix};
+use nofis_linalg::{lu::LuDecomposition, Tensor};
 
 /// Maximum Newton iterations before declaring non-convergence.
 const MAX_NEWTON_ITERS: usize = 200;
@@ -88,13 +88,12 @@ impl Circuit {
             }
         }
         let (a, b) = self.assemble_dc(&v);
-        let residual = {
-            let av = a.matvec(&v).expect("dimension consistent");
-            av.iter()
-                .zip(&b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max)
-        };
+        let residual = a
+            .matvec(&v)
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
         if residual < 1e-6 {
             return Ok(self.split_solution(v));
         }
@@ -114,10 +113,10 @@ impl Circuit {
 
     /// Assembles the (linearized) DC MNA system at the current voltage
     /// estimate `v`.
-    pub(crate) fn assemble_dc(&self, v: &[f64]) -> (Matrix, Vec<f64>) {
+    pub(crate) fn assemble_dc(&self, v: &[f64]) -> (Tensor, Vec<f64>) {
         let n = self.node_count();
         let dim = self.mna_dim();
-        let mut a = Matrix::zeros(dim, dim);
+        let mut a = Tensor::zeros(dim, dim);
         let mut b = vec![0.0; dim];
         let mut branch = n; // next voltage-source branch row
 
@@ -136,7 +135,7 @@ impl Circuit {
             }
         };
 
-        let stamp_conductance = |a: &mut Matrix, n1: Node, n2: Node, g: f64| {
+        let stamp_conductance = |a: &mut Tensor, n1: Node, n2: Node, g: f64| {
             if let Some(i) = idx(n1) {
                 a[(i, i)] += g;
                 if let Some(j) = idx(n2) {

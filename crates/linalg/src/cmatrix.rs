@@ -1,4 +1,4 @@
-use crate::{Complex64, LinalgError};
+use crate::Complex64;
 use std::ops::{Index, IndexMut};
 
 /// A dense, row-major matrix of [`Complex64`] values.
@@ -32,44 +32,6 @@ impl CMatrix {
         }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = CMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Complex64::ONE;
-        }
-        m
-    }
-
-    /// Builds a complex matrix from separate real and imaginary parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the two parts have
-    /// different shapes.
-    pub fn from_parts(re: &crate::Matrix, im: &crate::Matrix) -> Result<Self, LinalgError> {
-        if re.rows() != im.rows() || re.cols() != im.cols() {
-            return Err(LinalgError::shape(format!(
-                "from_parts of {}x{} and {}x{}",
-                re.rows(),
-                re.cols(),
-                im.rows(),
-                im.cols()
-            )));
-        }
-        let data = re
-            .as_slice()
-            .iter()
-            .zip(im.as_slice())
-            .map(|(&r, &i)| Complex64::new(r, i))
-            .collect();
-        Ok(CMatrix {
-            rows: re.rows(),
-            cols: re.cols(),
-            data,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -83,36 +45,6 @@ impl CMatrix {
     /// Borrows the flat row-major buffer.
     pub fn as_slice(&self) -> &[Complex64] {
         &self.data
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[Complex64]) -> Result<Vec<Complex64>, LinalgError> {
-        if v.len() != self.cols {
-            return Err(LinalgError::shape(format!(
-                "matvec of {}x{} by vector of length {}",
-                self.rows,
-                self.cols,
-                v.len()
-            )));
-        }
-        let mut out = vec![Complex64::ZERO; self.rows];
-        for i in 0..self.rows {
-            let mut acc = Complex64::ZERO;
-            for j in 0..self.cols {
-                acc += self[(i, j)] * v[j];
-            }
-            out[i] = acc;
-        }
-        Ok(out)
-    }
-
-    /// Returns `true` if every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|z| z.is_finite())
     }
 }
 
@@ -129,43 +61,5 @@ impl IndexMut<(usize, usize)> for CMatrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex64 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Matrix;
-
-    #[test]
-    fn identity_matvec_is_identity() {
-        let eye = CMatrix::identity(3);
-        let v = vec![
-            Complex64::new(1.0, 2.0),
-            Complex64::new(-1.0, 0.5),
-            Complex64::new(0.0, -3.0),
-        ];
-        assert_eq!(eye.matvec(&v).unwrap(), v);
-    }
-
-    #[test]
-    fn from_parts_builds_complex_entries() {
-        let re = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let im = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        let c = CMatrix::from_parts(&re, &im).unwrap();
-        assert_eq!(c[(0, 1)], Complex64::new(2.0, 4.0));
-    }
-
-    #[test]
-    fn from_parts_rejects_mismatch() {
-        let re = Matrix::zeros(1, 2);
-        let im = Matrix::zeros(2, 1);
-        assert!(CMatrix::from_parts(&re, &im).is_err());
-    }
-
-    #[test]
-    fn matvec_shape_check() {
-        let m = CMatrix::zeros(2, 3);
-        assert!(m.matvec(&[Complex64::ZERO; 2]).is_err());
     }
 }

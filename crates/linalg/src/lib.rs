@@ -3,11 +3,15 @@
 //! This crate provides exactly the numerical kernels the rest of the
 //! workspace needs — no more, no less:
 //!
-//! * [`Matrix`] — dense, row-major `f64` matrices with the usual algebra.
+//! * [`Tensor`] — the one dense, row-major `f64` matrix type: flow batches
+//!   and autograd values (re-exported as `nofis_autograd::Tensor`), MNA
+//!   conductance matrices and least-squares designs. Its matmul runs on the
+//!   shared `nofis_parallel` kernel.
 //! * [`Complex64`] / [`CMatrix`] — complex scalars and matrices for AC
 //!   small-signal circuit analysis and the photonic beam-propagation method.
-//! * [`lu::LuDecomposition`] / [`lu::CluDecomposition`] — LU with partial
-//!   pivoting (real and complex), used by the MNA circuit solver.
+//! * [`lu::Lu`] — LU with partial pivoting, one factor/solve body over
+//!   `f64` ([`lu::LuDecomposition`]) and [`Complex64`]
+//!   ([`lu::CluDecomposition`]), used by the MNA circuit solver.
 //! * [`tridiag::ThomasFactors`] — Thomas algorithm, factored once and
 //!   solved (or conjugate-solved) many times, used by the Crank–Nicolson
 //!   BPM stepper and its adjoint.
@@ -19,10 +23,10 @@
 //! # Example
 //!
 //! ```
-//! use nofis_linalg::{Matrix, lu::LuDecomposition};
+//! use nofis_linalg::{lu::LuDecomposition, Tensor};
 //!
 //! # fn main() -> Result<(), nofis_linalg::LinalgError> {
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
+//! let a = Tensor::from_vec(2, 2, vec![4.0, 1.0, 1.0, 3.0]);
 //! let lu = LuDecomposition::new(&a)?;
 //! let x = lu.solve(&[1.0, 2.0])?;
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
@@ -35,7 +39,7 @@
 mod cmatrix;
 mod complex;
 mod error;
-mod matrix;
+mod tensor;
 
 pub mod lstsq;
 pub mod lu;
@@ -45,4 +49,4 @@ pub mod tridiag;
 pub use cmatrix::CMatrix;
 pub use complex::Complex64;
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use tensor::Tensor;

@@ -5,7 +5,7 @@
 //! handful of scale points. The design matrices involved are tiny (tens of
 //! rows, 2–4 columns), so the normal-equation approach is accurate enough.
 
-use crate::{lu::LuDecomposition, LinalgError, Matrix};
+use crate::{lu::LuDecomposition, LinalgError, Tensor};
 
 /// Solves `min_x || A x - b ||_2` via the normal equations `AᵀA x = Aᵀb`.
 ///
@@ -22,17 +22,17 @@ use crate::{lu::LuDecomposition, LinalgError, Matrix};
 /// # Example
 ///
 /// ```
-/// use nofis_linalg::{Matrix, lstsq::lstsq};
+/// use nofis_linalg::{lstsq::lstsq, Tensor};
 ///
 /// # fn main() -> Result<(), nofis_linalg::LinalgError> {
 /// // Fit y = 2x + 1 exactly.
-/// let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0], &[2.0, 1.0]])?;
+/// let a = Tensor::from_vec(3, 2, vec![0.0, 1.0, 1.0, 1.0, 2.0, 1.0]);
 /// let x = lstsq(&a, &[1.0, 3.0, 5.0], 0.0)?;
 /// assert!((x[0] - 2.0).abs() < 1e-10 && (x[1] - 1.0).abs() < 1e-10);
 /// # Ok(())
 /// # }
 /// ```
-pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError> {
+pub fn lstsq(a: &Tensor, b: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError> {
     if b.len() != a.rows() {
         return Err(LinalgError::shape(format!(
             "lstsq rhs of length {} for design matrix with {} rows",
@@ -51,11 +51,11 @@ pub fn lstsq(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError>
         return Err(LinalgError::invalid("ridge must be finite and >= 0"));
     }
     let at = a.transpose();
-    let mut ata = at.matmul(a)?;
+    let mut ata = at.matmul(a);
     for i in 0..ata.rows() {
         ata[(i, i)] += ridge;
     }
-    let atb = at.matvec(b)?;
+    let atb = at.matvec(b);
     LuDecomposition::new(&ata)?.solve(&atb)
 }
 
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn exact_fit_is_recovered() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let a = Tensor::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let x = lstsq(&a, &[1.0, 2.0, 3.0], 0.0).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -74,14 +74,14 @@ mod tests {
     #[test]
     fn overdetermined_noise_is_averaged() {
         // y = c with observations 1.0 and 3.0 -> least squares gives 2.0.
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
+        let a = Tensor::from_vec(2, 1, vec![1.0, 1.0]);
         let x = lstsq(&a, &[1.0, 3.0], 0.0).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn ridge_shrinks_solution() {
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
+        let a = Tensor::from_vec(2, 1, vec![1.0, 1.0]);
         let plain = lstsq(&a, &[2.0, 2.0], 0.0).unwrap()[0];
         let ridged = lstsq(&a, &[2.0, 2.0], 10.0).unwrap()[0];
         assert!(ridged.abs() < plain.abs());
@@ -89,9 +89,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let a = Matrix::zeros(2, 3);
+        let a = Tensor::zeros(2, 3);
         assert!(lstsq(&a, &[0.0, 0.0], 0.0).is_err());
-        let a = Matrix::zeros(3, 2);
+        let a = Tensor::zeros(3, 2);
         assert!(lstsq(&a, &[0.0, 0.0], 0.0).is_err()); // wrong rhs length
         assert!(lstsq(&a, &[0.0; 3], -1.0).is_err());
     }

@@ -25,7 +25,7 @@
 //! checked at 1, 2, and 4 threads — the determinism contract requires
 //! the same bits at any thread count.
 
-use nofis_linalg::Matrix;
+use nofis_linalg::Tensor;
 use nofis_parallel::kernels::{
     matmul_at_into, matmul_bt_into, matmul_into, matmul_scalar_into, matmul_serial_into,
     PAR_FLOPS_THRESHOLD,
@@ -155,19 +155,19 @@ fn backward_kernels_sweep_matches_transpose_composition_bitwise() {
 }
 
 #[test]
-fn matrix_matmul_rides_the_shared_kernel_bitwise() {
-    // `nofis_linalg::Matrix::matmul` delegates to the same kernel layer;
-    // pin that wiring so a Matrix-side regression can't drift silently.
+fn tensor_matmul_rides_the_shared_kernel_bitwise() {
+    // `nofis_linalg::Tensor::matmul` delegates to the same kernel layer;
+    // pin that wiring so a Tensor-side regression can't drift silently.
     let mut rng = StdRng::seed_from_u64(99);
     for (m, k, n) in [(5, 7, 9), (64, 65, 63), (1, 1, 1)] {
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, k * n);
-        let ma = Matrix::from_vec(m, k, a.clone()).unwrap();
-        let mb = Matrix::from_vec(k, n, b.clone()).unwrap();
-        let mc = ma.matmul(&mb).unwrap();
+        let ta = Tensor::from_vec(m, k, a.clone());
+        let tb = Tensor::from_vec(k, n, b.clone());
+        let tc = ta.matmul(&tb);
         let mut want = vec![0.0; m * n];
         matmul_scalar_into(&a, &b, &mut want, m, k, n);
-        assert_bits(mc.as_slice(), &want, &format!("Matrix ({m},{k},{n})"));
+        assert_bits(tc.as_slice(), &want, &format!("Tensor ({m},{k},{n})"));
     }
 }
 

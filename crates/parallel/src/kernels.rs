@@ -1,7 +1,7 @@
 //! Shared numeric kernels executed on a [`ThreadPool`].
 //!
-//! The matmul kernels here are the single implementation behind both
-//! `nofis_linalg::Matrix::matmul` and `nofis_autograd::Tensor::matmul`,
+//! The matmul kernels here are the single implementation behind
+//! `nofis_linalg::Tensor::matmul` (re-exported as `nofis_autograd::Tensor`),
 //! plus the transpose-free backward products `a @ bᵀ` and `aᵀ @ b`.
 //! All of them are **row-partitioned**: each chunk owns a disjoint block of
 //! output rows, and each output row is computed by exactly the same inner

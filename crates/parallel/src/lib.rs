@@ -16,8 +16,8 @@
 //!   execute it.
 //! * [`kernels`] — a blocked, row-partitioned parallel `matmul` over
 //!   row-major `f64` buffers with a serial fallback below a size threshold;
-//!   the shared kernel behind both `nofis_linalg::Matrix::matmul` and
-//!   `nofis_autograd::Tensor::matmul` (forward *and* backward).
+//!   the shared kernel behind `nofis_linalg::Tensor::matmul` and the
+//!   autograd matmul op (forward *and* backward).
 //! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
 //!   shared by the interpreted graph and the compiled-tape replay engine.
 //! * [`global`] / [`default_threads`] — a process-wide pool sized from the

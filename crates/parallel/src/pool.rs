@@ -55,8 +55,8 @@ impl Drop for LaneGuard<'_> {
     }
 }
 
-/// Publishes the lane-registration count as a `parallel.lanes` gauge —
-/// the live utilization series behind `nofis_pool_lanes_in_use`.
+/// Publishes the lane-registration count as a `parallel.lanes` trace
+/// gauge: how many pool lanes are in use right now.
 fn emit_lanes(active: usize) {
     if nofis_telemetry::enabled(nofis_telemetry::Level::Trace) {
         nofis_telemetry::gauge(
