@@ -8,6 +8,8 @@
 //! memo of the op-amp's gain simulation. The final
 //! lines print machine-checkable invariants (CI greps for them):
 //!
+//! * `estimate (bits)` — every corner's estimate as raw bits, identical
+//!   at any `NOFIS_THREADS`.
 //! * `warm-evals-ok` — every warm corner requested strictly fewer oracle
 //!   evaluations than the cold control corner.
 //! * `sweep-ok` — all corners produced estimates.
@@ -78,6 +80,20 @@ fn main() {
         "total: {} evals, {} simulator calls, {:.0} ms wall",
         report.total_evals, report.total_real_calls, report.wall_ms
     );
+
+    // Every corner's estimate bits on one line, so a reproducibility check
+    // can diff runs exactly. The per-corner `sims` column is not
+    // comparable across runs: it depends on which corner reaches a shared
+    // point first.
+    let bits: Vec<String> = report
+        .corners
+        .iter()
+        .map(|c| match c.estimate {
+            Some(e) => format!("{}={:016x}", c.label, e.to_bits()),
+            None => format!("{}=none", c.label),
+        })
+        .collect();
+    println!("estimate (bits): {}", bits.join(" "));
 
     // --- Machine-checkable invariants -----------------------------------
     assert!(report.all_ok(), "every corner must produce an estimate");
