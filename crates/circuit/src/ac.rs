@@ -1,8 +1,9 @@
 //! AC small-signal analysis and adjoint sensitivity.
 //!
 //! The complex MNA system `Y(ω) x = b` is assembled from the linear
-//! elements (MOSFETs must be replaced by their small-signal equivalents —
-//! the op-amp bench does this explicitly with VCCS/resistor stages). The
+//! elements; transistors enter as small-signal VCCS/resistor equivalents,
+//! as the op-amp bench builds them. At `ω = 0` it is the DC system of a
+//! resistive network. The
 //! adjoint method then provides gradients of an output magnitude with
 //! respect to *every* element value from one extra linear solve — this is
 //! what makes NOFIS's differentiable training loss affordable on circuit
@@ -127,12 +128,6 @@ impl Circuit {
                         }
                     }
                 }
-                Element::Diode { .. } | Element::Mosfet { .. } => {
-                    // AC analysis operates on small-signal circuits; callers
-                    // replace devices with VCCS/resistor equivalents using
-                    // the operating point from `dc_solve`. A raw MOSFET in
-                    // an AC netlist contributes nothing.
-                }
             }
         }
         (y, b)
@@ -243,7 +238,6 @@ impl Circuit {
 
         for id in wrt {
             let dv_dp: Complex64 = match self.elements()[id.0] {
-                Element::Diode { .. } => Complex64::ZERO,
                 Element::Resistor { a, b: n2, ohms } => {
                     // p = ohms; dG/dR = -1/R². dY/dG stamps ±1.
                     let dg = -1.0 / (ohms * ohms);
@@ -276,7 +270,6 @@ impl Circuit {
                     let k = vsrc_index_of[id.0];
                     lam[self.node_count() + k]
                 }
-                Element::Mosfet { .. } => Complex64::ZERO,
             };
             let grad = (v_out.conj() * dv_dp).re / mag;
             gradients.push(grad);
@@ -373,6 +366,93 @@ mod tests {
         let sens = ckt.ac_sensitivity(1.0, vout, &[gid]).unwrap();
         assert!((sens.magnitude - 10.0).abs() < 1e-9);
         assert!((sens.gradients[0] - 5_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn current_source_into_resistor_at_dc() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node();
+        ckt.current_source(Node::GROUND, a, 2e-3);
+        ckt.resistor(a, Node::GROUND, 500.0);
+        let v = ckt.ac_solve(0.0).unwrap().voltage(a);
+        assert!((v.re - 1.0).abs() < 1e-12 && v.im == 0.0, "v = {v:?}");
+    }
+
+    #[test]
+    fn vccs_amplifier_at_dc() {
+        // v_out = -gm R v_in for a grounded VCCS load.
+        let mut ckt = Circuit::new();
+        let vin = ckt.node();
+        let vout = ckt.node();
+        ckt.voltage_source(vin, Node::GROUND, 0.1);
+        ckt.vccs(vout, Node::GROUND, vin, Node::GROUND, 1e-3);
+        ckt.resistor(vout, Node::GROUND, 10_000.0);
+        let v = ckt.ac_solve(0.0).unwrap().voltage(vout);
+        assert!((v.re + 1.0).abs() < 1e-9 && v.im == 0.0, "v = {v:?}");
+    }
+
+    #[test]
+    fn floating_node_is_singular() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node();
+        let _floating = ckt.node();
+        ckt.resistor(a, Node::GROUND, 100.0);
+        assert!(matches!(
+            ckt.ac_solve(0.0),
+            Err(CircuitError::SingularSystem { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_circuit_is_invalid() {
+        assert!(matches!(
+            Circuit::new().ac_solve(0.0),
+            Err(CircuitError::InvalidCircuit { .. })
+        ));
+    }
+
+    /// A 1 V source through 1 kΩ and a 0.5 mA current source both drive
+    /// an RC node; returns the circuit, the node and the two source ids.
+    fn two_source_rc(volts: f64, amps: f64) -> (Circuit, Node, ElementId, ElementId) {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node();
+        let vout = ckt.node();
+        let vid = ckt.voltage_source(vin, Node::GROUND, volts);
+        ckt.resistor(vin, vout, 1_000.0);
+        let iid = ckt.current_source(Node::GROUND, vout, amps);
+        ckt.resistor(vout, Node::GROUND, 2_000.0);
+        ckt.capacitor(vout, Node::GROUND, 1e-6);
+        (ckt, vout, vid, iid)
+    }
+
+    #[test]
+    fn adjoint_matches_finite_difference_for_sources() {
+        let (volts, amps, omega) = (1.0, 5e-4, 700.0);
+        let (ckt, vout, vid, iid) = two_source_rc(volts, amps);
+        let sens = ckt.ac_sensitivity(omega, vout, &[vid, iid]).unwrap();
+        let mag = |v: f64, i: f64| {
+            two_source_rc(v, i)
+                .0
+                .ac_solve(omega)
+                .unwrap()
+                .magnitude(vout)
+        };
+
+        let eps_v = 1e-6;
+        let fd_v = (mag(volts + eps_v, amps) - mag(volts - eps_v, amps)) / (2.0 * eps_v);
+        assert!(
+            (sens.gradients[0] - fd_v).abs() / fd_v.abs() < 1e-6,
+            "adjoint {} vs fd {fd_v}",
+            sens.gradients[0]
+        );
+
+        let eps_i = 1e-9;
+        let fd_i = (mag(volts, amps + eps_i) - mag(volts, amps - eps_i)) / (2.0 * eps_i);
+        assert!(
+            (sens.gradients[1] - fd_i).abs() / fd_i.abs() < 1e-6,
+            "adjoint {} vs fd {fd_i}",
+            sens.gradients[1]
+        );
     }
 
     #[test]

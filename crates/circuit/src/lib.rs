@@ -5,11 +5,7 @@
 //! the paper's SPICE testbenches are proprietary, so the repository ships
 //! its own simulator:
 //!
-//! * [`Circuit`] — netlist builder (R, C, I/V sources, VCCS, square-law
-//!   MOSFET).
-//! * [`Circuit::dc_solve`] — DC operating point with damped
-//!   Newton–Raphson for nonlinear devices (square-law MOSFETs and
-//!   exponential junction diodes).
+//! * [`Circuit`] — linear netlist builder (R, C, I/V sources, VCCS).
 //! * [`Circuit::ac_solve`] / [`Circuit::ac_sensitivity`] — complex
 //!   small-signal analysis and adjoint gradients (one extra solve yields
 //!   every element sensitivity), which makes the differentiable NOFIS loss
@@ -23,16 +19,10 @@
 
 mod ac;
 mod chargepump;
-mod dc;
-mod diode;
-mod mosfet;
 mod netlist;
 mod opamp;
 
 pub use ac::{AcSensitivity, AcSolution};
 pub use chargepump::ChargePumpBench;
-pub use dc::DcSolution;
-pub use diode::DiodeParams;
-pub use mosfet::{MosOperatingPoint, MosParams, MosType, Region};
 pub use netlist::{Circuit, CircuitError, Element, ElementId, Node};
 pub use opamp::{OpampBench, OpampDesign};

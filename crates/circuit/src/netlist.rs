@@ -1,4 +1,3 @@
-use crate::{DiodeParams, MosParams};
 use std::fmt;
 
 /// A circuit node. `Node::GROUND` is the reference node.
@@ -20,7 +19,7 @@ impl Node {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ElementId(pub(crate) usize);
 
-/// A circuit element.
+/// A linear circuit element.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Element {
     /// Linear resistor between `a` and `b`.
@@ -32,7 +31,7 @@ pub enum Element {
         /// Resistance in ohms.
         ohms: f64,
     },
-    /// Linear capacitor between `a` and `b` (open in DC).
+    /// Linear capacitor between `a` and `b` (open at ω = 0).
     Capacitor {
         /// First terminal.
         a: Node,
@@ -73,33 +72,9 @@ pub enum Element {
         /// Transconductance in siemens.
         gm: f64,
     },
-    /// Junction diode conducting from anode to cathode; solved by Newton
-    /// iteration in DC, open in AC small-signal (add an explicit companion
-    /// if junction conductance matters at the bias point).
-    Diode {
-        /// Anode terminal.
-        anode: Node,
-        /// Cathode terminal.
-        cathode: Node,
-        /// Shockley model parameters.
-        params: DiodeParams,
-    },
-    /// Square-law MOSFET (drain, gate, source); solved by Newton iteration
-    /// in DC and linearized for AC.
-    Mosfet {
-        /// Drain terminal.
-        d: Node,
-        /// Gate terminal.
-        g: Node,
-        /// Source terminal.
-        s: Node,
-        /// Device model parameters.
-        params: MosParams,
-    },
 }
 
-/// A flat netlist plus node bookkeeping — the input to the DC and AC
-/// analyses.
+/// A flat netlist plus node bookkeeping — the input to the AC analysis.
 ///
 /// # Example
 ///
@@ -114,8 +89,9 @@ pub enum Element {
 /// ckt.voltage_source(vin, Node::GROUND, 2.0);
 /// ckt.resistor(vin, mid, 1_000.0);
 /// ckt.resistor(mid, Node::GROUND, 1_000.0);
-/// let dc = ckt.dc_solve()?;
-/// assert!((dc.voltage(mid) - 1.0).abs() < 1e-12);
+/// // At ω = 0 the capacitor-free network is its DC solution.
+/// let ac = ckt.ac_solve(0.0)?;
+/// assert!((ac.voltage(mid).re - 1.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -148,20 +124,9 @@ impl Circuit {
         &self.elements
     }
 
-    /// Mutably borrows an element by id (e.g. to sweep a value).
-    pub fn element_mut(&mut self, id: ElementId) -> &mut Element {
-        &mut self.elements[id.0]
-    }
-
     fn push(&mut self, e: Element) -> ElementId {
         self.elements.push(e);
         ElementId(self.elements.len() - 1)
-    }
-
-    /// Crate-internal element insertion for modules defining their own
-    /// device constructors (e.g. the diode).
-    pub(crate) fn push_element(&mut self, e: Element) -> ElementId {
-        self.push(e)
     }
 
     /// Adds a resistor.
@@ -211,11 +176,6 @@ impl Circuit {
         })
     }
 
-    /// Adds a square-law MOSFET.
-    pub fn mosfet(&mut self, d: Node, g: Node, s: Node, params: MosParams) -> ElementId {
-        self.push(Element::Mosfet { d, g, s, params })
-    }
-
     /// Number of voltage sources (each adds one MNA branch unknown).
     pub(crate) fn vsrc_count(&self) -> usize {
         self.elements
@@ -238,13 +198,6 @@ pub enum CircuitError {
         /// Description of the analysis that failed.
         analysis: &'static str,
     },
-    /// Newton–Raphson failed to converge in the allotted iterations.
-    NoConvergence {
-        /// Iterations attempted.
-        iterations: usize,
-        /// Final voltage-update norm.
-        residual: f64,
-    },
     /// The circuit is empty or otherwise unanalyzable.
     InvalidCircuit {
         /// Human-readable description.
@@ -258,13 +211,6 @@ impl fmt::Display for CircuitError {
             CircuitError::SingularSystem { analysis } => {
                 write!(f, "singular MNA system during {analysis} analysis")
             }
-            CircuitError::NoConvergence {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "Newton iteration did not converge after {iterations} steps (residual {residual:.3e})"
-            ),
             CircuitError::InvalidCircuit { context } => {
                 write!(f, "invalid circuit: {context}")
             }
@@ -299,20 +245,6 @@ mod tests {
         ckt.voltage_source(b, Node::GROUND, 2.0);
         assert_eq!(ckt.mna_dim(), 4);
         assert_eq!(ckt.vsrc_count(), 2);
-    }
-
-    #[test]
-    fn element_mut_allows_sweeps() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node();
-        let id = ckt.resistor(a, Node::GROUND, 100.0);
-        if let Element::Resistor { ohms, .. } = ckt.element_mut(id) {
-            *ohms = 200.0;
-        }
-        assert!(matches!(
-            ckt.elements()[0],
-            Element::Resistor { ohms, .. } if ohms == 200.0
-        ));
     }
 
     #[test]

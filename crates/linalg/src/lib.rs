@@ -4,14 +4,15 @@
 //! workspace needs — no more, no less:
 //!
 //! * [`Tensor`] — the one dense, row-major `f64` matrix type: flow batches
-//!   and autograd values (re-exported as `nofis_autograd::Tensor`), MNA
-//!   conductance matrices and least-squares designs. Its matmul runs on the
-//!   shared `nofis_parallel` kernel.
+//!   and autograd values (re-exported as `nofis_autograd::Tensor`) and
+//!   least-squares designs. Its matmul runs on the shared `nofis_parallel`
+//!   kernel.
 //! * [`Complex64`] / [`CMatrix`] — complex scalars and matrices for AC
 //!   small-signal circuit analysis and the photonic beam-propagation method.
 //! * [`lu::Lu`] — LU with partial pivoting, one factor/solve body over
 //!   `f64` ([`lu::LuDecomposition`]) and [`Complex64`]
-//!   ([`lu::CluDecomposition`]), used by the MNA circuit solver.
+//!   ([`lu::CluDecomposition`]), used by the AC circuit solver and by
+//!   least squares.
 //! * [`tridiag::ThomasFactors`] — Thomas algorithm, factored once and
 //!   solved (or conjugate-solved) many times, used by the Crank–Nicolson
 //!   BPM stepper and its adjoint.

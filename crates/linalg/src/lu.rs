@@ -1,8 +1,8 @@
 //! LU decomposition with partial pivoting, real and complex.
 //!
-//! These factorizations back the MNA circuit solver: the DC Newton loop
-//! refactorizes the real Jacobian each iteration, while AC analysis solves a
-//! complex system `(G + jωC) x = b` per frequency point. Both run the one
+//! The complex factorization backs the MNA circuit solver, whose AC
+//! analysis solves `(G + jωC) x = b` per frequency point; the real one
+//! solves the normal equations of [`crate::lstsq::lstsq`]. Both run the one
 //! factor/solve body of [`Lu`], over `f64` ([`LuDecomposition`]) or
 //! [`Complex64`] ([`CluDecomposition`]).
 

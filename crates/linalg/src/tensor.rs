@@ -5,9 +5,8 @@ use std::ops::{Index, IndexMut};
 ///
 /// This is the workspace's one real matrix type. Rows index batch samples
 /// and columns index features throughout the flow code: a batch of `N`
-/// points in `R^D` is an `N x D` tensor. The MNA circuit assembler builds
-/// its conductance matrices with it too, and [`crate::lstsq::lstsq`] regresses
-/// over it.
+/// points in `R^D` is an `N x D` tensor. [`crate::lstsq::lstsq`] regresses
+/// over it too.
 ///
 /// # Example
 ///
