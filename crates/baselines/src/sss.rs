@@ -15,52 +15,32 @@ use rand_distr::StandardNormal;
 /// fractional) accuracy, and that is what this implementation reproduces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SssEstimator {
-    scales: Vec<f64>,
     samples_per_scale: usize,
 }
 
+/// The inflated sigmas the failure probability is measured at.
+const SCALES: [f64; 6] = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0];
+
 impl SssEstimator {
     /// Creates the estimator with the given total budget, split evenly
-    /// over the default scale set `{1.5, 2.0, 2.5, 3.0, 3.5, 4.0}`.
+    /// over the scale set `{1.5, 2.0, 2.5, 3.0, 3.5, 4.0}`.
     ///
     /// # Panics
     ///
     /// Panics if `budget` is smaller than 60 (10 samples per scale).
     pub fn new(budget: usize) -> Self {
-        let scales = vec![1.5, 2.0, 2.5, 3.0, 3.5, 4.0];
         assert!(
-            budget >= 10 * scales.len(),
+            budget >= 10 * SCALES.len(),
             "SSS needs at least 10 samples per scale"
         );
-        let samples_per_scale = budget / scales.len();
         SssEstimator {
-            scales,
-            samples_per_scale,
-        }
-    }
-
-    /// Creates the estimator with explicit scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than three scales (the model has three parameters)
-    /// or any scale is `<= 1`.
-    pub fn with_scales(scales: Vec<f64>, samples_per_scale: usize) -> Self {
-        assert!(scales.len() >= 3, "SSS needs at least three scales");
-        assert!(scales.iter().all(|&s| s > 1.0), "SSS scales must exceed 1");
-        assert!(
-            samples_per_scale >= 10,
-            "need at least 10 samples per scale"
-        );
-        SssEstimator {
-            scales,
-            samples_per_scale,
+            samples_per_scale: budget / SCALES.len(),
         }
     }
 
     /// Total simulator calls consumed.
     pub fn budget(&self) -> u64 {
-        (self.scales.len() * self.samples_per_scale) as u64
+        (SCALES.len() * self.samples_per_scale) as u64
     }
 }
 
@@ -74,7 +54,7 @@ impl RareEventEstimator for SssEstimator {
         let mut rng = rng_shim(rng);
         let mut points: Vec<(f64, f64)> = Vec::new(); // (scale, ln P_s)
         let mut x = vec![0.0; dim];
-        for &s in &self.scales {
+        for s in SCALES {
             let mut hits = 0usize;
             for _ in 0..self.samples_per_scale {
                 for v in &mut x {
@@ -173,11 +153,5 @@ mod tests {
         let sss = SssEstimator::new(600);
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(sss.estimate(&Never, &mut rng), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 1")]
-    fn rejects_sub_unity_scales() {
-        let _ = SssEstimator::with_scales(vec![0.5, 2.0, 3.0], 100);
     }
 }

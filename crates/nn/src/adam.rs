@@ -138,16 +138,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate (e.g. for a decay schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn set_lr(&mut self, lr: f64) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Exports the per-parameter optimizer state for checkpointing.
     pub fn export_state(&self) -> AdamState {
         AdamState {
@@ -451,12 +441,5 @@ mod tests {
         }
         assert_eq!(store.get(w), resumed_store.get(w));
         assert_eq!(opt.export_state(), resumed.export_state());
-    }
-
-    #[test]
-    fn set_lr_changes_rate() {
-        let mut opt = Adam::new(0.1);
-        opt.set_lr(0.01);
-        assert_eq!(opt.lr(), 0.01);
     }
 }

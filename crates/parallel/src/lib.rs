@@ -20,7 +20,7 @@
 //!   autograd matmul op (forward *and* backward).
 //! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
 //!   shared by the interpreted graph and the compiled-tape replay engine.
-//! * [`global`] / [`default_threads`] — a process-wide pool sized from the
+//! * [`global`] / [`resolve_default_threads`] — a process-wide pool sized from the
 //!   `NOFIS_THREADS` environment variable when set, else
 //!   `std::thread::available_parallelism()`.
 //!
@@ -146,16 +146,6 @@ pub fn resolve_default_threads() -> (usize, ThreadSource) {
     (n.max(1), ThreadSource::Available)
 }
 
-/// Resolves the default worker count; see [`resolve_default_threads`].
-///
-/// # Panics
-///
-/// Panics on an invalid `NOFIS_THREADS` value (see
-/// [`resolve_default_threads`]).
-pub fn default_threads() -> usize {
-    resolve_default_threads().0
-}
-
 /// Initializes the global pool with an explicit thread count, returning
 /// `true` when this call performed the initialization.
 ///
@@ -171,8 +161,8 @@ pub fn init_global(threads: usize) -> bool {
     initialized
 }
 
-/// The process-wide shared pool, built on first use with
-/// [`default_threads`] workers.
+/// The process-wide shared pool, built on first use with the
+/// [`resolve_default_threads`] worker count.
 ///
 /// Pool construction emits a one-shot `parallel.pool.init` telemetry
 /// startup event recording the resolved thread count and where it came
@@ -194,7 +184,7 @@ mod tests {
 
     #[test]
     fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
+        assert!(resolve_default_threads().0 >= 1);
     }
 
     #[test]
