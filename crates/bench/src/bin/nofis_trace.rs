@@ -11,8 +11,8 @@
 //! `summary` reconstructs the run from the structured records alone: the
 //! `train.stage` spans carry per-stage wall time, step counts, retries,
 //! oracle spend, and buffer-pool traffic (from which allocations per step
-//! are derived); the `estimate` span carries the accepted fallback rung
-//! and whether it passed the weight-health check.
+//! are derived); the `estimate` span carries the estimate and whether
+//! its importance weights passed the weight-health check.
 //! `diff` lines up two traces by stage number to compare timings and
 //! resource spend — e.g. before/after a performance change.
 //!
@@ -265,13 +265,9 @@ fn summary(path: &str) -> ExitCode {
 
     sweep_table(&events);
 
-    let attempts = events.iter().filter(|e| e.name == "estimate.rung").count();
     if let Some(est) = estimate_row(&events) {
         println!(
-            "estimate: rung {} (rank {}, healthy {}), estimate {:e}, hits {}, ess {:.1}, \
-             {} oracle calls, {:.3} s, {} rung attempts",
-            est.str_field("rung").unwrap_or("?"),
-            est.u64_field("rank").unwrap_or(0),
+            "estimate: healthy {}, estimate {:e}, hits {}, ess {:.1}, {} oracle calls, {:.3} s",
             est.bool_field("healthy")
                 .map_or("?", |h| if h { "true" } else { "false" }),
             est.f64_field("estimate").unwrap_or(f64::NAN),
@@ -279,7 +275,6 @@ fn summary(path: &str) -> ExitCode {
             est.f64_field("ess").unwrap_or(f64::NAN),
             est.u64_field("oracle_calls").unwrap_or(0),
             est.duration_us.unwrap_or(0) as f64 / 1e6,
-            attempts
         );
     }
     ExitCode::SUCCESS
@@ -544,9 +539,7 @@ fn diff(path_a: &str, path_b: &str) -> ExitCode {
     );
     match (estimate_row(&events_a), estimate_row(&events_b)) {
         (Some(a), Some(b)) => println!(
-            "estimate: rung {} -> {}, estimate {:e} -> {:e}, ess {:.1} -> {:.1}",
-            a.str_field("rung").unwrap_or("?"),
-            b.str_field("rung").unwrap_or("?"),
+            "estimate: {:e} -> {:e}, ess {:.1} -> {:.1}",
             a.f64_field("estimate").unwrap_or(f64::NAN),
             b.f64_field("estimate").unwrap_or(f64::NAN),
             a.f64_field("ess").unwrap_or(f64::NAN),

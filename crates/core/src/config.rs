@@ -89,7 +89,7 @@ pub struct NofisConfig {
     /// [`Nofis::run`](crate::Nofis::run) /
     /// [`Nofis::train`](crate::Nofis::train). When the cap is hit, the
     /// pipeline truncates gracefully where possible (final-stage epochs,
-    /// the estimation ladder) and otherwise returns
+    /// the estimate's draw count) and otherwise returns
     /// [`NofisError::BudgetExhausted`](crate::NofisError::BudgetExhausted)
     /// — it never overruns. `None` (the default) leaves the schedule's own
     /// [`NofisConfig::training_budget`] as the only cost.

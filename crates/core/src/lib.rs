@@ -24,12 +24,12 @@
 //! The pipeline is built for unattended production runs: every entry point
 //! returns a typed [`NofisError`] instead of panicking, each training stage
 //! checkpoints at its best loss and rolls back with a halved learning rate
-//! on divergence (recorded per stage in [`StageReport`]), estimation
-//! descends a guarded fallback ladder when the learned proposal is
-//! degenerate (recorded in
-//! [`IsResult::rung`](nofis_prob::IsResult)), and
-//! [`NofisConfig::max_calls`] enforces a hard simulator-call budget that
-//! truncates gracefully rather than overruns. With
+//! on divergence (recorded per stage in [`StageReport`]), the estimate
+//! reports whether its importance weights look healthy (the `estimate`
+//! telemetry span's `healthy` field; see
+//! [`TrainedNofis::estimate_within`]), and [`NofisConfig::max_calls`]
+//! enforces a hard simulator-call budget that truncates gracefully rather
+//! than overruns. With
 //! [`NofisConfig::checkpoint`] set, training additionally writes durable,
 //! CRC-guarded snapshots ([`checkpoint`]) and
 //! [`Nofis::run_or_resume`] continues a killed run bitwise-identically from

@@ -4,9 +4,8 @@ use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tenso
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, quantile, BudgetedOracle,
-    DefensiveMixture, FallbackRung, IsResult, LimitState, Proposal, StandardGaussian,
-    WeightDiagnostics, LN_2PI,
+    batch_values_with, importance_sampling_detailed_with_pool, quantile, BudgetedOracle, IsResult,
+    LimitState, Proposal, StandardGaussian, WeightDiagnostics, LN_2PI,
 };
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
@@ -31,15 +30,6 @@ const LOSS_DIVERGENCE_LIMIT: f64 = 1e12;
 /// Per-row `|log det|` beyond which a minibatch is declared divergent: the
 /// coupling clamp bounds healthy log-dets to `O(depth · D · s_max)`.
 const LOGDET_DIVERGENCE_LIMIT: f64 = 1e6;
-
-/// Simulator-call budget granted to a standalone
-/// [`TrainedNofis::estimate`] call, as a multiple of `n_is`: one tranche
-/// for each of the three rungs of the fallback ladder.
-const ESTIMATE_BUDGET_FACTOR: u64 = 3;
-
-/// Base mixing weight used by the defensive-mixture rung of the fallback
-/// ladder; importance weights on that rung are bounded by `1/α = 2`.
-const DEFENSIVE_ALPHA: f64 = 0.5;
 
 fn budget_error<L: LimitState + ?Sized>(
     oracle: &BudgetedOracle<'_, L>,
@@ -220,8 +210,7 @@ impl Nofis {
     /// Trains and immediately produces the final estimate with
     /// `config.n_is` samples, sharing one hard budget
     /// ([`NofisConfig::max_calls`], unlimited when `None`) across both
-    /// phases; returns the trained model and the estimate (whose
-    /// [`IsResult::rung`] records which ladder rung produced it).
+    /// phases; returns the trained model and the estimate.
     ///
     /// # Errors
     ///
@@ -1269,11 +1258,9 @@ impl TrainedNofis {
         FlowProposal::new(&self.flow, &self.store, stage * self.layers_per_stage)
     }
 
-    /// Final importance-sampling estimate of `P[g(x) ≤ 0]` (Eq. 2), guarded
-    /// by the fallback ladder of [`TrainedNofis::estimate_within`]. The
-    /// standalone call is given a hard budget of `3 · n_is` simulator calls
-    /// (one `n_is` tranche per ladder rung); the healthy path consumes
-    /// exactly `n_is`.
+    /// Final importance-sampling estimate of `P[g(x) ≤ 0]` (Eq. 2) under
+    /// the final proposal; see [`TrainedNofis::estimate_within`]. The
+    /// standalone call is given a hard budget of `n_is` simulator calls.
     ///
     /// # Errors
     ///
@@ -1289,10 +1276,8 @@ impl TrainedNofis {
     }
 
     /// Like [`TrainedNofis::estimate`] but also returns
-    /// [`WeightDiagnostics`] over the finite importance weights of the
-    /// accepted rung (`None` when that rung observed no failure hits). When
-    /// no rung passed the health check, the returned diagnostics are the
-    /// ones that failed [`WeightDiagnostics::looks_healthy`].
+    /// [`WeightDiagnostics`] over the draw's finite importance weights
+    /// (`None` when it observed no failure hits).
     ///
     /// # Errors
     ///
@@ -1303,35 +1288,29 @@ impl TrainedNofis {
         n_is: usize,
         rng: &mut impl Rng,
     ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
-        let budget = (n_is as u64).saturating_mul(ESTIMATE_BUDGET_FACTOR);
-        let oracle = BudgetedOracle::new(limit_state, budget);
+        let oracle = BudgetedOracle::new(limit_state, n_is as u64);
         self.estimate_within(&oracle, n_is, rng)
     }
 
-    /// The guarded estimation fallback ladder, drawing all simulator calls
-    /// from `oracle`:
+    /// One importance-sampling pass of `n_is` draws from the final proposal
+    /// `q_{MK}`, drawing its simulator calls from `oracle`, plus
+    /// [`WeightDiagnostics`] over the draw's finite log-weights.
     ///
-    /// 1. the final proposal `q_{MK}`;
-    /// 2. the previous stage's proposal `q_{(M−1)K}` (less concentrated);
-    /// 3. the defensive mixture `α·p + (1−α)·q_{MK}` with `α = 1/2`, whose
-    ///    weights are bounded by `1/α`.
-    ///
-    /// A rung is accepted when its estimate is finite, it observed at least
-    /// one failure hit, and [`WeightDiagnostics::looks_healthy`] holds over
-    /// its finite log-weights; otherwise the ladder descends. The accepted
-    /// rung is recorded in [`IsResult::rung`], and the `estimate` telemetry
-    /// span records whether it passed (`healthy`). When no rung passes, or
-    /// the budget runs out mid-ladder, the last rung with a finite estimate
-    /// is returned together with its failing diagnostics.
+    /// The `estimate` telemetry span reports whether the draw looks
+    /// `healthy`: a finite estimate, at least one failure hit, and
+    /// [`WeightDiagnostics::looks_healthy`]. The verdict is observed only;
+    /// an unhealthy draw is still the returned estimate. A draw with no
+    /// failure hits returns an estimate of 0. When the budget cannot cover
+    /// `n_is`, the draw uses what remains.
     ///
     /// # Errors
     ///
     /// * [`NofisError::InvalidInput`] if `n_is == 0` or the oracle's
     ///   dimension does not match the trained flow.
-    /// * [`NofisError::BudgetExhausted`] if not even the first rung could
-    ///   draw a single sample.
-    /// * [`NofisError::DegenerateProposal`] if no rung produced a finite
-    ///   estimate.
+    /// * [`NofisError::BudgetExhausted`] if not a single sample is
+    ///   affordable.
+    /// * [`NofisError::DegenerateProposal`] if the estimate is not finite
+    ///   or a worker panicked during the batch evaluation.
     pub fn estimate_within<L: LimitState + ?Sized + Sync>(
         &self,
         oracle: &BudgetedOracle<'_, L>,
@@ -1340,14 +1319,13 @@ impl TrainedNofis {
     ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
         let mut span = tele::span(tele::Level::Info, "estimate");
         let calls_start = oracle.used();
-        let result = self.estimate_ladder(oracle, n_is, rng);
+        let result = self.draw_estimate(oracle, n_is, rng);
         if span.is_enabled() {
             match &result {
-                Ok(out) => {
-                    let r = &out.0;
-                    span.field("rung", r.rung.label());
-                    span.field("rank", r.rung.rank());
-                    span.field("healthy", rung_is_healthy(out));
+                Ok((r, diag)) => {
+                    // Diagnostics exist only when the draw saw a finite hit.
+                    let healthy = diag.as_ref().is_some_and(|d| d.looks_healthy());
+                    span.field("healthy", healthy);
                     span.field("estimate", r.estimate);
                     span.field("hits", r.hits);
                     span.field("ess", r.effective_sample_size);
@@ -1360,14 +1338,14 @@ impl TrainedNofis {
         result
     }
 
-    /// The ladder body of [`TrainedNofis::estimate_within`], separated so
-    /// the telemetry span wraps every return path exactly once.
-    fn estimate_ladder<L: LimitState + ?Sized + Sync>(
+    /// The body of [`TrainedNofis::estimate_within`], separated so the
+    /// telemetry span wraps every return path exactly once.
+    fn draw_estimate<L: LimitState + ?Sized + Sync>(
         &self,
         oracle: &BudgetedOracle<'_, L>,
         n_is: usize,
         rng: &mut impl Rng,
-    ) -> Result<RungOutcome, NofisError> {
+    ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
         if n_is == 0 {
             return Err(NofisError::InvalidInput {
                 message: "n_is must be positive".into(),
@@ -1382,158 +1360,44 @@ impl TrainedNofis {
                 ),
             });
         }
+        let n = oracle.grant(n_is);
+        if n == 0 {
+            return Err(budget_error(oracle, "the final-proposal estimate".into()));
+        }
         let p = StandardGaussian::new(self.flow.dim());
-        let final_prop = self.proposal();
-        // Rung 2 (the previous stage's, less concentrated proposal) needs a
-        // previous stage; rung 3 (the defensive mixture with the base
-        // distribution) needs a valid mixture.
-        let prev_stage = self.stages().saturating_sub(1);
-        let prev = (prev_stage >= 1).then(|| self.stage_proposal(prev_stage));
-        let defensive = DefensiveMixture::new(&final_prop, DEFENSIVE_ALPHA).ok();
-        let mut rungs: Vec<(&(dyn Proposal + Sync), FallbackRung)> =
-            vec![(&final_prop, FallbackRung::FinalProposal)];
-        if let Some(prev) = &prev {
-            rungs.push((prev, FallbackRung::StageProposal { stage: prev_stage }));
+        let q = self.proposal();
+        // A worker-thread panic during the pooled batch evaluation is
+        // contained here and surfaces as a typed error.
+        let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            importance_sampling_detailed_with_pool(
+                oracle,
+                0.0,
+                &q,
+                &p,
+                n,
+                rng,
+                nofis_parallel::global(),
+            )
+        }));
+        let Ok((result, log_weights)) = eval else {
+            return Err(NofisError::DegenerateProposal {
+                context: "a worker panicked during the final-proposal estimate".into(),
+            });
+        };
+        if !result.estimate.is_finite() {
+            return Err(NofisError::DegenerateProposal {
+                context: format!("the final-proposal estimate is {}", result.estimate),
+            });
         }
-        if let Some(defensive) = &defensive {
-            let alpha = DEFENSIVE_ALPHA;
-            rungs.push((defensive, FallbackRung::DefensiveMixture { alpha }));
-        }
-
-        // The best rung so far: the first one always, a later one only when
-        // its estimate is finite. A dry budget ends the descent early.
-        let mut last: Option<RungOutcome> = None;
-        for (proposal, rung) in rungs {
-            let Some(r) = run_rung(oracle, proposal, &p, n_is, rung, rng) else {
-                break;
-            };
-            if rung_is_healthy(&r) {
-                return Ok(r);
-            }
-            if last.is_none() || r.0.estimate.is_finite() {
-                last = Some(r);
-            }
-        }
-        match last {
-            None => Err(budget_error(oracle, "the final-proposal estimate".into())),
-            Some(last) => accept_last(last),
-        }
+        let finite: Vec<f64> = log_weights.into_iter().filter(|w| w.is_finite()).collect();
+        let diag = (!finite.is_empty()).then(|| WeightDiagnostics::from_log_weights(&finite));
+        Ok((result, diag))
     }
 
     /// Borrows the underlying flow and parameters (read-only diagnostics).
     pub fn flow(&self) -> (&RealNvp, &ParamStore) {
         (&self.flow, &self.store)
     }
-}
-
-/// A ladder rung's estimate plus diagnostics over its finite log-weights.
-type RungOutcome = (IsResult, Option<WeightDiagnostics>);
-
-/// Accepts the best rung seen so far when no rung passed the health check
-/// or the budget ran dry mid-ladder — unless that best is itself unusable,
-/// in which case the caller gets a typed error rather than an `Ok`
-/// carrying a non-finite estimate.
-fn accept_last(last: RungOutcome) -> Result<RungOutcome, NofisError> {
-    if last.0.estimate.is_finite() {
-        Ok(last)
-    } else {
-        Err(NofisError::DegenerateProposal {
-            context: "no estimation ladder rung produced a usable (finite) estimate".into(),
-        })
-    }
-}
-
-/// Runs one ladder rung within the budget: `None` when not even one sample
-/// is affordable, otherwise the tagged result plus diagnostics over the
-/// finite log-weights.
-fn run_rung<L: LimitState + ?Sized + Sync>(
-    oracle: &BudgetedOracle<'_, L>,
-    proposal: &(dyn Proposal + Sync),
-    p: &StandardGaussian,
-    n_is: usize,
-    rung: FallbackRung,
-    rng: &mut impl Rng,
-) -> Option<RungOutcome> {
-    let n = oracle.grant(n_is);
-    if n == 0 {
-        tele::event(tele::Level::Debug, "estimate.rung")
-            .field("rung", rung.label())
-            .field("rank", rung.rank())
-            .field("granted", 0u64)
-            .emit();
-        return None;
-    }
-    // A worker-thread panic during the pooled batch evaluation is contained
-    // here and surfaces as an unhealthy rung, so the ladder descends to a
-    // less demanding proposal instead of taking the whole estimate down.
-    let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        importance_sampling_detailed_with_pool(
-            oracle,
-            0.0,
-            proposal,
-            p,
-            n,
-            rng,
-            nofis_parallel::global(),
-        )
-    }));
-    let Ok((result, log_weights)) = eval else {
-        emit_rung_panicked(&rung);
-        let poisoned = IsResult {
-            estimate: f64::NAN,
-            hits: 0,
-            effective_sample_size: 0.0,
-            rung,
-        };
-        return Some((poisoned, None));
-    };
-    let finite: Vec<f64> = log_weights.into_iter().filter(|w| w.is_finite()).collect();
-    let diag = if finite.is_empty() {
-        None
-    } else {
-        Some(WeightDiagnostics::from_log_weights(&finite))
-    };
-    let out = (IsResult { rung, ..result }, diag);
-    if tele::enabled(tele::Level::Debug) {
-        emit_rung(&out, n);
-    }
-    Some(out)
-}
-
-/// The `estimate.rung` event of a rung that drew `granted` samples.
-fn emit_rung(out: &RungOutcome, granted: usize) {
-    let (r, diag) = out;
-    let mut ev = tele::event(tele::Level::Debug, "estimate.rung")
-        .field("rung", r.rung.label())
-        .field("rank", r.rung.rank())
-        .field("granted", granted)
-        .field("estimate", r.estimate)
-        .field("hits", r.hits)
-        .field("ess", r.effective_sample_size)
-        .field("healthy", rung_is_healthy(out));
-    if let Some(d) = diag {
-        ev = ev.field("max_weight_share", d.max_weight_share);
-        if let Some(tail) = d.hill_tail_index {
-            ev = ev.field("hill_tail_index", tail);
-        }
-    }
-    ev.emit();
-}
-
-/// The `estimate.rung_panicked` event: a worker panicked mid-rung.
-fn emit_rung_panicked(rung: &FallbackRung) {
-    tele::event(tele::Level::Warn, "estimate.rung_panicked")
-        .field("rung", rung.label())
-        .field("rank", rung.rank())
-        .emit();
-}
-
-/// A rung is accepted when its estimate is finite, it saw at least one
-/// failure hit, and the weight diagnostics look healthy.
-fn rung_is_healthy((result, diag): &RungOutcome) -> bool {
-    result.estimate.is_finite()
-        && result.hits > 0
-        && diag.as_ref().is_some_and(|d| d.looks_healthy())
 }
 
 #[cfg(test)]
@@ -1593,9 +1457,7 @@ mod tests {
             "estimate {} vs golden {golden}: log error {err}",
             result.estimate
         );
-        // The healthy path uses the final proposal and exactly the nominal
-        // budget — no hidden fallback resampling.
-        assert_eq!(result.rung, FallbackRung::FinalProposal);
+        // Training and the estimate spend exactly the nominal budget.
         assert_eq!(oracle.calls(), budget);
         assert_eq!(trained.levels(), &[2.0, 1.0, 0.0]);
         assert_eq!(trained.stages(), 3);

@@ -4,7 +4,7 @@
 //! NaN for one corner of the parameter space, a worker thread panics, the
 //! disk refuses a checkpoint write, the process is killed mid-stage. This
 //! crate provides a *seeded, index-exact* way to reproduce those failures
-//! so the recovery machinery (rollback, fallback ladder, checkpoint/resume)
+//! so the recovery machinery (rollback, typed errors, checkpoint/resume)
 //! can be exercised systematically instead of anecdotally.
 //!
 //! A [`FaultPlan`] is a list of [`FaultSpec`]s, each saying "at the `at`-th

@@ -45,67 +45,19 @@ impl Proposal for StandardGaussian {
     }
 }
 
-/// Which rung of the guarded estimation fallback ladder produced an
-/// estimate.
-///
-/// A trusted estimator descends this ladder only when
-/// [`WeightDiagnostics`](crate::WeightDiagnostics) flags the previous rung
-/// as degenerate: the learned final proposal first, then an earlier-stage
-/// proposal, and finally a defensive mixture `α·p + (1−α)·q` whose weights
-/// are bounded by `1/α`.
+/// The proposal that produced an estimate: always the final proposal. The
+/// type stays only because the end-to-end benchmark reads it; ROADMAP item
+/// 5 removes it together with [`IsResult::rung`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FallbackRung {
-    /// The primary (final trained) proposal was used directly.
+    /// The final trained proposal.
     FinalProposal,
-    /// An earlier stage proposal `q_{mK}` was substituted (1-based stage).
-    StageProposal {
-        /// The stage whose proposal produced the estimate.
-        stage: usize,
-    },
-    /// A defensive mixture `α·p + (1−α)·q` of the base and the final
-    /// proposal was substituted.
-    DefensiveMixture {
-        /// Base-distribution mixing weight `α` (weights bounded by `1/α`).
-        alpha: f64,
-    },
 }
 
 impl FallbackRung {
-    /// Position on the ladder (0 = primary proposal, 2 = defensive
-    /// mixture).
+    /// Always 0, the final proposal's position.
     pub fn rank(&self) -> usize {
-        match self {
-            FallbackRung::FinalProposal => 0,
-            FallbackRung::StageProposal { .. } => 1,
-            FallbackRung::DefensiveMixture { .. } => 2,
-        }
-    }
-
-    /// Stable machine-readable label for telemetry fields (`Display` is
-    /// for humans and carries parameters).
-    pub fn label(&self) -> &'static str {
-        match self {
-            FallbackRung::FinalProposal => "final_proposal",
-            FallbackRung::StageProposal { .. } => "stage_proposal",
-            FallbackRung::DefensiveMixture { .. } => "defensive_mixture",
-        }
-    }
-
-    /// Whether any fallback was engaged (anything past the primary rung).
-    pub fn is_fallback(&self) -> bool {
-        self.rank() > 0
-    }
-}
-
-impl std::fmt::Display for FallbackRung {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FallbackRung::FinalProposal => write!(f, "final proposal"),
-            FallbackRung::StageProposal { stage } => write!(f, "stage-{stage} proposal"),
-            FallbackRung::DefensiveMixture { alpha } => {
-                write!(f, "defensive mixture (alpha = {alpha})")
-            }
-        }
+        0
     }
 }
 
@@ -120,10 +72,8 @@ pub struct IsResult {
     /// Kish effective sample size of the failure-region weights; a small
     /// value relative to `hits` warns of weight degeneracy.
     pub effective_sample_size: f64,
-    /// Which proposal actually produced this estimate. Direct calls to
-    /// [`importance_sampling`] always report
-    /// [`FallbackRung::FinalProposal`]; guarded estimators overwrite this
-    /// when they descend the ladder.
+    /// Always [`FallbackRung::FinalProposal`]; kept only for the
+    /// end-to-end benchmark, which still reads it.
     pub rung: FallbackRung,
 }
 

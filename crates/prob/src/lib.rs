@@ -40,7 +40,6 @@
 
 mod batch;
 mod budget;
-mod defensive;
 mod diagnostics;
 mod estimate;
 mod gaussian;
@@ -49,7 +48,6 @@ mod limit_state;
 
 pub use batch::{batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
-pub use defensive::DefensiveMixture;
 pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};

@@ -419,7 +419,9 @@ pub struct CornerReport {
     pub epochs: usize,
     /// Failure-probability estimate; `None` when the job failed.
     pub estimate: Option<f64>,
-    /// Fallback-ladder rung that produced the estimate (Debug-formatted).
+    /// `"FinalProposal"`, the Debug form of
+    /// [`nofis_prob::IsResult::rung`]; kept only for the end-to-end
+    /// benchmark, which still reads it.
     pub rung: Option<String>,
     /// Terminal job error, if any.
     pub error: Option<String>,

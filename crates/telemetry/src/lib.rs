@@ -5,7 +5,7 @@
 //! converges before it freezes, and adaptive importance sampling fails
 //! *quietly* when a proposal collapses. This crate gives every layer of
 //! the workspace one uniform way to narrate what it is doing — per-stage
-//! training progress, rollback decisions, fallback-ladder rungs, budget
+//! training progress, rollback decisions, estimate weight health, budget
 //! spend, buffer-pool churn — without perturbing the computation.
 //!
 //! # Model
@@ -99,7 +99,7 @@ pub enum Level {
     Off = 0,
     /// Unrecoverable failures (training diverged past retries, budget hit).
     Error = 1,
-    /// Degraded-but-continuing conditions (rollback, ladder fallback).
+    /// Degraded-but-continuing conditions (rollback, truncated stage).
     Warn = 2,
     /// Run / stage lifecycle: the default human-facing verbosity.
     Info = 3,

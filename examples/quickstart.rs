@@ -10,8 +10,8 @@
 //! plain Monte Carlo at the same budget, and prints the measured call
 //! counts.
 //!
-//! Progress telemetry prints to stderr by default (stage spans, ladder
-//! outcome). Tune it with `NOFIS_LOG` (`off`, `error`, `warn`, `info`,
+//! Progress telemetry prints to stderr by default (stage spans, estimate
+//! health). Tune it with `NOFIS_LOG` (`off`, `error`, `warn`, `info`,
 //! `debug`, `trace`), and write a full machine-readable JSONL trace with
 //! `NOFIS_TRACE_FILE=run.jsonl` (inspect it with `nofis-trace summary`).
 //!

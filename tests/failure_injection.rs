@@ -229,7 +229,7 @@ fn budget_exhaustion_is_a_typed_error_with_exact_accounting() {
 }
 
 #[test]
-fn degenerate_proposal_engages_the_fallback_ladder() {
+fn degenerate_proposal_still_returns_its_own_estimate() {
     struct RightTail;
     impl LimitState for RightTail {
         fn dim(&self) -> usize {
@@ -278,18 +278,12 @@ fn degenerate_proposal_engages_the_fallback_ladder() {
     let oracle = CountingOracle::new(&LeftTail);
     let result = trained
         .estimate(&oracle, n_is, &mut rng)
-        .expect("ladder must produce a result");
+        .expect("a degenerate proposal still yields an estimate");
+    assert!(result.estimate.is_finite() && result.estimate >= 0.0);
+    // One draw from the final proposal, within the `n_is` budget.
     assert!(
-        result.rung.is_fallback(),
-        "mismatched proposal must not be accepted at the final rung: {}",
-        result.rung
-    );
-    assert!(result.estimate.is_finite());
-    assert!(result.estimate > 0.0, "defensive rungs must recover hits");
-    // The ladder respects its hard budget of one tranche per rung.
-    assert!(
-        oracle.calls() <= 3 * n_is as u64,
-        "ladder overran its budget: {} calls",
+        oracle.calls() <= n_is as u64,
+        "estimate overran its budget: {} calls",
         oracle.calls()
     );
 }

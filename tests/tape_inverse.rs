@@ -15,7 +15,7 @@ use nofis::core::FlowProposal;
 use nofis::flows::{AffineCoupling, RealNvp};
 use nofis::nn::{Activation, Mlp};
 use nofis::parallel::kernels::PAR_FLOPS_THRESHOLD;
-use nofis::prob::{DefensiveMixture, Proposal, StandardGaussian, LN_2PI};
+use nofis::prob::{Proposal, StandardGaussian, LN_2PI};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -224,8 +224,6 @@ fn batched_proposals_match_per_row_calls_bitwise() {
     for depth in [3, 6] {
         let q = FlowProposal::new(&flow, &store, depth);
         assert_batch_matches_rows(&q, 300, 46);
-        let defensive = DefensiveMixture::new(&q, 0.3).expect("valid alpha");
-        assert_batch_matches_rows(&defensive, 300, 47);
     }
     assert_batch_matches_rows(&StandardGaussian::new(3), 300, 48);
 }
