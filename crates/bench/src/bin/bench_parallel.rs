@@ -14,9 +14,7 @@
 
 use nofis_autograd::Tensor;
 use nofis_parallel::ThreadPool;
-use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, LimitState, StandardGaussian,
-};
+use nofis_prob::{batch_values_with, importance_sampling, LimitState, StandardGaussian};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -223,9 +221,7 @@ fn main() {
     let p = StandardGaussian::new(3);
     let run = |pool: &ThreadPool| {
         let mut rng = StdRng::seed_from_u64(20240607);
-        importance_sampling_detailed_with_pool(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool)
-            .0
-            .estimate
+        importance_sampling(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool).estimate
     };
     let base = run(&serial);
     let mut is_estimates = vec![EstimateRecord {

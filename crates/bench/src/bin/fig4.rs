@@ -68,7 +68,7 @@ fn main() {
         let mut stats = RunningStats::new();
         for r in 0..repeats {
             let mut is_rng = StdRng::seed_from_u64(seed + 100 + r as u64);
-            let result = trained
+            let (result, _) = trained
                 .estimate(&Leaf, n_is, &mut is_rng)
                 .expect("fig4 estimate failed");
             stats.push(log_error(result.estimate, Leaf::GOLDEN_PR));

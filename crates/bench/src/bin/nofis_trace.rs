@@ -11,8 +11,9 @@
 //! `summary` reconstructs the run from the structured records alone: the
 //! `train.stage` spans carry per-stage wall time, step counts, retries,
 //! oracle spend, and buffer-pool traffic (from which allocations per step
-//! are derived); the `estimate` span carries the estimate and whether
-//! its importance weights passed the weight-health check.
+//! are derived); the `estimate` span carries the estimate, its standard
+//! error and PSIS tail shape `k̂`, and whether its importance weights
+//! passed the weight-health check.
 //! `diff` lines up two traces by stage number to compare timings and
 //! resource spend — e.g. before/after a performance change.
 //!
@@ -267,10 +268,14 @@ fn summary(path: &str) -> ExitCode {
 
     if let Some(est) = estimate_row(&events) {
         println!(
-            "estimate: healthy {}, estimate {:e}, hits {}, ess {:.1}, {} oracle calls, {:.3} s",
+            "estimate: healthy {}, estimate {:e}, std_error {:.3e}, pareto_k {}, hits {}, ess {:.1}, \
+             {} oracle calls, {:.3} s",
             est.bool_field("healthy")
                 .map_or("?", |h| if h { "true" } else { "false" }),
             est.f64_field("estimate").unwrap_or(f64::NAN),
+            est.f64_field("std_error").unwrap_or(f64::NAN),
+            est.f64_field("pareto_k")
+                .map_or("-".to_string(), |k| format!("{k:.2}")),
             est.u64_field("hits").unwrap_or(0),
             est.f64_field("ess").unwrap_or(f64::NAN),
             est.u64_field("oracle_calls").unwrap_or(0),

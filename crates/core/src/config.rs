@@ -103,14 +103,6 @@ pub struct NofisConfig {
     /// halved learning rate) after a divergent epoch before training fails
     /// with [`NofisError::TrainingDiverged`](crate::NofisError::TrainingDiverged).
     pub stage_retries: usize,
-    /// Telemetry sink selection, applied (idempotently, process-wide) by
-    /// [`Nofis::new`](crate::Nofis::new). The `NOFIS_LOG`,
-    /// `NOFIS_TRACE_FILE` and `NOFIS_FLIGHT_DIR` environment variables
-    /// override the corresponding fields. The default is fully disabled —
-    /// every telemetry site then costs a single relaxed atomic load.
-    /// Telemetry observes the run but never influences it: with sinks on
-    /// or off, all numeric results are bitwise identical (DESIGN.md §10).
-    pub telemetry: nofis_telemetry::Settings,
     /// Durable checkpointing (DESIGN.md §11): when set, training writes
     /// atomic, CRC-guarded snapshots into
     /// [`CheckpointConfig::dir`] every
@@ -148,7 +140,6 @@ impl Default for NofisConfig {
             max_calls: None,
             max_grad_norm: Some(100.0),
             stage_retries: 2,
-            telemetry: nofis_telemetry::Settings::default(),
             checkpoint: None,
         }
     }

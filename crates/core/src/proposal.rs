@@ -86,7 +86,8 @@ mod tests {
         let flow = RealNvp::new(&mut store, 2, 4, 8, 2.0, &mut rng);
         let proposal = FlowProposal::new(&flow, &store, 4);
         let p = StandardGaussian::new(2);
-        let r = importance_sampling(&Everything, 0.0, &proposal, &p, 500, &mut rng);
+        let pool = nofis_parallel::global();
+        let r = importance_sampling(&Everything, 0.0, &proposal, &p, 500, &mut rng, pool);
         // Identity flow => q = p => all weights are exactly 1.
         assert!((r.estimate - 1.0).abs() < 1e-10);
         assert_eq!(r.hits, 500);

@@ -4,8 +4,8 @@ use nofis_autograd::{CompiledStep, Graph, GraphStats, ParamId, ParamStore, Tenso
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, quantile, BudgetedOracle, IsResult,
-    LimitState, Proposal, StandardGaussian, WeightDiagnostics, LN_2PI,
+    batch_values_with, importance_sampling, quantile, BudgetedOracle, IsResult, LimitState,
+    Proposal, StandardGaussian, LN_2PI,
 };
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
@@ -21,6 +21,14 @@ struct TapeCache {
     logdet: Var,
     loss: Var,
     step: CompiledStep,
+}
+
+/// The one weight-health rule: a finite estimate with at least one
+/// failure hit and a PSIS tail shape `k̂ < 0.7`, the bound above which
+/// Vehtari et al. (arXiv 1507.02646) find importance-sampling estimates
+/// unreliable. A tail too short to fit is not healthy.
+fn looks_healthy(r: &IsResult) -> bool {
+    r.estimate.is_finite() && r.hits > 0 && r.pareto_k.is_some_and(|k| k < 0.7)
 }
 
 /// Epoch-loss magnitude beyond which training is declared divergent (a
@@ -100,10 +108,11 @@ impl Nofis {
     /// malformed value (e.g. `NOFIS_THREADS=fourx`) is a configuration
     /// error, never a silent fallback.
     ///
-    /// Telemetry sinks from [`NofisConfig::telemetry`] (overridable via
-    /// `NOFIS_LOG` / `NOFIS_TRACE_FILE` / `NOFIS_FLIGHT_DIR`) are installed
-    /// process-wide on the first successful `Nofis::new` call; later calls
-    /// leave them untouched. `NOFIS_FLIGHT_DIR` adds a flight recorder that
+    /// Telemetry sinks selected by the `NOFIS_LOG` / `NOFIS_TRACE_FILE` /
+    /// `NOFIS_FLIGHT_DIR` environment variables are installed process-wide
+    /// on the first successful `Nofis::new` call, unless a program already
+    /// installed its own with `nofis_telemetry::init`; later calls leave
+    /// them untouched. `NOFIS_FLIGHT_DIR` adds a flight recorder that
     /// dumps the last events as JSONL on a panic or an injected fault
     /// (DESIGN.md §10).
     ///
@@ -126,7 +135,7 @@ impl Nofis {
         config.apply_checkpoint_env()?;
         config.validate()?;
         nofis_parallel::env_threads_checked().map_err(|e| ConfigError::new(e.to_string()))?;
-        tele::init(&config.telemetry).map_err(|e| ConfigError::new(e.to_string()))?;
+        tele::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_faults::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
         Ok(Nofis { config })
     }
@@ -223,7 +232,7 @@ impl Nofis {
     ) -> Result<(TrainedNofis, IsResult), NofisError> {
         let oracle = self.budgeted(limit_state);
         let trained = self.train_within(&oracle, rng)?;
-        let (result, _diag) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
+        let (result, _healthy) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
         Ok((trained, result))
     }
 
@@ -277,7 +286,7 @@ impl Nofis {
             Some(trained) => trained,
             None => self.train_fresh(&oracle, rng, warm)?,
         };
-        let (result, _diag) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
+        let (result, _healthy) = trained.estimate_within(&oracle, self.config.n_is, rng)?;
         Ok((trained, result))
     }
 
@@ -1259,8 +1268,9 @@ impl TrainedNofis {
     }
 
     /// Final importance-sampling estimate of `P[g(x) ≤ 0]` (Eq. 2) under
-    /// the final proposal; see [`TrainedNofis::estimate_within`]. The
-    /// standalone call is given a hard budget of `n_is` simulator calls.
+    /// the final proposal, with its health verdict; see
+    /// [`TrainedNofis::estimate_within`]. The standalone call is given a
+    /// hard budget of `n_is` simulator calls.
     ///
     /// # Errors
     ///
@@ -1270,35 +1280,19 @@ impl TrainedNofis {
         limit_state: &L,
         n_is: usize,
         rng: &mut impl Rng,
-    ) -> Result<IsResult, NofisError> {
-        self.estimate_with_diagnostics(limit_state, n_is, rng)
-            .map(|(result, _)| result)
-    }
-
-    /// Like [`TrainedNofis::estimate`] but also returns
-    /// [`WeightDiagnostics`] over the draw's finite importance weights
-    /// (`None` when it observed no failure hits).
-    ///
-    /// # Errors
-    ///
-    /// See [`TrainedNofis::estimate_within`].
-    pub fn estimate_with_diagnostics<L: LimitState + ?Sized + Sync>(
-        &self,
-        limit_state: &L,
-        n_is: usize,
-        rng: &mut impl Rng,
-    ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
+    ) -> Result<(IsResult, bool), NofisError> {
         let oracle = BudgetedOracle::new(limit_state, n_is as u64);
         self.estimate_within(&oracle, n_is, rng)
     }
 
     /// One importance-sampling pass of `n_is` draws from the final proposal
-    /// `q_{MK}`, drawing its simulator calls from `oracle`, plus
-    /// [`WeightDiagnostics`] over the draw's finite log-weights.
+    /// `q_{MK}`, drawing its simulator calls from `oracle`. Returns the
+    /// estimate and whether it looks healthy: finite, with at least one
+    /// failure hit, and a weight tail with [`IsResult::pareto_k`] below
+    /// 0.7.
     ///
-    /// The `estimate` telemetry span reports whether the draw looks
-    /// `healthy`: a finite estimate, at least one failure hit, and
-    /// [`WeightDiagnostics::looks_healthy`]. The verdict is observed only;
+    /// The verdict is observed only, and the `estimate` telemetry span
+    /// records it with the estimate's hits, ESS, standard error and `k̂`:
     /// an unhealthy draw is still the returned estimate. A draw with no
     /// failure hits returns an estimate of 0. When the budget cannot cover
     /// `n_is`, the draw uses what remains.
@@ -1316,19 +1310,23 @@ impl TrainedNofis {
         oracle: &BudgetedOracle<'_, L>,
         n_is: usize,
         rng: &mut impl Rng,
-    ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
+    ) -> Result<(IsResult, bool), NofisError> {
         let mut span = tele::span(tele::Level::Info, "estimate");
         let calls_start = oracle.used();
-        let result = self.draw_estimate(oracle, n_is, rng);
+        let result = self
+            .draw_estimate(oracle, n_is, rng)
+            .map(|r| (r, looks_healthy(&r)));
         if span.is_enabled() {
             match &result {
-                Ok((r, diag)) => {
-                    // Diagnostics exist only when the draw saw a finite hit.
-                    let healthy = diag.as_ref().is_some_and(|d| d.looks_healthy());
-                    span.field("healthy", healthy);
+                Ok((r, healthy)) => {
+                    span.field("healthy", *healthy);
                     span.field("estimate", r.estimate);
                     span.field("hits", r.hits);
                     span.field("ess", r.effective_sample_size);
+                    span.field("std_error", r.std_error);
+                    if let Some(k) = r.pareto_k {
+                        span.field("pareto_k", k);
+                    }
                 }
                 Err(e) => span.field("error", e.to_string()),
             }
@@ -1345,7 +1343,7 @@ impl TrainedNofis {
         oracle: &BudgetedOracle<'_, L>,
         n_is: usize,
         rng: &mut impl Rng,
-    ) -> Result<(IsResult, Option<WeightDiagnostics>), NofisError> {
+    ) -> Result<IsResult, NofisError> {
         if n_is == 0 {
             return Err(NofisError::InvalidInput {
                 message: "n_is must be positive".into(),
@@ -1369,17 +1367,9 @@ impl TrainedNofis {
         // A worker-thread panic during the pooled batch evaluation is
         // contained here and surfaces as a typed error.
         let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            importance_sampling_detailed_with_pool(
-                oracle,
-                0.0,
-                &q,
-                &p,
-                n,
-                rng,
-                nofis_parallel::global(),
-            )
+            importance_sampling(oracle, 0.0, &q, &p, n, rng, nofis_parallel::global())
         }));
-        let Ok((result, log_weights)) = eval else {
+        let Ok(result) = eval else {
             return Err(NofisError::DegenerateProposal {
                 context: "a worker panicked during the final-proposal estimate".into(),
             });
@@ -1389,9 +1379,7 @@ impl TrainedNofis {
                 context: format!("the final-proposal estimate is {}", result.estimate),
             });
         }
-        let finite: Vec<f64> = log_weights.into_iter().filter(|w| w.is_finite()).collect();
-        let diag = (!finite.is_empty()).then(|| WeightDiagnostics::from_log_weights(&finite));
-        Ok((result, diag))
+        Ok(result)
     }
 
     /// Borrows the underlying flow and parameters (read-only diagnostics).

@@ -40,7 +40,6 @@
 
 mod batch;
 mod budget;
-mod diagnostics;
 mod estimate;
 mod gaussian;
 mod importance;
@@ -48,11 +47,10 @@ mod limit_state;
 
 pub use batch::{batch_values_with, ORACLE_CHUNK};
 pub use budget::BudgetedOracle;
-pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};
 pub use importance::{
-    importance_sampling, importance_sampling_detailed_with_pool, monte_carlo,
-    monte_carlo_with_pool, FallbackRung, IsResult, McResult, Proposal,
+    importance_sampling, monte_carlo, monte_carlo_with_pool, FallbackRung, IsResult, McResult,
+    Proposal,
 };
 pub use limit_state::{CountingOracle, LimitState};

@@ -12,8 +12,8 @@
 
 use nofis_parallel::ThreadPool;
 use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, BudgetedOracle, CountingOracle,
-    LimitState, StandardGaussian, ORACLE_CHUNK,
+    batch_values_with, importance_sampling, BudgetedOracle, CountingOracle, LimitState,
+    StandardGaussian, ORACLE_CHUNK,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,16 +88,25 @@ fn grant_plus_parallel_importance_sampling_is_exact() {
     let counting = CountingOracle::new(&Sphere);
     let budgeted = BudgetedOracle::new(&counting, 5000);
     let p = StandardGaussian::new(2);
+    let mut first = None;
     for threads in [1, 2, 8] {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(3);
         let n = budgeted.grant(777);
         assert_eq!(n, 777);
         let before = budgeted.used();
-        let (result, _) =
-            importance_sampling_detailed_with_pool(&budgeted, 0.0, &p, &p, n, &mut rng, &pool);
-        assert!(result.estimate.is_finite());
+        let r = importance_sampling(&budgeted, 0.0, &p, &p, n, &mut rng, &pool);
+        assert!(r.estimate.is_finite());
         assert_eq!(budgeted.used() - before, 777, "threads={threads}");
+        // The same draw gives the same result, bit for bit, at any width.
+        let bits = (
+            r.estimate.to_bits(),
+            r.hits,
+            r.effective_sample_size.to_bits(),
+            r.std_error.to_bits(),
+            r.pareto_k.map(f64::to_bits),
+        );
+        assert_eq!(*first.get_or_insert(bits), bits, "threads={threads}");
     }
     assert_eq!(counting.calls(), 3 * 777);
     assert_eq!(budgeted.overruns(), 0);

@@ -184,8 +184,8 @@ impl std::fmt::Display for TelemetryError {
 
 impl std::error::Error for TelemetryError {}
 
-/// Sink selection carried on `NofisConfig` (and overridable from the
-/// environment; see [`init`]).
+/// Sink selection passed to [`init`], which lets the environment override
+/// each field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Settings {
     /// Pretty per-event lines on stderr at this verbosity. `None` (the

@@ -1,4 +1,4 @@
-//! Photonic Y-branch yield analysis with importance-weight diagnostics.
+//! Photonic Y-branch yield analysis with an importance-weight health check.
 //!
 //! ```text
 //! cargo run --release --example photonic_yield
@@ -6,10 +6,12 @@
 //!
 //! Runs the Crank–Nicolson BPM on the Y-branch splitter, shows the output
 //! field under nominal and deformed sidewalls, then estimates the
-//! low-transmission failure probability with NOFIS and inspects the
-//! realized importance weights — demonstrating how
-//! [`WeightDiagnostics`](nofis_prob::WeightDiagnostics) flags an
-//! under-covering proposal instead of silently trusting the estimate.
+//! low-transmission failure probability with NOFIS and reports how far the
+//! realized importance weights can be trusted — the estimate's standard
+//! error, its PSIS tail shape `k̂`
+//! ([`IsResult::pareto_k`](nofis_prob::IsResult::pareto_k)) and the health
+//! verdict, which flags an under-covering proposal instead of silently
+//! trusting the estimate.
 
 use nofis_core::{Levels, Nofis, NofisConfig};
 use nofis_photonics::{BpmConfig, BpmSolver, YBranch};
@@ -68,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut rng = StdRng::seed_from_u64(3);
     let trained = Nofis::new(config)?.train(&oracle, &mut rng)?;
-    let (result, diagnostics) = trained.estimate_with_diagnostics(&oracle, 400, &mut rng)?;
+    let (result, healthy) = trained.estimate(&oracle, 400, &mut rng)?;
 
     println!(
         "\nNOFIS estimate : {:.3e}  ({} calls)",
@@ -86,19 +88,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.estimate.to_bits(),
         oracle.calls()
     );
-    match diagnostics {
-        Some(d) => {
-            println!(
-                "weight health  : max share {:.2}, tail index {:?}, healthy = {}",
-                d.max_weight_share,
-                d.hill_tail_index,
-                d.looks_healthy()
-            );
-            if !d.looks_healthy() {
-                println!("  → the proposal under-covers the failure region; treat the estimate as a lower bound and cross-check with SUS");
-            }
-        }
-        None => println!("weight health  : no failure-region samples — estimate is 0"),
+    let pareto_k = result.pareto_k.map_or("-".into(), |k| format!("{k:.2}"));
+    println!(
+        "weight health  : std error {:.3e}, pareto k {pareto_k}, healthy = {healthy}",
+        result.std_error
+    );
+    if result.hits == 0 {
+        println!("  → no failure-region samples — the estimate is 0");
+    } else if !healthy {
+        println!("  → the proposal under-covers the failure region; treat the estimate as a lower bound and cross-check with SUS");
     }
     Ok(())
 }

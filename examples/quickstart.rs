@@ -27,6 +27,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Per-stage progress on stderr; NOFIS_LOG / NOFIS_TRACE_FILE override
+    // this (telemetry never changes the numbers).
+    telemetry::init(&telemetry::Settings::stderr(telemetry::Level::Info))?;
     let mut rng = StdRng::seed_from_u64(2024);
 
     // 1. The failure event: a `LimitState` with g(x) <= 0 on failure.
@@ -43,9 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch_size: 400,
         n_is: 1_000,
         tau: 20.0,
-        // Per-stage progress on stderr; NOFIS_LOG / NOFIS_TRACE_FILE
-        // override this (telemetry never changes the numbers).
-        telemetry: telemetry::Settings::stderr(telemetry::Level::Info),
         ..Default::default()
     };
     let nofis = Nofis::new(config)?;

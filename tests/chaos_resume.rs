@@ -78,6 +78,8 @@ fn fresh_dir(name: &str) -> PathBuf {
 struct Outcome {
     estimate: u64,
     ess: u64,
+    std_error: u64,
+    pareto_k: Option<u64>,
     hits: u64,
     rung: String,
     levels: Vec<u64>,
@@ -89,6 +91,8 @@ fn outcome(trained: &TrainedNofis, result: &IsResult) -> Outcome {
     Outcome {
         estimate: result.estimate.to_bits(),
         ess: result.effective_sample_size.to_bits(),
+        std_error: result.std_error.to_bits(),
+        pareto_k: result.pareto_k.map(f64::to_bits),
         hits: result.hits,
         rung: format!("{:?}", result.rung),
         levels: trained.levels().iter().map(|l| l.to_bits()).collect(),

@@ -318,6 +318,12 @@ fn full_run_is_bitwise_identical_with_compilation_on_or_off() {
         off.effective_sample_size.to_bits(),
         "ess"
     );
+    assert_eq!(on.std_error.to_bits(), off.std_error.to_bits(), "std_error");
+    assert_eq!(
+        on.pareto_k.map(f64::to_bits),
+        off.pareto_k.map(f64::to_bits),
+        "pareto_k"
+    );
 }
 
 /// An uneven minibatch tail (batch_size % minibatch != 0) forces a
@@ -349,5 +355,11 @@ fn uneven_minibatch_tail_is_bitwise_identical() {
         on.effective_sample_size.to_bits(),
         off.effective_sample_size.to_bits(),
         "ess"
+    );
+    assert_eq!(on.std_error.to_bits(), off.std_error.to_bits(), "std_error");
+    assert_eq!(
+        on.pareto_k.map(f64::to_bits),
+        off.pareto_k.map(f64::to_bits),
+        "pareto_k"
     );
 }

@@ -5,9 +5,10 @@ use nofis_baselines::{
     AdaptIsEstimator, McEstimator, RareEventEstimator, SssEstimator, SusEstimator,
 };
 use nofis_core::{Levels, Nofis, NofisConfig, NofisError};
-use nofis_prob::{CountingOracle, LimitState, WeightDiagnostics};
+use nofis_prob::{importance_sampling, CountingOracle, LimitState, Proposal, StandardGaussian};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A limit state that always fails: P = 1.
 struct AlwaysFails;
@@ -126,12 +127,49 @@ fn oracle_counts_are_exact_under_failure_paths() {
 
 #[test]
 fn weight_diagnostics_flag_degenerate_is() {
-    // Proposal far off target: one dominant weight among tiny ones.
-    let mut lw = vec![-30.0; 40];
-    lw[7] = 0.0;
-    let d = WeightDiagnostics::from_log_weights(&lw);
-    assert!(!d.looks_healthy());
-    assert!(d.effective_sample_size < 2.0);
+    // Proposal far off target: one dominant weight among tiny ones. The
+    // proposal emits the points 0, 1, 2, … and puts e³⁰ times p's density
+    // on every one but point 7, so all 40 draws fail with log-weight −30
+    // except draw 7, whose log-weight is 0.
+    struct OffTarget(AtomicUsize);
+    impl Proposal for OffTarget {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn sample(&self, _: &mut dyn rand::RngCore) -> Vec<f64> {
+            vec![self.0.fetch_add(1, Ordering::Relaxed) as f64]
+        }
+        fn log_density(&self, x: &[f64]) -> f64 {
+            let boost = if x[0] == 7.0 { 0.0 } else { 30.0 };
+            StandardGaussian::new(1).log_density(x) + boost
+        }
+    }
+    struct Everywhere;
+    impl LimitState for Everywhere {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn value(&self, _: &[f64]) -> f64 {
+            -1.0
+        }
+    }
+    let p = StandardGaussian::new(1);
+    let mut rng = StdRng::seed_from_u64(0);
+    let pool = nofis_parallel::global();
+    let r = importance_sampling(
+        &Everywhere,
+        0.0,
+        &OffTarget(AtomicUsize::new(0)),
+        &p,
+        40,
+        &mut rng,
+        pool,
+    );
+    assert_eq!(r.hits, 40);
+    assert!(r.effective_sample_size < 2.0);
+    // The dominant weight is the tail's only point: too few to fit a
+    // shape, which the health rule counts as unhealthy.
+    assert_eq!(r.pareto_k, None);
 }
 
 #[test]
@@ -276,10 +314,11 @@ fn degenerate_proposal_still_returns_its_own_estimate() {
 
     let n_is = 400;
     let oracle = CountingOracle::new(&LeftTail);
-    let result = trained
+    let (result, healthy) = trained
         .estimate(&oracle, n_is, &mut rng)
         .expect("a degenerate proposal still yields an estimate");
     assert!(result.estimate.is_finite() && result.estimate >= 0.0);
+    assert!(!healthy, "{result:?}");
     // One draw from the final proposal, within the `n_is` budget.
     assert!(
         oracle.calls() <= n_is as u64,

@@ -212,6 +212,11 @@ fn fault_matrix_never_panics_never_overruns() {
         faulted.effective_sample_size.to_bits(),
         clean.effective_sample_size.to_bits()
     );
+    assert_eq!(faulted.std_error.to_bits(), clean.std_error.to_bits());
+    assert_eq!(
+        faulted.pareto_k.map(f64::to_bits),
+        clean.pareto_k.map(f64::to_bits)
+    );
     // The failed generations are simply missing; later writes succeeded.
     let survivors = nofis::core::checkpoint::list_generations(&dir).unwrap();
     let clean_count = nofis::core::checkpoint::list_generations(&clean_dir)

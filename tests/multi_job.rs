@@ -80,6 +80,16 @@ fn assert_bitwise(label: &str, got: &IsResult, want: &IsResult) {
         want.effective_sample_size.to_bits(),
         "{label}: ESS differs"
     );
+    assert_eq!(
+        got.std_error.to_bits(),
+        want.std_error.to_bits(),
+        "{label}: standard error differs"
+    );
+    assert_eq!(
+        got.pareto_k.map(f64::to_bits),
+        want.pareto_k.map(f64::to_bits),
+        "{label}: Pareto k differs"
+    );
 }
 
 fn fresh_dir(name: &str) -> PathBuf {

@@ -157,6 +157,14 @@ fn two_stage_run_emits_expected_event_sequence() {
         est.f64_field("estimate").map(f64::to_bits),
         Some(result.estimate.to_bits())
     );
+    assert_eq!(
+        est.f64_field("std_error").map(f64::to_bits),
+        Some(result.std_error.to_bits())
+    );
+    assert_eq!(
+        est.f64_field("pareto_k").map(f64::to_bits),
+        result.pareto_k.map(f64::to_bits)
+    );
 
     // Snapshot counters surface the autograd pool and pruning meters.
     for name in [
@@ -244,7 +252,8 @@ fn unhealthy_estimates_are_reported_on_the_span() {
         .expect("training succeeds");
 
     let (events, result) = capture(Level::Trace, || trained.estimate(&LeftTail, 400, &mut rng));
-    let result = result.expect("an unhealthy draw is still an estimate");
+    let (result, healthy) = result.expect("an unhealthy draw is still an estimate");
+    assert!(!healthy);
     let est = estimate_span(&events);
     assert_eq!(est.bool_field("healthy"), Some(false));
     assert_eq!(
@@ -257,8 +266,9 @@ fn unhealthy_estimates_are_reported_on_the_span() {
 
     // A draw without a single hit estimates 0 and is reported unhealthy.
     let (events, result) = capture(Level::Info, || trained.estimate(&NeverFails, 400, &mut rng));
-    let result = result.expect("a hitless draw is still an estimate");
+    let (result, healthy) = result.expect("a hitless draw is still an estimate");
     assert_eq!(result.estimate, 0.0);
+    assert!(!healthy);
     assert_eq!(estimate_span(&events).bool_field("healthy"), Some(false));
 }
 
@@ -306,6 +316,14 @@ fn results_are_bitwise_identical_with_telemetry_on_and_off() {
     assert_eq!(
         result_off.effective_sample_size.to_bits(),
         result_on.effective_sample_size.to_bits()
+    );
+    assert_eq!(
+        result_off.std_error.to_bits(),
+        result_on.std_error.to_bits()
+    );
+    assert_eq!(
+        result_off.pareto_k.map(f64::to_bits),
+        result_on.pareto_k.map(f64::to_bits)
     );
     assert_eq!(trained_off.levels(), trained_on.levels());
     let bits = |h: &[Vec<f64>]| -> Vec<Vec<u64>> {
