@@ -167,9 +167,9 @@ impl Graph {
         self.pool.stats()
     }
 
-    /// Snapshot of the cumulative tape/pool counters. Callers emit these
-    /// as telemetry gauges at stage boundaries; deltas between snapshots
-    /// give per-stage allocations and pruning effectiveness.
+    /// Snapshot of the cumulative tape/pool counters. Deltas between
+    /// snapshots give per-stage allocations and pruning effectiveness,
+    /// which training writes onto each `train.stage` span.
     pub fn snapshot(&self) -> GraphStats {
         GraphStats {
             pool: self.pool.stats(),

@@ -23,13 +23,6 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-impl PoolStats {
-    /// Total requests served.
-    pub fn requests(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
 /// A pool of recycled `f64` buffers, segregated into power-of-two size
 /// classes by capacity.
 ///

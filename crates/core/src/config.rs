@@ -111,9 +111,8 @@ pub struct NofisConfig {
     /// continues a killed run bitwise-identically from the newest valid
     /// one. In [`Nofis::new`](crate::Nofis::new), `NOFIS_CKPT_DIR` enables
     /// checkpointing when this field is `None` (an explicit directory
-    /// wins), and `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP` override the
-    /// interval and rotation depth. `None` (the default) writes nothing
-    /// and costs one branch per optimizer step.
+    /// wins), and `NOFIS_CKPT_EVERY` overrides the interval. `None` (the
+    /// default) writes nothing and costs one branch per optimizer step.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
@@ -253,29 +252,18 @@ impl NofisConfig {
         Ok(())
     }
 
-    /// Applies the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP`
-    /// environment overrides to [`NofisConfig::checkpoint`] (called by
+    /// Applies the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` environment
+    /// overrides to [`NofisConfig::checkpoint`] (called by
     /// [`Nofis::new`](crate::Nofis::new)). `NOFIS_CKPT_DIR` enables
     /// checkpointing when the field is `None` and leaves an explicit
-    /// directory alone; the interval and rotation variables refine
-    /// whichever configuration results.
+    /// directory alone; the interval variable refines whichever
+    /// configuration results.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when a set variable does not parse as a
-    /// positive integer.
+    /// Returns [`ConfigError`] when `NOFIS_CKPT_DIR` is empty or
+    /// `NOFIS_CKPT_EVERY` does not parse as a positive integer.
     pub(crate) fn apply_checkpoint_env(&mut self) -> Result<(), ConfigError> {
-        fn positive(name: &str) -> Result<Option<u64>, ConfigError> {
-            match std::env::var(name) {
-                Ok(raw) => match raw.trim().parse::<u64>() {
-                    Ok(v) if v > 0 => Ok(Some(v)),
-                    _ => Err(ConfigError::new(format!(
-                        "{name} must be a positive integer, got {raw:?}"
-                    ))),
-                },
-                Err(_) => Ok(None),
-            }
-        }
         if let Ok(dir) = std::env::var("NOFIS_CKPT_DIR") {
             if dir.is_empty() {
                 return Err(ConfigError::new("NOFIS_CKPT_DIR must be non-empty"));
@@ -284,14 +272,17 @@ impl NofisConfig {
                 self.checkpoint = Some(CheckpointConfig::new(dir));
             }
         }
-        if let Some(every) = positive("NOFIS_CKPT_EVERY")? {
+        if let Ok(raw) = std::env::var("NOFIS_CKPT_EVERY") {
+            let every = match raw.trim().parse::<u64>() {
+                Ok(v) if v > 0 => v,
+                _ => {
+                    return Err(ConfigError::new(format!(
+                        "NOFIS_CKPT_EVERY must be a positive integer, got {raw:?}"
+                    )))
+                }
+            };
             if let Some(ckpt) = &mut self.checkpoint {
                 ckpt.every_steps = every;
-            }
-        }
-        if let Some(keep) = positive("NOFIS_CKPT_KEEP")? {
-            if let Some(ckpt) = &mut self.checkpoint {
-                ckpt.keep = keep as usize;
             }
         }
         Ok(())

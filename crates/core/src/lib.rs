@@ -39,10 +39,10 @@
 //!
 //! # Telemetry
 //!
-//! The pipeline is instrumented with structured telemetry (spans, counters,
-//! gauges, events) from `nofis_telemetry`, re-exported here as
-//! [`telemetry`]. Sinks are selected by the `NOFIS_LOG` /
-//! `NOFIS_TRACE_FILE` / `NOFIS_FLIGHT_DIR` environment variables and
+//! The pipeline is instrumented with structured telemetry (point events
+//! and spans) from `nofis_telemetry`, re-exported here as [`telemetry`].
+//! Sinks are selected by the `NOFIS_LOG` / `NOFIS_TRACE_FILE` /
+//! `NOFIS_FLIGHT_DIR` environment variables and
 //! installed by [`Nofis::new`], or by a program's own `telemetry::init`
 //! call before it. Telemetry observes the run but never influences it —
 //! results are bitwise identical with sinks on or off (DESIGN.md §10).

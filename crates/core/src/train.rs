@@ -117,13 +117,12 @@ impl Nofis {
     /// (DESIGN.md §10).
     ///
     /// Checkpoint settings from [`NofisConfig::checkpoint`] are combined
-    /// with the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` / `NOFIS_CKPT_KEEP`
-    /// environment variables: `NOFIS_CKPT_DIR` enables checkpointing when
-    /// the config has none (an explicit directory wins), and the interval
-    /// and rotation variables override the config's values. A
-    /// `NOFIS_FAULT_PLAN` variable, if present, installs the deterministic
-    /// fault-injection plan (`nofis_faults`) process-wide on the first
-    /// call.
+    /// with the `NOFIS_CKPT_DIR` / `NOFIS_CKPT_EVERY` environment
+    /// variables: `NOFIS_CKPT_DIR` enables checkpointing when the config
+    /// has none (an explicit directory wins), and `NOFIS_CKPT_EVERY`
+    /// overrides the config's write interval. A `NOFIS_FAULT_PLAN`
+    /// variable, if present, installs the deterministic fault-injection
+    /// plan (`nofis_faults`) process-wide on the first call.
     ///
     /// # Errors
     ///
@@ -702,23 +701,10 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
         // Defensive: the fixed schedule always ends at 0.0 by validation;
         // the adaptive one breaks on 0.0 or forces it at the last stage.
         debug_assert_eq!(run.levels.last().copied(), Some(0.0));
-        if tele::enabled(tele::Level::Info) {
-            tele::event(tele::Level::Info, "train.end")
-                .field("stages", run.levels.len())
-                .field("oracle_calls", self.oracle.used())
-                .emit();
-            // The pool is guaranteed built by now (every minibatch ran
-            // through it), so this read never constructs anything.
-            let usage = nofis_parallel::global().usage();
-            for (name, value) in [
-                ("parallel.runs", usage.runs),
-                ("parallel.chunks", usage.chunks),
-                ("parallel.inline_runs", usage.inline_runs),
-                ("parallel.helper_dispatches", usage.helper_dispatches),
-            ] {
-                tele::counter(tele::Level::Debug, name, value).emit();
-            }
-        }
+        tele::event(tele::Level::Info, "train.end")
+            .field("stages", run.levels.len())
+            .field("oracle_calls", self.oracle.used())
+            .emit();
         Ok(run.into_trained(k))
     }
 
@@ -1102,24 +1088,6 @@ impl<'a, 'o, L: LimitState + ?Sized + Sync, R: Rng + StateRng> StageRunner<'a, '
             span.field("pool_misses", stats.pool.misses - start.pool.misses);
             span.field("skipped_nodes", stats.skipped_nodes - start.skipped_nodes);
             span.field("pruned_nodes", stats.pruned_nodes - start.pruned_nodes);
-            for (name, value) in [
-                ("oracle.calls", self.oracle.used()),
-                ("autograd.pool.hits", stats.pool.hits),
-                ("autograd.pool.misses", stats.pool.misses),
-                ("autograd.backward.skipped", stats.skipped_nodes),
-                ("autograd.tape.pruned", stats.pruned_nodes),
-            ] {
-                tele::counter(tele::Level::Debug, name, value).emit();
-            }
-            let requests = stats.pool.requests();
-            if requests > 0 {
-                tele::gauge(
-                    tele::Level::Debug,
-                    "autograd.pool.hit_rate",
-                    stats.pool.hits as f64 / requests as f64,
-                )
-                .emit();
-            }
         }
         span.end();
         run.stage_reports.push(report);

@@ -15,9 +15,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Cumulative utilization counters for a [`ThreadPool`], read via
-/// [`ThreadPool::usage`]. Purely observational (telemetry gauges):
-/// counters never influence scheduling, so chunk assignment and results
-/// are unaffected by whether anyone reads them.
+/// [`ThreadPool::usage`]. Purely observational: counters never influence
+/// scheduling, so chunk assignment and results are unaffected by whether
+/// anyone reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolUsage {
     /// Chunked runs executed (`run_chunks` calls with work).
@@ -50,21 +50,7 @@ pub struct LaneGuard<'a> {
 
 impl Drop for LaneGuard<'_> {
     fn drop(&mut self) {
-        let active = self.pool.active_clients.fetch_sub(1, Ordering::Relaxed) - 1;
-        emit_lanes(active);
-    }
-}
-
-/// Publishes the lane-registration count as a `parallel.lanes` trace
-/// gauge: how many pool lanes are in use right now.
-fn emit_lanes(active: usize) {
-    if nofis_telemetry::enabled(nofis_telemetry::Level::Trace) {
-        nofis_telemetry::gauge(
-            nofis_telemetry::Level::Trace,
-            "parallel.lanes",
-            active as f64,
-        )
-        .emit();
+        self.pool.active_clients.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -224,8 +210,7 @@ impl ThreadPool {
     /// [`LaneGuard`]. Cheap (one atomic increment) and reentrant — nested
     /// guards just count as extra clients.
     pub fn lane_guard(&self) -> LaneGuard<'_> {
-        let active = self.active_clients.fetch_add(1, Ordering::Relaxed) + 1;
-        emit_lanes(active);
+        self.active_clients.fetch_add(1, Ordering::Relaxed);
         LaneGuard { pool: self }
     }
 

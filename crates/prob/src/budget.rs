@@ -41,36 +41,6 @@ fn budget_fault(used: &AtomicU64, budget: u64) {
     }
 }
 
-/// Emits budget-spend telemetry for a planned chunk: a per-grant trace
-/// record, plus a debug-level truncation event whenever
-/// the affordable count fell short of the request (the moment a run
-/// starts degrading). Purely observational — never affects the grant.
-fn record_grant(want: usize, granted: usize, used: u64, budget: u64) {
-    let remaining = budget.saturating_sub(used);
-    if tele::enabled(tele::Level::Trace) {
-        tele::event(tele::Level::Trace, "budget.grant")
-            .field("op", "grant")
-            .field("want", want)
-            .field("granted", granted)
-            .field("used", used)
-            .field("budget", budget)
-            .emit();
-        // Headroom gauge at every grant site: dashboards and the
-        // sweep report watch this to see a run approach its budget wall
-        // without re-deriving it from grant arithmetic.
-        tele::gauge(tele::Level::Trace, "budget.remaining", remaining as f64).emit();
-    }
-    if granted < want && tele::enabled(tele::Level::Debug) {
-        tele::event(tele::Level::Debug, "budget.truncated")
-            .field("op", "grant")
-            .field("want", want)
-            .field("granted", granted)
-            .field("remaining", remaining)
-            .emit();
-        tele::gauge(tele::Level::Debug, "budget.remaining", remaining as f64).emit();
-    }
-}
-
 /// A [`LimitState`] wrapper enforcing a hard simulator-call budget.
 ///
 /// The oracle counts every `value`/`value_grad` invocation. Consumers are
@@ -153,11 +123,20 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
 
     /// Truncates a planned chunk of `want` calls to what the remaining
     /// budget affords. Returns the affordable count (possibly 0) without
-    /// consuming anything; consumption happens as calls are made.
+    /// consuming anything; consumption happens as calls are made. A
+    /// shortfall emits a debug-level `budget.truncated` event: the moment a
+    /// run starts degrading.
     pub fn grant(&self, want: usize) -> usize {
         budget_fault(&self.used, self.budget);
-        let granted = (want as u64).min(self.remaining()) as usize;
-        record_grant(want, granted, self.used(), self.budget);
+        let remaining = self.remaining();
+        let granted = (want as u64).min(remaining) as usize;
+        if granted < want {
+            tele::event(tele::Level::Debug, "budget.truncated")
+                .field("want", want)
+                .field("granted", granted)
+                .field("remaining", remaining)
+                .emit();
+        }
         granted
     }
 

@@ -280,7 +280,6 @@ struct QueuedJob {
 
 struct QueueState {
     queue: VecDeque<QueuedJob>,
-    running: usize,
     shutdown: bool,
 }
 
@@ -289,18 +288,7 @@ struct RunnerInner {
     wake: Condvar,
     capacity: usize,
     next_id: AtomicU64,
-    workers_alive: AtomicU64,
     pool: &'static nofis_parallel::ThreadPool,
-}
-
-/// Publishes the queue/running depths as gauges (`queue.depth`,
-/// `jobs.active`) — called at every transition while the state lock is
-/// held, so the pair is always mutually consistent.
-fn emit_depth(st: &QueueState) {
-    if tele::enabled(tele::Level::Debug) {
-        tele::gauge(tele::Level::Debug, "queue.depth", st.queue.len() as f64).emit();
-        tele::gauge(tele::Level::Debug, "jobs.active", st.running as f64).emit();
-    }
 }
 
 impl RunnerInner {
@@ -361,13 +349,11 @@ impl JobRunner {
         let inner = Arc::new(RunnerInner {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
-                running: 0,
                 shutdown: false,
             }),
             wake: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             next_id: AtomicU64::new(1),
-            workers_alive: AtomicU64::new(0),
             pool: nofis_parallel::global(),
         });
         let workers = (0..config.workers.max(1))
@@ -425,7 +411,6 @@ impl JobRunner {
             return handle;
         }
         st.queue.push_back(QueuedJob { id, spec, shared });
-        emit_depth(&st);
         drop(st);
         inner.wake.notify_one();
         handle
@@ -462,19 +447,9 @@ impl Drop for JobRunner {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(inner: &RunnerInner) {
-    let alive = inner.workers_alive.fetch_add(1, Ordering::Relaxed) + 1;
-    tele::gauge(tele::Level::Debug, "workers.alive", alive as f64).emit();
-    worker_run(inner);
-    let alive = inner.workers_alive.fetch_sub(1, Ordering::Relaxed) - 1;
-    tele::gauge(tele::Level::Debug, "workers.alive", alive as f64).emit();
-}
-
-fn worker_run(inner: &RunnerInner) {
     let mut st = lock(&inner.state);
     loop {
         if let Some(job) = st.queue.pop_front() {
-            st.running += 1;
-            emit_depth(&st);
             drop(st);
             execute(inner, job);
             st = lock(&inner.state);
@@ -552,12 +527,6 @@ fn execute(inner: &RunnerInner, job: QueuedJob) {
             nofis.run_warm_or_resume(limit_state.as_ref(), &mut rng, warm.as_deref())?;
         Ok(result)
     }));
-
-    {
-        let mut st = lock(&inner.state);
-        st.running -= 1;
-        emit_depth(&st);
-    }
 
     let result = match outcome {
         Ok(Ok(result)) => Ok(result),

@@ -3,11 +3,11 @@
 //! The multi-job scheduler runs many NOFIS jobs in one process against one
 //! trace file; without a per-record tag the trace is an uninterpretable
 //! interleaving. [`push_context`] attaches a field (e.g. `job = 3`) to the
-//! *current thread*: every [`event`](crate::event), [`span`](crate::span),
-//! [`counter`](crate::counter), and [`gauge`](crate::gauge) created on this
-//! thread while the guard lives carries the field, prepended before the
-//! site's own fields. Guards nest and unwind in LIFO order on drop, so a
-//! scheduler worker can tag a whole job execution with one scope.
+//! *current thread*: every [`event`](crate::event) and [`span`](crate::span)
+//! created on this thread while the guard lives carries the field,
+//! prepended before the site's own fields. Guards nest and unwind in LIFO
+//! order on drop, so a scheduler worker can tag a whole job execution with
+//! one scope.
 //!
 //! Context is thread-local by design: `nofis-parallel` helper threads do
 //! not inherit the caller's context (events emitted from inside pool

@@ -10,10 +10,6 @@ pub enum Kind {
     Event,
     /// A completed scope; `duration_us` is set.
     Span,
-    /// A monotonic counter sample (field `value`).
-    Counter,
-    /// An instantaneous measurement (field `value`).
-    Gauge,
 }
 
 impl Kind {
@@ -22,8 +18,6 @@ impl Kind {
         match self {
             Kind::Event => "event",
             Kind::Span => "span",
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
         }
     }
 
@@ -32,8 +26,6 @@ impl Kind {
         match s {
             "event" => Some(Kind::Event),
             "span" => Some(Kind::Span),
-            "counter" => Some(Kind::Counter),
-            "gauge" => Some(Kind::Gauge),
             _ => None,
         }
     }
@@ -171,10 +163,10 @@ fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-/// Builder for a point event; obtained from [`event`], [`counter`], or
-/// [`gauge`]. When telemetry is disabled at the requested level the
-/// builder is inert and allocation-free (but field *arguments* are still
-/// evaluated — guard expensive ones with [`enabled`]).
+/// Builder for a point event; obtained from [`event`]. When telemetry is
+/// disabled at the requested level the builder is inert and
+/// allocation-free (but field *arguments* are still evaluated — guard
+/// expensive ones with [`enabled`]).
 #[must_use = "an EventBuilder does nothing until .emit()"]
 pub struct EventBuilder {
     inner: Option<Event>,
@@ -210,26 +202,6 @@ pub fn event(level: Level, name: &'static str) -> EventBuilder {
             duration_us: None,
         }),
     }
-}
-
-/// Emits-on-`emit()` a monotonic counter sample: `name{value}`.
-pub fn counter(level: Level, name: &'static str, value: u64) -> EventBuilder {
-    let mut b = event(level, name);
-    if let Some(ev) = &mut b.inner {
-        ev.kind = Kind::Counter;
-        ev.fields.push(("value", Value::U64(value)));
-    }
-    b
-}
-
-/// Emits-on-`emit()` a gauge sample: `name{value}`.
-pub fn gauge(level: Level, name: &'static str, value: f64) -> EventBuilder {
-    let mut b = event(level, name);
-    if let Some(ev) = &mut b.inner {
-        ev.kind = Kind::Gauge;
-        ev.fields.push(("value", Value::F64(value)));
-    }
-    b
 }
 
 /// A scoped measurement: records wall-clock duration from creation to
@@ -329,20 +301,13 @@ mod tests {
         s.field("stage", 2u64);
         s.field("healthy", true);
         s.end();
-        counter(Level::Debug, "calls", 42).emit();
-        gauge(Level::Debug, "ess", 0.5).field("stage", 2u64).emit();
         remove_sink(id);
         let evs = sink.take();
-        assert_eq!(evs.len(), 3);
+        assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, Kind::Span);
         assert_eq!(evs[0].u64_field("stage"), Some(2));
         assert_eq!(evs[0].bool_field("healthy"), Some(true));
         assert!(evs[0].duration_us.is_some());
-        assert_eq!(evs[1].kind, Kind::Counter);
-        assert_eq!(evs[1].u64_field("value"), Some(42));
-        assert_eq!(evs[2].kind, Kind::Gauge);
-        assert_eq!(evs[2].f64_field("value"), Some(0.5));
-        assert_eq!(evs[2].u64_field("stage"), Some(2));
     }
 
     #[test]

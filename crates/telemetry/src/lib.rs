@@ -1,5 +1,5 @@
-//! Structured telemetry for the NOFIS pipeline: spans, counters, gauges,
-//! and events, fanned out to pluggable sinks.
+//! Structured telemetry for the NOFIS pipeline: point events and spans,
+//! fanned out to pluggable sinks.
 //!
 //! NOFIS's multi-stage schedule only works when every stage actually
 //! converges before it freezes, and adaptive importance sampling fails
@@ -10,9 +10,10 @@
 //!
 //! # Model
 //!
-//! * An [`Event`] is one timestamped record: a point event, a completed
-//!   [`Span`] (with a duration), a monotonic counter sample, or a gauge
-//!   sample. Fields are typed [`Value`]s keyed by `&'static str`.
+//! * An [`Event`] is one timestamped record: a point event or a completed
+//!   [`Span`] (with a duration). Fields are typed [`Value`]s keyed by
+//!   `&'static str`; a meter is a field of the span that owns it (a
+//!   stage's oracle calls ride on its `train.stage` span).
 //! * A [`Sink`] receives events. Built-ins: [`StderrSink`] (pretty
 //!   one-line-per-event for humans), [`JsonlSink`] (one JSON object per
 //!   line, machine-readable, consumed by the `nofis-trace` tool),
@@ -28,10 +29,10 @@
 //! When no sink is interested in a level, an instrumentation site costs a
 //! single relaxed atomic load: the registry caches the maximum level any
 //! sink accepts in an `AtomicU8`, and [`enabled`] compares against it.
-//! [`event`]/[`span`]/[`counter`]/[`gauge`] all perform this check before
-//! allocating anything. Callers whose *field expressions* are expensive
-//! (formatting, `to_string`) should guard the whole site with
-//! [`enabled`] — field arguments are evaluated eagerly.
+//! [`event`] and [`span`] both perform this check before allocating
+//! anything. Callers whose *field expressions* are expensive (formatting,
+//! `to_string`) should guard the whole site with [`enabled`] — field
+//! arguments are evaluated eagerly.
 //!
 //! # Observe but never influence
 //!
@@ -77,7 +78,7 @@ mod sink;
 pub mod trace;
 
 pub use context::{push_context, ContextGuard};
-pub use event::{counter, event, gauge, span, Event, EventBuilder, Kind, Span, Value};
+pub use event::{event, span, Event, EventBuilder, Kind, Span, Value};
 pub use json::event_to_json;
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
@@ -103,7 +104,7 @@ pub enum Level {
     Warn = 2,
     /// Run / stage lifecycle: the default human-facing verbosity.
     Info = 3,
-    /// Per-epoch progress and internal counters.
+    /// Per-epoch progress, pilot quantiles and budget truncations.
     Debug = 4,
     /// Per-step firehose (loss and grad-norm for every minibatch).
     Trace = 5,

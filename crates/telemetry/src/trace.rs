@@ -197,12 +197,6 @@ pub fn parse_line(text: &str, line: usize) -> Result<TraceEvent, TraceError> {
             .ok_or_else(|| trace_err(line, format!("field {k:?} has a non-scalar value")))?;
         fields.push((k.clone(), value));
     }
-    if matches!(kind, Kind::Counter | Kind::Gauge) && !fields.iter().any(|(k, _)| k == "value") {
-        return Err(trace_err(
-            line,
-            "counter/gauge records need a \"value\" field",
-        ));
-    }
     Ok(TraceEvent {
         ts_us,
         kind,
@@ -287,12 +281,14 @@ mod tests {
             1
         )
         .is_err());
-        // Counter without value field.
-        assert!(parse_line(
-            "{\"ts_us\":1,\"kind\":\"counter\",\"level\":\"info\",\"name\":\"x\",\"fields\":{\"other\":1}}",
-            1
+        // Counter records, as older builds wrote them, are an unknown kind
+        // even with their `value` field.
+        let e = parse_line(
+            "{\"ts_us\":1,\"kind\":\"counter\",\"level\":\"info\",\"name\":\"x\",\"fields\":{\"value\":1}}",
+            1,
         )
-        .is_err());
+        .unwrap_err();
+        assert!(e.message.contains("unknown kind \"counter\""), "{e}");
         // Negative timestamp.
         assert!(parse_line(
             "{\"ts_us\":-1,\"kind\":\"event\",\"level\":\"info\",\"name\":\"x\",\"fields\":{}}",

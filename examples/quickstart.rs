@@ -8,7 +8,7 @@
 //! The example estimates the paper's "Leaf" event (two failure disks deep
 //! in the tail of a 2-D standard Gaussian, P ≈ 4.7e-6), compares against
 //! plain Monte Carlo at the same budget, and prints the measured call
-//! counts.
+//! counts with the estimate's standard error and Pareto k̂.
 //!
 //! Progress telemetry prints to stderr by default (stage spans, estimate
 //! health). Tune it with `NOFIS_LOG` (`off`, `error`, `warn`, `info`,
@@ -71,6 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  IS hits / ESS     : {} / {:.1}",
         result.hits, result.effective_sample_size
+    );
+    // How far to trust the estimate: its standard error, and the Pareto k̂
+    // of the weight tail (below 0.7 is the healthy range; `-` when the
+    // tail is too short to fit).
+    println!("  std error         : {:.3e}", result.std_error);
+    println!(
+        "  pareto k          : {}",
+        result.pareto_k.map_or("-".into(), |k| format!("{k:.4}"))
     );
 
     // 4. Monte Carlo with the same budget usually sees zero failures.

@@ -166,24 +166,59 @@ fn two_stage_run_emits_expected_event_sequence() {
         result.pareto_k.map(f64::to_bits)
     );
 
-    // Snapshot counters surface the autograd pool and pruning meters.
-    for name in [
-        "autograd.pool.hits",
-        "autograd.pool.misses",
-        "autograd.backward.skipped",
-        "oracle.calls",
-        "parallel.runs",
-    ] {
-        assert!(
-            events
-                .iter()
-                .any(|e| e.name == name && e.kind == tele::Kind::Counter),
-            "missing counter {name}"
-        );
+    // Each stage span carries its autograd pool and pruning deltas.
+    for span in &stage_spans {
+        for name in ["pool_hits", "pool_misses", "skipped_nodes", "pruned_nodes"] {
+            assert!(span.u64_field(name).is_some(), "stage span lacks {name}");
+        }
     }
 
     // Once the sink is detached the disabled fast path is restored.
     assert!(!tele::enabled(Level::Error));
+}
+
+#[test]
+fn adaptive_run_trace_adds_up_to_the_oracle_calls() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = NofisConfig {
+        levels: Levels::AdaptiveQuantile {
+            max_stages: 3,
+            p0: 0.1,
+            pilot: 50,
+        },
+        ..two_stage_config()
+    };
+    let (epochs, batch) = (cfg.epochs as u64, cfg.batch_size as u64);
+    let oracle = CountingOracle::new(&RightTail);
+    let (events, result) = capture(Level::Debug, || {
+        let mut rng = StdRng::seed_from_u64(5);
+        Nofis::new(cfg)
+            .expect("valid config")
+            .run(&oracle, &mut rng)
+    });
+    result.expect("adaptive run succeeds");
+
+    let calls = |e: &Event| e.u64_field("oracle_calls").expect("oracle_calls field");
+    let stage_spans: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.name == "train.stage" && e.kind == tele::Kind::Span)
+        .collect();
+    let end = &events[index_of(&events, |e| e.name == "train.end")];
+    assert_eq!(end.u64_field("stages"), Some(stage_spans.len() as u64));
+
+    // Every training call, pilot batches included, lands on a stage span.
+    let pilot: u64 = events
+        .iter()
+        .filter(|e| e.name == "train.pilot")
+        .map(|e| e.u64_field("granted").expect("granted field"))
+        .sum();
+    assert!(pilot > 0, "the adaptive schedule ran a pilot batch");
+    let trained: u64 = stage_spans.iter().map(|s| calls(s)).sum();
+    assert_eq!(trained, stage_spans.len() as u64 * epochs * batch + pilot);
+    assert_eq!(trained, calls(end));
+
+    // The stages and the estimate together account for every oracle call.
+    assert_eq!(trained + calls(estimate_span(&events)), oracle.calls());
 }
 
 #[test]
