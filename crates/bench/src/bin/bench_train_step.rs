@@ -124,7 +124,7 @@ const CONFIGS: [StepConfig; 2] = [
 /// The two training engines, as `(name, compiled)`. `interpreted` builds
 /// the tape every step on a persistent, pruned graph; `compiled` is the
 /// trace-once/replay engine `nofis_core` runs by default. Both share the
-/// same math (fast tanh, blocked kernels, fused layer ops), so the pair
+/// same math (fast tanh, the matmul row kernel, fused layer ops), so the pair
 /// isolates what tape elimination alone buys.
 const VARIANTS: [(&str, bool); 2] = [("interpreted", false), ("compiled", true)];
 

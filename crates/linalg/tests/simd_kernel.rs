@@ -1,29 +1,29 @@
-//! Exhaustive bitwise validation of the blocked SIMD matmul microkernel
-//! against the scalar reference, plus FD-checked gradients through the
-//! transpose-free backward kernels.
+//! Exhaustive bitwise validation of the matmul row kernel against the
+//! scalar reference, plus FD-checked gradients through the backward
+//! kernels.
 //!
 //! # Accumulation-order contract
 //!
-//! Every kernel in `nofis_parallel::kernels` — scalar reference, blocked
-//! microkernel, and the `a·bᵀ` / `aᵀ·b` backward variants — computes each
+//! Every kernel in `nofis_parallel::kernels` — scalar reference, row
+//! kernel, and the `a·bᵀ` / `aᵀ·b` backward variants — computes each
 //! output element as a sum over the reduction index `kk` in **ascending
 //! order**, starting from `0.0`, with exactly one multiplication and one
 //! addition per term and **no FMA contraction**, skipping terms whose
 //! `a`-side factor is exactly `0.0` (load-bearing: `0.0 * inf` would
-//! NaN-poison outputs that masking relies on). The blocked microkernel
-//! changes only *which register* holds each running sum (a hand-unrolled
-//! 4-lane column tile, refilled per `KC`-deep reduction panel), never the
-//! order of the additions — so it is bitwise identical to the scalar
-//! triple loop, which is what these tests pin: any reassociation (e.g.
-//! pairwise summation, FMA, lane-crossing horizontal adds) fails the
-//! sweep immediately.
+//! NaN-poison outputs that masking relies on). The row kernel changes
+//! only *which register* holds each running sum (a `[f64; N]` array for
+//! rows up to eight wide, the output row beyond), never the order of the
+//! additions — so it is bitwise identical to the scalar triple loop,
+//! which is what these tests pin: any reassociation (e.g. pairwise
+//! summation, FMA, lane-crossing horizontal adds) fails the sweep
+//! immediately.
 //!
-//! The sweep covers all shapes `M, N, K ≤ 9` (every remainder class of
-//! the 4-wide column tiling and tiny reductions) plus the blocking-edge
-//! shapes 63/64/65 around the row-block and lane boundaries, and shapes
-//! crossing the `KC = 512` reduction-panel boundary. Parallel runs are
-//! checked at 1, 2, and 4 threads — the determinism contract requires
-//! the same bits at any thread count.
+//! The sweep covers all shapes `M, N, K ≤ 9` (every register-array width
+//! and tiny reductions), the row-block edges 63/64/65, the flow's
+//! conditioner shapes on both sides of the parallel threshold, and a few
+//! reductions hundreds of terms deep. Parallel runs are checked at 1, 2,
+//! and 4 threads — the determinism contract requires the same bits at any
+//! thread count.
 
 use nofis_linalg::Tensor;
 use nofis_parallel::kernels::{
@@ -62,8 +62,8 @@ fn assert_bits(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// All (m, k, n) the sweeps cover: the exhaustive ≤ 9 cube, the blocking
-/// edges, and reduction depths crossing the KC panel boundary.
+/// All (m, k, n) the sweeps cover: the exhaustive ≤ 9 cube, the row-block
+/// edges, deep reductions and the flow's conditioner shapes.
 fn sweep_shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = Vec::new();
     for m in 1..=9 {
@@ -80,16 +80,28 @@ fn sweep_shapes() -> Vec<(usize, usize, usize)> {
         shapes.push((e, e, 3));
         shapes.push((3, e, e));
     }
-    // Cross the KC = 512 reduction-panel boundary.
+    // Deep reductions.
     shapes.push((4, 511, 9));
     shapes.push((4, 512, 9));
     shapes.push((4, 513, 9));
     shapes.push((11, 600, 7));
+    // The flow's conditioner matmuls (Table 1: Opamp, Cube, Leaf,
+    // Y-branch, ResNet18), below and above the parallel threshold.
+    shapes.extend([
+        (440, 5, 24),
+        (440, 24, 5),
+        (900, 24, 6),
+        (400, 24, 2),
+        (310, 26, 28),
+        (310, 28, 26),
+        (290, 62, 32),
+        (290, 32, 62),
+    ]);
     shapes
 }
 
 #[test]
-fn blocked_kernel_sweep_matches_scalar_reference_bitwise() {
+fn row_kernel_sweep_matches_scalar_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(2024);
     let pools: Vec<ThreadPool> = [1usize, 2, 4].iter().map(|&t| ThreadPool::new(t)).collect();
     for (m, k, n) in sweep_shapes() {
@@ -168,6 +180,62 @@ fn tensor_matmul_rides_the_shared_kernel_bitwise() {
         let mut want = vec![0.0; m * n];
         matmul_scalar_into(&a, &b, &mut want, m, k, n);
         assert_bits(tc.as_slice(), &want, &format!("Tensor ({m},{k},{n})"));
+    }
+}
+
+/// Row-major transpose of a `rows x cols` buffer.
+fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    (0..cols)
+        .flat_map(|c| (0..rows).map(move |r| src[r * cols + c]))
+        .collect()
+}
+
+#[test]
+fn zero_skip_shields_non_finite_b_bitwise() {
+    // Every even reduction index `kk` pairs a column of signed zeros in
+    // `a` (`+0.0` and `−0.0` by turns) with `+inf`, `−inf` and NaN in the
+    // matching `b` entries. Each output must equal the scalar reference
+    // composition bit for bit and stay finite. At m = 130 the k = n = 24
+    // products take the parallel path; the others stay serial.
+    let mut rng = StdRng::seed_from_u64(31);
+    let pools: Vec<ThreadPool> = [1usize, 2, 4].iter().map(|&t| ThreadPool::new(t)).collect();
+    let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let m = 130;
+    for n in (1..=8).chain([24]) {
+        for k in [1, 5, 24] {
+            // `a` is m×k and `b` is k×n, poisoned at every even `kk`.
+            let mut a = fill(&mut rng, m * k);
+            let mut b = fill(&mut rng, k * n);
+            for kk in (0..k).step_by(2) {
+                for i in 0..m {
+                    a[i * k + kk] = if (i + kk) % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                for j in 0..n {
+                    b[kk * n + j] = poison[(kk + j) % poison.len()];
+                }
+            }
+            let mut want = vec![0.0; m * n];
+            matmul_scalar_into(&a, &b, &mut want, m, k, n);
+            assert!(
+                want.iter().all(|v| v.is_finite()),
+                "reference ({m},{k},{n})"
+            );
+            // The same product three ways: a·b; a·(bᵀ)ᵀ; (aᵀ)ᵀ·b.
+            let b_t = transpose(&b, k, n);
+            let a_t = transpose(&a, m, k);
+            for pool in &pools {
+                let t = pool.threads();
+                let mut got = vec![f64::NAN; m * n];
+                matmul_into(pool, &a, &b, &mut got, m, k, n);
+                assert_bits(&got, &want, &format!("a·b@{t} ({m},{k},{n})"));
+                let mut got = vec![f64::NAN; m * n];
+                matmul_bt_into(pool, &a, &b_t, &mut got, m, k, n);
+                assert_bits(&got, &want, &format!("a·bᵀ@{t} ({m},{k},{n})"));
+                let mut got = vec![f64::NAN; m * n];
+                matmul_at_into(pool, &a_t, &b, &mut got, k, m, n);
+                assert_bits(&got, &want, &format!("aᵀ·b@{t} ({m},{k},{n})"));
+            }
+        }
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The matmul kernels here are the single implementation behind
 //! `nofis_linalg::Tensor::matmul` (re-exported as `nofis_autograd::Tensor`),
-//! plus the transpose-free backward products `a @ bᵀ` and `aᵀ @ b`.
-//! All of them are **row-partitioned**: each chunk owns a disjoint block of
-//! output rows, and each output row is computed by exactly the same inner
-//! loop the serial path uses. Because no accumulator is ever shared between
+//! plus the backward products `a @ bᵀ` and `aᵀ @ b`. All three run one
+//! row kernel and are **row-partitioned**: each chunk owns a disjoint block
+//! of output rows, and each output row is computed by exactly the same
+//! inner loop the serial path uses. Because no accumulator is ever shared between
 //! chunks, the parallel result is bitwise identical to the serial one for
 //! any thread count — row partitioning needs no reduction at all.
 //!
@@ -14,16 +14,20 @@
 //! Every kernel in this file computes each output element as a sum over the
 //! reduction index `kk` **in ascending order**, starting from `0.0`, with
 //! one `mul` and one `add` per term (never a fused multiply-add), and skips
-//! the term whenever the `a`-side factor is exactly `0.0`. The blocked
-//! microkernel ([`matmul_serial_into`] / [`matmul_into`]) only changes
-//! *which register* holds the running sum — a 4-wide accumulator tile
-//! instead of the output row — so its per-element add sequence is
-//! identical to the scalar reference ([`matmul_scalar_into`]) and the
-//! results are bitwise equal. The `aik == 0.0` skip is load-bearing for
-//! callers that multiply by sparse masks (`0.0 * inf` would poison the row
-//! with NaN); every kernel preserves it exactly.
+//! the term whenever the `a`-side factor is exactly `0.0`. The row kernel
+//! ([`matmul_serial_into`] / [`matmul_into`]) only changes *which
+//! register* holds the running sum — a `[f64; N]` register array for rows
+//! up to eight wide, the output row itself beyond that — so its
+//! per-element add sequence is identical to the scalar reference
+//! ([`matmul_scalar_into`]) and the results are bitwise equal. `a @ bᵀ`
+//! is literally `transpose(b)` followed by the row kernel, and `aᵀ @ b`
+//! is the row kernel reading each row's factors down a column of `a`. The
+//! `aik == 0.0` skip is load-bearing for callers that multiply by sparse
+//! masks (`0.0 * inf` would poison the row with NaN); every kernel
+//! preserves it exactly.
 
 use crate::ThreadPool;
+use std::cell::Cell;
 
 /// Below this many multiply-adds (`m * k * n`), `matmul_into` stays serial:
 /// the dispatch overhead of even one channel send dwarfs the work.
@@ -33,25 +37,23 @@ pub const PAR_FLOPS_THRESHOLD: usize = 64 * 1024;
 /// chunk boundaries must never depend on the thread count.
 pub const MATMUL_BLOCK_ROWS: usize = 8;
 
-/// Output columns per register tile in the blocked microkernel — four
-/// hand-unrolled f64 lanes, the widest tile that still vectorizes cleanly
-/// on baseline x86-64 (two SSE2 registers) without spilling.
-pub const MATMUL_LANES: usize = 4;
+/// Widest output row whose running sums the row kernel keeps in a
+/// register array; wider rows accumulate in the output row itself.
+const MATMUL_ROW_REGS: usize = 8;
 
-/// Reduction-panel depth of the cache-blocked microkernel: how many `b`
-/// rows a register tile consumes before its accumulators spill to `out`.
-/// A 512-row panel of a 4-wide tile touches 16 KiB of `b` — inside L1 on
-/// every current x86-64/aarch64 part. Blocks are visited in ascending
-/// order, so the per-element add sequence is unchanged.
-const MATMUL_KC: usize = 512;
+thread_local! {
+    /// Reused home of `bᵀ` for [`matmul_bt_into`]: it grows to the largest
+    /// weight matrix a thread transposes, then never allocates again.
+    static BT_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// Scalar reference kernel: `out = a * b` for row-major buffers, where `a`
 /// is `m x k`, `b` is `k x n` and `out` is `m x n`.
 ///
-/// This is the pre-blocking inner loop, kept verbatim as the ground truth
-/// the blocked microkernel is tested against bitwise (see
-/// `crates/linalg/tests/simd_kernel.rs`). Production callers go through
-/// [`matmul_serial_into`] / [`matmul_into`].
+/// This is the plain triple loop, kept as the ground truth the row kernel
+/// is tested against bitwise (see `crates/linalg/tests/simd_kernel.rs`).
+/// Production callers go through [`matmul_serial_into`] /
+/// [`matmul_into`].
 ///
 /// # Panics
 ///
@@ -76,9 +78,9 @@ pub fn matmul_scalar_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: us
     }
 }
 
-/// Serial kernel: `out = a * b` through the blocked microkernel; bitwise
-/// identical to [`matmul_scalar_into`] (see the module-level
-/// accumulation-order contract).
+/// Serial kernel: `out = a * b` through the row kernel; bitwise identical
+/// to [`matmul_scalar_into`] (see the module-level accumulation-order
+/// contract).
 ///
 /// # Panics
 ///
@@ -87,77 +89,100 @@ pub fn matmul_serial_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: us
     assert_eq!(a.len(), m * k, "lhs buffer length");
     assert_eq!(b.len(), k * n, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    matmul_rows(a, b, out, 0, m, k, n);
+    matmul_rows(|i| a[i * k..(i + 1) * k].iter(), b, out, 0, k, n);
 }
 
-/// Blocked microkernel computing output rows `[row_start, row_start + rows)`
-/// of `a * b` into `out_rows` (which holds exactly those rows, row-major).
+/// Row kernel computing the output rows `out_rows` holds of `A * b`, the
+/// first of them being row `row_start`, where `a_row(i)` yields the `k`
+/// factors `A[i, 0..k]` in ascending `kk` (a row of `a`, or a column of
+/// it for `aᵀ * b`).
 ///
-/// Register tiling: each output row is produced in [`MATMUL_LANES`]-wide
-/// column tiles whose running sums live in a hand-unrolled `[f64; 4]`
-/// accumulator, consuming the reduction in [`MATMUL_KC`]-deep panels; the
-/// tile is written back once per panel. Every element is written (never
-/// read-modify-written across calls), so callers need not pre-zero `out`.
-fn matmul_rows(
-    a: &[f64],
+/// Each output row is walked once and each `A[i,kk]` tested for zero once.
+/// Rows up to [`MATMUL_ROW_REGS`] wide keep their sums in a `[f64; N]`
+/// register array; wider rows add `A[i,kk] · b[kk,:]` into the output row.
+/// Every element is written, so callers need not pre-zero `out`.
+fn matmul_rows<'a, I: Iterator<Item = &'a f64>>(
+    a_row: impl Fn(usize) -> I,
     b: &[f64],
     out_rows: &mut [f64],
     row_start: usize,
-    rows: usize,
     k: usize,
     n: usize,
 ) {
-    if k == 0 {
+    if k == 0 || n == 0 {
         out_rows.fill(0.0);
         return;
     }
-    let split = n - n % MATMUL_LANES;
-    for local_i in 0..rows {
-        let i = row_start + local_i;
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_rows[local_i * n..(local_i + 1) * n];
-        let mut kb = 0;
-        while kb < k {
-            let k_end = (kb + MATMUL_KC).min(k);
-            let first = kb == 0;
-            let a_panel = &a_row[kb..k_end];
-            let b_panel = &b[kb * n..k_end * n];
-            let mut j = 0;
-            while j < split {
-                let mut acc = if first {
-                    [0.0f64; MATMUL_LANES]
-                } else {
-                    [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]]
-                };
-                for (&aik, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
+    match n {
+        1 => rows_in_registers::<1, _>(a_row, b, out_rows, row_start),
+        2 => rows_in_registers::<2, _>(a_row, b, out_rows, row_start),
+        3 => rows_in_registers::<3, _>(a_row, b, out_rows, row_start),
+        4 => rows_in_registers::<4, _>(a_row, b, out_rows, row_start),
+        5 => rows_in_registers::<5, _>(a_row, b, out_rows, row_start),
+        6 => rows_in_registers::<6, _>(a_row, b, out_rows, row_start),
+        7 => rows_in_registers::<7, _>(a_row, b, out_rows, row_start),
+        MATMUL_ROW_REGS => rows_in_registers::<MATMUL_ROW_REGS, _>(a_row, b, out_rows, row_start),
+        _ => {
+            for (i, out_row) in (row_start..).zip(out_rows.chunks_exact_mut(n)) {
+                out_row.fill(0.0);
+                for (&aik, b_row) in a_row(i).zip(b.chunks_exact(n)) {
                     if aik == 0.0 {
                         continue;
                     }
-                    let bt = &b_row[j..j + MATMUL_LANES];
-                    acc[0] += aik * bt[0];
-                    acc[1] += aik * bt[1];
-                    acc[2] += aik * bt[2];
-                    acc[3] += aik * bt[3];
-                }
-                out_row[j..j + MATMUL_LANES].copy_from_slice(&acc);
-                j += MATMUL_LANES;
-            }
-            for j in split..n {
-                let mut acc = if first { 0.0 } else { out_row[j] };
-                for (&aik, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
-                    if aik == 0.0 {
-                        continue;
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += aik * bv;
                     }
-                    acc += aik * b_row[j];
                 }
-                out_row[j] = acc;
             }
-            kb = k_end;
         }
     }
 }
 
-/// Blocked, row-partitioned parallel matmul: `out = a * b` with `a` being
+/// [`matmul_rows`] for output rows exactly `N` wide.
+fn rows_in_registers<'a, const N: usize, I: Iterator<Item = &'a f64>>(
+    a_row: impl Fn(usize) -> I,
+    b: &[f64],
+    out_rows: &mut [f64],
+    row_start: usize,
+) {
+    for (i, out_row) in (row_start..).zip(out_rows.chunks_exact_mut(N)) {
+        let mut acc = [0.0f64; N];
+        for (&aik, b_row) in a_row(i).zip(b.chunks_exact(N)) {
+            if aik == 0.0 {
+                continue;
+            }
+            for (s, &bv) in acc.iter_mut().zip(b_row) {
+                *s += aik * bv;
+            }
+        }
+        out_row.copy_from_slice(&acc);
+    }
+}
+
+/// Runs [`matmul_rows`] over all `m` output rows of `out`: serially when
+/// `m * k * n` is below [`PAR_FLOPS_THRESHOLD`] or the pool has a single
+/// lane, else in [`MATMUL_BLOCK_ROWS`]-row chunks on `pool`.
+fn run_rows<'a, I: Iterator<Item = &'a f64>>(
+    pool: &ThreadPool,
+    a_row: impl Fn(usize) -> I + Sync,
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
+        matmul_rows(a_row, b, out, 0, k, n);
+        return;
+    }
+    // Each chunk is MATMUL_BLOCK_ROWS complete output rows (the final chunk
+    // may be shorter) — disjoint `&mut` slices of `out`, no reduction.
+    pool.for_each_chunk_mut(out, MATMUL_BLOCK_ROWS * n, |chunk_idx, out_rows| {
+        matmul_rows(&a_row, b, out_rows, chunk_idx * MATMUL_BLOCK_ROWS, k, n);
+    });
+}
+
+/// Row-partitioned parallel matmul: `out = a * b` with `a` being
 /// `m x k`, `b` being `k x n`, all row-major.
 ///
 /// Falls back to the serial kernel when `m * k * n` is below
@@ -180,84 +205,16 @@ pub fn matmul_into(
     assert_eq!(a.len(), m * k, "lhs buffer length");
     assert_eq!(b.len(), k * n, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
-        matmul_rows(a, b, out, 0, m, k, n);
-        return;
-    }
-    // Each chunk is MATMUL_BLOCK_ROWS complete output rows (the final chunk
-    // may be shorter) — disjoint `&mut` slices of `out`, no reduction.
-    pool.for_each_chunk_mut(out, MATMUL_BLOCK_ROWS * n, |chunk_idx, out_rows| {
-        let row_start = chunk_idx * MATMUL_BLOCK_ROWS;
-        let rows = out_rows.len() / n;
-        matmul_rows(a, b, out_rows, row_start, rows, k, n);
-    });
-}
-
-/// Microkernel for output rows of `a * bᵀ` with `a` being `m x k` and `b`
-/// being `n x k` (`out` is `m x n`): `out[i][j] = Σ_kk a[i,kk] * b[j,kk]`.
-///
-/// Both factors are read along contiguous rows (the transposed-B layout for
-/// the backward pass — each output element is a row-row dot product), so no
-/// reduction panel is needed; a 4-wide tile of `b` rows shares each `a`
-/// load. The `kk` order, the `a[i,kk] == 0.0` skip, and the start-from-zero
-/// accumulators match `transpose(b)` followed by the forward kernel
-/// exactly, so the result is bitwise identical to that composition.
-fn matmul_bt_rows(
-    a: &[f64],
-    b: &[f64],
-    out_rows: &mut [f64],
-    row_start: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let split = n - n % MATMUL_LANES;
-    for local_i in 0..rows {
-        let i = row_start + local_i;
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_rows[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j < split {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut acc = [0.0f64; MATMUL_LANES];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                acc[0] += aik * b0[kk];
-                acc[1] += aik * b1[kk];
-                acc[2] += aik * b2[kk];
-                acc[3] += aik * b3[kk];
-            }
-            out_row[j..j + MATMUL_LANES].copy_from_slice(&acc);
-            j += MATMUL_LANES;
-        }
-        for j in split..n {
-            let bj = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * bj[kk];
-            }
-            out_row[j] = acc;
-        }
-    }
+    run_rows(pool, |i| a[i * k..(i + 1) * k].iter(), b, out, m, k, n);
 }
 
 /// Row-partitioned `out = a * bᵀ` with `a` being `m x k` and `b` being
 /// `n x k`, all row-major (`out` is `m x n`).
 ///
-/// This is the transpose-free backward product (`grad_lhs = upstream * bᵀ`):
-/// bitwise identical to materializing `transpose(b)` and calling
-/// [`matmul_into`], with the same serial-fallback threshold
-/// (`m * k * n < `[`PAR_FLOPS_THRESHOLD`]) and the same
-/// [`MATMUL_BLOCK_ROWS`]-row chunking, so the determinism contract holds at
-/// any thread count.
+/// This is the backward product `grad_lhs = upstream * bᵀ`: `b` (a weight
+/// matrix) is transposed once per call into a reused thread-local buffer
+/// and handed to [`matmul_into`], so the result is that composition, bit
+/// for bit, at any thread count.
 ///
 /// # Panics
 ///
@@ -271,86 +228,27 @@ pub fn matmul_bt_into(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(a.len(), m * k, "lhs buffer length");
     assert_eq!(b.len(), n * k, "rhs buffer length");
-    assert_eq!(out.len(), m * n, "out buffer length");
-    if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
-        matmul_bt_rows(a, b, out, 0, m, k, n);
-        return;
-    }
-    pool.for_each_chunk_mut(out, MATMUL_BLOCK_ROWS * n, |chunk_idx, out_rows| {
-        let row_start = chunk_idx * MATMUL_BLOCK_ROWS;
-        let rows = out_rows.len() / n;
-        matmul_bt_rows(a, b, out_rows, row_start, rows, k, n);
+    BT_SCRATCH.with(|scratch| {
+        // Taken, not borrowed: a reentrant call finds an empty buffer
+        // rather than a held borrow.
+        let mut bt = scratch.take();
+        bt.clear();
+        for kk in 0..k {
+            bt.extend(b.iter().skip(kk).step_by(k));
+        }
+        matmul_into(pool, a, &bt, out, m, k, n);
+        scratch.set(bt);
     });
-}
-
-/// Microkernel for output rows of `aᵀ * b` with `a` being `k x m` and `b`
-/// being `k x n` (`out` is `m x n`): `out[i][j] = Σ_kk a[kk,i] * b[kk,j]`.
-///
-/// The reduction streams whole rows of `a` and `b` (ascending `kk`), so
-/// the composed `transpose(a)` + forward-kernel zero-skip — `at[i,kk]`,
-/// i.e. `a[kk,i]` — is expressed directly on `a`'s column and the result
-/// is bitwise identical to that composition.
-#[allow(clippy::too_many_arguments)] // kernel entry mirrors the (a, b, out, range, dims) calling convention
-fn matmul_at_rows(
-    a: &[f64],
-    b: &[f64],
-    out_rows: &mut [f64],
-    row_start: usize,
-    rows: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    if k == 0 {
-        out_rows.fill(0.0);
-        return;
-    }
-    let split = n - n % MATMUL_LANES;
-    for local_i in 0..rows {
-        let i = row_start + local_i;
-        let out_row = &mut out_rows[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j < split {
-            let mut acc = [0.0f64; MATMUL_LANES];
-            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-                let aik = a_row[i];
-                if aik == 0.0 {
-                    continue;
-                }
-                let bt = &b_row[j..j + MATMUL_LANES];
-                acc[0] += aik * bt[0];
-                acc[1] += aik * bt[1];
-                acc[2] += aik * bt[2];
-                acc[3] += aik * bt[3];
-            }
-            out_row[j..j + MATMUL_LANES].copy_from_slice(&acc);
-            j += MATMUL_LANES;
-        }
-        for j in split..n {
-            let mut acc = 0.0;
-            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-                let aik = a_row[i];
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * b_row[j];
-            }
-            out_row[j] = acc;
-        }
-    }
 }
 
 /// Row-partitioned `out = aᵀ * b` with `a` being `k x m` and `b` being
 /// `k x n`, all row-major (`out` is `m x n`).
 ///
-/// This is the transpose-free backward product (`grad_rhs = aᵀ * upstream`):
+/// This is the backward product `grad_rhs = aᵀ * upstream`: the row kernel
+/// reads output row `i`'s factors down column `i` of `a`, so the result is
 /// bitwise identical to materializing `transpose(a)` and calling
-/// [`matmul_into`], with the same serial-fallback threshold
-/// (`m * k * n < `[`PAR_FLOPS_THRESHOLD`]) and the same
-/// [`MATMUL_BLOCK_ROWS`]-row chunking, so the determinism contract holds at
-/// any thread count.
+/// [`matmul_into`], at any thread count.
 ///
 /// # Panics
 ///
@@ -367,15 +265,15 @@ pub fn matmul_at_into(
     assert_eq!(a.len(), k * m, "lhs buffer length");
     assert_eq!(b.len(), k * n, "rhs buffer length");
     assert_eq!(out.len(), m * n, "out buffer length");
-    if pool.threads() == 1 || m.saturating_mul(k).saturating_mul(n) < PAR_FLOPS_THRESHOLD {
-        matmul_at_rows(a, b, out, 0, m, k, m, n);
-        return;
-    }
-    pool.for_each_chunk_mut(out, MATMUL_BLOCK_ROWS * n, |chunk_idx, out_rows| {
-        let row_start = chunk_idx * MATMUL_BLOCK_ROWS;
-        let rows = out_rows.len() / n;
-        matmul_at_rows(a, b, out_rows, row_start, rows, k, m, n);
-    });
+    run_rows(
+        pool,
+        |i| a.chunks_exact(m).map(move |row| &row[i]),
+        b,
+        out,
+        m,
+        k,
+        n,
+    );
 }
 
 #[cfg(test)]
@@ -432,13 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_microkernel_matches_scalar_reference_bitwise() {
-        // Shapes covering sub-tile widths, tile remainders, and a reduction
-        // longer than one MATMUL_KC panel.
+    fn row_kernel_matches_scalar_reference_bitwise() {
+        // Shapes covering every register-array width, wide rows, and long
+        // reductions.
         for &(m, k, n) in &[
             (1, 1, 1),
+            (4, 5, 2),
             (2, 3, 3),
             (5, 7, 4),
+            (6, 4, 5),
             (3, 9, 6),
             (8, 8, 8),
             (17, 9, 23),
@@ -449,9 +349,9 @@ mod tests {
             let b = fill(k * n, 22);
             let mut scalar = vec![f64::NAN; m * n];
             matmul_scalar_into(&a, &b, &mut scalar, m, k, n);
-            let mut blocked = vec![f64::NAN; m * n];
-            matmul_serial_into(&a, &b, &mut blocked, m, k, n);
-            for (x, y) in blocked.iter().zip(&scalar) {
+            let mut row = vec![f64::NAN; m * n];
+            matmul_serial_into(&a, &b, &mut row, m, k, n);
+            for (x, y) in row.iter().zip(&scalar) {
                 assert_eq!(x.to_bits(), y.to_bits(), "({m}x{k}x{n})");
             }
         }

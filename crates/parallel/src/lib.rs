@@ -14,9 +14,10 @@
 //!   only on the workload size, never on the thread count, so every
 //!   reduction is **bitwise identical** regardless of how many threads
 //!   execute it.
-//! * [`kernels`] — a blocked, row-partitioned parallel `matmul` over
-//!   row-major `f64` buffers with a serial fallback below a size threshold;
-//!   the shared kernel behind `nofis_linalg::Tensor::matmul` and the
+//! * [`kernels`] — a row-partitioned parallel `matmul` over row-major
+//!   `f64` buffers, one row kernel for the forward, `a·bᵀ` and `aᵀ·b`
+//!   products, with a serial fallback below a size threshold; the shared
+//!   kernel behind `nofis_linalg::Tensor::matmul` and the
 //!   autograd matmul op (forward *and* backward).
 //! * [`math`] — deterministic scalar transcendentals ([`math::tanh`])
 //!   shared by the interpreted graph and the compiled-tape replay engine.

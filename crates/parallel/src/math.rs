@@ -1,11 +1,9 @@
 //! Deterministic scalar math kernels shared by every execution engine.
 //!
-//! The NOFIS forward pass is dominated by `tanh`: at the default stage-3
-//! configuration the fused `matmul+bias+tanh` layers spend ~70% of a
-//! train step inside the activation (libm `tanh` costs ~25 ns/element at
-//! realistic pre-activation magnitudes). [`tanh`] replaces it with a
-//! branch-free-per-range polynomial evaluation that is ~2–3× faster while
-//! staying within ~2e-15 relative error of libm.
+//! Every coupling-layer conditioner runs `tanh` once per hidden unit and
+//! row, in its fused `matmul+bias+tanh` layer. [`tanh`] replaces libm's
+//! with a branch-free-per-range polynomial evaluation that is ~2–3×
+//! faster while staying within ~2e-15 relative error of libm.
 //!
 //! # Determinism contract
 //!

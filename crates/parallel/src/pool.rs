@@ -22,8 +22,6 @@ use std::thread::JoinHandle;
 pub struct PoolUsage {
     /// Chunked runs executed (`run_chunks` calls with work).
     pub runs: u64,
-    /// Total chunks executed across all runs.
-    pub chunks: u64,
     /// Runs small enough (or pools small enough) to execute entirely on
     /// the calling thread without dispatching helpers.
     pub inline_runs: u64,
@@ -31,6 +29,7 @@ pub struct PoolUsage {
     pub helper_dispatches: u64,
     /// Runs whose helper allotment was reduced by fair-share lane
     /// accounting (two or more [`LaneGuard`]s alive at dispatch time).
+    /// The fair-share split's test hook: nothing else reads it.
     pub shared_runs: u64,
 }
 
@@ -144,7 +143,6 @@ pub struct ThreadPool {
     handles: Vec<JoinHandle<()>>,
     threads: usize,
     runs: AtomicU64,
-    chunks: AtomicU64,
     inline_runs: AtomicU64,
     helper_dispatches: AtomicU64,
     shared_runs: AtomicU64,
@@ -182,7 +180,6 @@ impl ThreadPool {
             handles,
             threads,
             runs: AtomicU64::new(0),
-            chunks: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             helper_dispatches: AtomicU64::new(0),
             shared_runs: AtomicU64::new(0),
@@ -199,7 +196,6 @@ impl ThreadPool {
     pub fn usage(&self) -> PoolUsage {
         PoolUsage {
             runs: self.runs.load(Ordering::Relaxed),
-            chunks: self.chunks.load(Ordering::Relaxed),
             inline_runs: self.inline_runs.load(Ordering::Relaxed),
             helper_dispatches: self.helper_dispatches.load(Ordering::Relaxed),
             shared_runs: self.shared_runs.load(Ordering::Relaxed),
@@ -212,11 +208,6 @@ impl ThreadPool {
     pub fn lane_guard(&self) -> LaneGuard<'_> {
         self.active_clients.fetch_add(1, Ordering::Relaxed);
         LaneGuard { pool: self }
-    }
-
-    /// Clients currently registered via [`ThreadPool::lane_guard`].
-    pub fn active_clients(&self) -> usize {
-        self.active_clients.load(Ordering::Relaxed)
     }
 
     /// Runs `f(chunk_index)` for every index in `0..n_chunks`, spreading
@@ -239,7 +230,6 @@ impl ThreadPool {
             return;
         }
         self.runs.fetch_add(1, Ordering::Relaxed);
-        self.chunks.fetch_add(n_chunks as u64, Ordering::Relaxed);
         // Fair-share: with several registered clients, each run claims only
         // its share of the worker lanes (the caller's own lane is always
         // available, so the floor is zero helpers, never zero lanes).
@@ -489,14 +479,13 @@ mod tests {
     }
 
     #[test]
-    fn usage_counters_track_runs_and_chunks() {
+    fn usage_counters_track_runs() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.usage(), PoolUsage::default());
         pool.run_chunks(5, |_| {});
         pool.run_chunks(0, |_| {}); // no-op, not counted
         let u = pool.usage();
         assert_eq!(u.runs, 1);
-        assert_eq!(u.chunks, 5);
         assert_eq!(u.inline_runs, 1);
         assert_eq!(u.helper_dispatches, 0);
 
@@ -505,7 +494,6 @@ mod tests {
         pool.run_chunks(1, |_| {}); // single chunk runs inline even on a big pool
         let u = pool.usage();
         assert_eq!(u.runs, 2);
-        assert_eq!(u.chunks, 11);
         assert_eq!(u.inline_runs, 1);
         assert_eq!(u.helper_dispatches, 3);
     }
@@ -513,11 +501,9 @@ mod tests {
     #[test]
     fn lane_guards_split_helpers_between_clients() {
         let pool = ThreadPool::new(4);
-        assert_eq!(pool.active_clients(), 0);
 
         // One client (or none): full helper allotment, not a shared run.
         let g1 = pool.lane_guard();
-        assert_eq!(pool.active_clients(), 1);
         pool.run_chunks(10, |_| {});
         assert_eq!(pool.usage().helper_dispatches, 3);
         assert_eq!(pool.usage().shared_runs, 0);
@@ -542,9 +528,9 @@ mod tests {
 
         // Guards release their registration on drop.
         drop((g1, g2, g3, g4));
-        assert_eq!(pool.active_clients(), 0);
         pool.run_chunks(10, |_| {});
         assert_eq!(pool.usage().helper_dispatches, 7);
+        assert_eq!(pool.usage().shared_runs, 2);
     }
 
     #[test]
