@@ -3,16 +3,20 @@
 //! runs.
 //!
 //! ```text
-//! table1 [--runs N] [--cases leaf,cube,...] [--seed S]
+//! table1 [--runs N] [--cases leaf,cube,...] [--seed S] [--only-nofis]
 //! ```
 //!
 //! The paper averages 20 runs on a V100 cluster; this reproduction runs on
 //! a single CPU core, so the default is 5 runs (raise `--runs` when you
 //! have the time budget). Results stream to stdout and are dumped to
-//! `results/table1.json`.
+//! `results/table1.json`. `--only-nofis` runs the NOFIS column alone (to
+//! re-measure it without re-spending the baselines' budgets) and writes
+//! `results/table1_nofis.json`, leaving the full table alone.
 
-use nofis_bench::cases::table1_configs;
-use nofis_bench::runner::{format_row, run_case};
+use nofis_baselines::RareEventEstimator;
+use nofis_bench::cases::{table1_configs, CaseConfig};
+use nofis_bench::runner::{estimators_for, format_row, run_case};
+use nofis_bench::NofisEstimator;
 
 fn main() {
     let mut runs = 5usize;
@@ -59,14 +63,32 @@ fn main() {
         })
         .collect();
 
+    let estimators = |case: &CaseConfig| -> Vec<Box<dyn RareEventEstimator>> {
+        if nofis_only {
+            vec![Box::new(NofisEstimator::new(case.nofis.clone()))]
+        } else {
+            estimators_for(case)
+        }
+    };
+    let out = if nofis_only {
+        "results/table1_nofis.json"
+    } else {
+        "results/table1.json"
+    };
+
     println!(
         "Table 1 reproduction — {runs} runs per (case, method); format: calls / |ln(est) - ln(golden)|"
     );
-    println!(
-        "{:<34} | {}",
-        "case",
-        ["MC", "SIR", "SUC", "SUS", "SSS", "Adapt-IS", "NOFIS"].join(" | ")
-    );
+    let columns: Vec<String> = selected
+        .first()
+        .map(|case| {
+            estimators(case)
+                .iter()
+                .map(|e| e.method_name().to_string())
+                .collect()
+        })
+        .unwrap_or_default();
+    println!("{:<34} | {}", "case", columns.join(" | "));
 
     let mut results = Vec::new();
     for case in &selected {
@@ -74,21 +96,14 @@ fn main() {
             "running case #{} {} (D={})…",
             case.entry.id, case.entry.name, case.entry.dim
         );
-        let res = if nofis_only {
-            nofis_bench::runner::run_case_nofis_only(
-                case,
-                runs,
-                seed + case.entry.id as u64 * 1_000,
-            )
-        } else {
-            run_case(case, runs, seed + case.entry.id as u64 * 1_000, true)
-        };
+        let seed0 = seed + case.entry.id as u64 * 1_000;
+        let res = run_case(case, &estimators(case), runs, seed0);
         println!("{}", format_row(&res));
         results.push(res);
         // Persist incrementally so partial runs still leave artifacts.
         let json = serde_json::to_string_pretty(&results).expect("serializable results");
         std::fs::create_dir_all("results").ok();
-        std::fs::write("results/table1.json", json).expect("write results/table1.json");
+        std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     }
-    println!("\nwrote results/table1.json");
+    println!("\nwrote {out}");
 }

@@ -1,15 +1,22 @@
 //! Experiment harness regenerating every table and figure of the NOFIS
-//! paper.
+//! paper, and the benchmarks behind the checked-in `results/BENCH_*.json`.
 //!
-//! Binaries (all print their artifact to stdout and dump JSON under
+//! Paper binaries (all print their artifact to stdout and dump JSON under
 //! `results/`):
 //!
-//! * `table1` — the 10-case × 7-method comparison (calls / log-error).
+//! * `table1` — the 10-case × 7-method comparison (calls / log-error);
+//!   `--only-nofis` re-measures the NOFIS column into
+//!   `results/table1_nofis.json`.
 //! * `fig2` — learned vs optimal 2-D proposal heatmaps.
 //! * `fig3` — intermediate stage proposals and training-loss curves.
 //! * `fig4` — limited-budget Leaf proposal + error vs `N_IS` sweep.
 //! * `fig5` — ablations (NoFreeze / LongThre / SmallTemp) and the τ sweep.
 //! * `calibrate` — threshold/golden-probability calibration utility.
+//!
+//! Benchmark binaries: `bench_parallel` (`BENCH_parallel.json`),
+//! `bench_train_step` (`BENCH_train_step.json`) and `bench_sweep`
+//! (`BENCH_sweep.json`); `nofis-trace` reads the JSONL run traces. Whole
+//! runs are timed by the separate `e2ebench` crate.
 //!
 //! The library part hosts the pieces those binaries share: the
 //! [`NofisEstimator`] adapter, the per-case experiment configuration

@@ -28,7 +28,7 @@ pub struct MethodResult {
     pub runs: usize,
 }
 
-/// Result row for one test case (all seven methods).
+/// Result row for one test case (one entry per method run).
 #[derive(Debug, Serialize)]
 pub struct CaseResult {
     /// Case id (Table 1 row).
@@ -86,23 +86,28 @@ pub fn estimators_for(case: &CaseConfig) -> Vec<Box<dyn RareEventEstimator>> {
     ]
 }
 
-/// Runs every method of Table 1 on one case.
-pub fn run_case(case: &CaseConfig, runs: usize, seed0: u64, verbose: bool) -> CaseResult {
+/// Runs each of `estimators` on one case, in order (the seven of
+/// [`estimators_for`] for a full Table 1 row), logging each method's
+/// aggregate to stderr.
+pub fn run_case(
+    case: &CaseConfig,
+    estimators: &[Box<dyn RareEventEstimator>],
+    runs: usize,
+    seed0: u64,
+) -> CaseResult {
     let mut methods = Vec::new();
-    for est in estimators_for(case) {
+    for est in estimators {
         let t0 = std::time::Instant::now();
         let res = run_method(est.as_ref(), case, runs, seed0);
-        if verbose {
-            eprintln!(
-                "  [{:>8}] {}: calls {:.1}K, log-err {:.3} ± {:.3} ({:.1?})",
-                res.method,
-                case.entry.name,
-                res.mean_calls / 1e3,
-                res.mean_log_error,
-                res.std_log_error,
-                t0.elapsed()
-            );
-        }
+        eprintln!(
+            "  [{:>8}] {}: calls {:.1}K, log-err {:.3} ± {:.3} ({:.1?})",
+            res.method,
+            case.entry.name,
+            res.mean_calls / 1e3,
+            res.mean_log_error,
+            res.std_log_error,
+            t0.elapsed()
+        );
         methods.push(res);
     }
     CaseResult {
@@ -111,29 +116,6 @@ pub fn run_case(case: &CaseConfig, runs: usize, seed0: u64, verbose: bool) -> Ca
         dim: case.entry.dim,
         golden_pr: case.entry.golden_pr,
         methods,
-    }
-}
-
-/// Runs only the NOFIS column of a case (used to re-measure NOFIS rows
-/// after algorithm changes without re-spending the baseline budgets).
-pub fn run_case_nofis_only(case: &CaseConfig, runs: usize, seed0: u64) -> CaseResult {
-    let est = NofisEstimator::new(case.nofis.clone());
-    let t0 = std::time::Instant::now();
-    let res = run_method(&est, case, runs, seed0);
-    eprintln!(
-        "  [   NOFIS] {}: calls {:.1}K, log-err {:.3} ± {:.3} ({:.1?})",
-        case.entry.name,
-        res.mean_calls / 1e3,
-        res.mean_log_error,
-        res.std_log_error,
-        t0.elapsed()
-    );
-    CaseResult {
-        id: case.entry.id,
-        name: case.entry.name.to_string(),
-        dim: case.entry.dim,
-        golden_pr: case.entry.golden_pr,
-        methods: vec![res],
     }
 }
 

@@ -288,12 +288,15 @@ impl NofisConfig {
         Ok(())
     }
 
-    /// The simulator-call budget training will consume (`M·E·N` plus any
-    /// adaptive pilot calls); the final estimate adds `n_is` more.
+    /// The simulator calls of the full training schedule: `M·E·N` plus,
+    /// when adaptive, one pilot batch per stage but the last, whose level
+    /// is always 0. An adaptive run that reaches level 0 before its last
+    /// stage stops there and spends less. The final estimate adds `n_is`
+    /// more.
     pub fn training_budget(&self) -> u64 {
         let stages = self.levels.max_stages() as u64;
         let pilot = match self.levels {
-            Levels::AdaptiveQuantile { pilot, .. } => pilot as u64 * stages,
+            Levels::AdaptiveQuantile { pilot, .. } => pilot as u64 * stages.saturating_sub(1),
             Levels::Fixed(_) => 0,
         };
         stages * self.epochs as u64 * self.batch_size as u64 + pilot
@@ -486,7 +489,8 @@ mod tests {
             batch_size: 100,
             ..Default::default()
         };
-        assert_eq!(cfg.training_budget(), 3 * 10 * 100 + 150);
+        // The last stage's level is 0 without a pilot batch.
+        assert_eq!(cfg.training_budget(), 3 * 10 * 100 + 100);
     }
 
     #[test]

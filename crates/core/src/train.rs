@@ -1426,22 +1426,37 @@ mod tests {
 
     #[test]
     fn adaptive_levels_reach_zero() {
-        let ls = HalfSpace { beta: 3.0 };
-        let oracle = CountingOracle::new(&ls);
-        let cfg = small_config(Levels::AdaptiveQuantile {
-            max_stages: 4,
-            p0: 0.15,
-            pilot: 100,
-        });
-        let nofis = Nofis::new(cfg).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let trained = nofis.train(&oracle, &mut rng).unwrap();
-        let levels = trained.levels();
-        assert_eq!(*levels.last().unwrap(), 0.0);
-        // Levels decrease strictly until 0.0, then may repeat 0.0
-        // (refinement stages).
-        let nonzero: Vec<f64> = levels.iter().copied().take_while(|&l| l > 0.0).collect();
-        assert!(nonzero.windows(2).all(|w| w[1] < w[0]), "levels {levels:?}");
+        // (beta, max_stages, uses every stage): at beta 4 the first pilot
+        // level is well above 0, so the two-stage run trains both stages
+        // and the second is the forced level-0 stage.
+        for (beta, max_stages, full) in [(3.0, 4, false), (4.0, 2, true)] {
+            let ls = HalfSpace { beta };
+            let oracle = CountingOracle::new(&ls);
+            let cfg = small_config(Levels::AdaptiveQuantile {
+                max_stages,
+                p0: 0.15,
+                pilot: 100,
+            });
+            let budget = cfg.training_budget();
+            let nofis = Nofis::new(cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(7);
+            let trained = nofis.train(&oracle, &mut rng).unwrap();
+            let levels = trained.levels();
+            assert_eq!(*levels.last().unwrap(), 0.0);
+            // Levels decrease strictly until 0.0, then may repeat 0.0
+            // (refinement stages).
+            let nonzero: Vec<f64> = levels.iter().copied().take_while(|&l| l > 0.0).collect();
+            assert!(nonzero.windows(2).all(|w| w[1] < w[0]), "levels {levels:?}");
+            // Every stage trains `E·N` samples; every stage but a forced
+            // final one draws a pilot batch first.
+            let stages = trained.stages() as u64;
+            let pilots = stages.min(max_stages as u64 - 1);
+            assert_eq!(oracle.calls(), stages * 12 * 100 + pilots * 100);
+            if full {
+                assert_eq!(trained.stages(), max_stages, "levels {levels:?}");
+                assert_eq!(oracle.calls(), budget);
+            }
+        }
     }
 
     #[test]
